@@ -22,7 +22,7 @@ tighten results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -198,14 +198,7 @@ class TradeoffParams:
     epsilon: float
 
     def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "a": self.a,
-            "b": self.b,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "epsilon": self.epsilon,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -225,13 +218,7 @@ class BoundReport:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "argbest": self.argbest.to_dict(),
-            "grid_size": self.grid_size,
-            "heuristic_flags": list(self.heuristic_flags),
-        }
+        return {**asdict(self), "heuristic_flags": list(self.heuristic_flags)}
 
 
 class ClassBounds(NamedTuple):

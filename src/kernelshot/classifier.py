@@ -58,13 +58,6 @@ class FewShotModel:
     def k(self) -> int:
         return self.shots.shape[0]
 
-    def summary(self) -> dict:
-        return {
-            "k": self.k,
-            "kernel": self.kernel.label,
-            "dist_sq": self.dist_sq,
-        }
-
 
 def fit_few_shot(spec: KernelSpec, shots, old_centre: FeatureCombination) -> FewShotModel:
     """Fit the prototype classifier from the new-class shots.

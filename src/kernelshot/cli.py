@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, DataError, NumericError
-from .experiments import load_config, run_experiment
+from .experiments import COMMANDS, load_config, run_experiment
 from .ingest import ingest_feature_csv
 
 __all__ = ["build_parser", "main", "run"]
@@ -24,8 +24,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-_EXPERIMENT_COMMANDS = ("orthogonality", "volume-ratio", "bounds", "fewshot-roc")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for command in _EXPERIMENT_COMMANDS:
+    for command in COMMANDS:
         p = sub.add_parser(command, help=f"run the {command} experiment from a JSON config")
         p.add_argument("--config", required=True, help="path to the JSON config document")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -76,12 +74,11 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.out is not None:
         raw["out"] = args.out
     config = load_config(args.command, raw)
-    report = run_experiment(config)
+    run_experiment(config)
     out_dir = Path(config.out)
     print(f"wrote {out_dir / 'report.json'}")
     for extra in sorted(out_dir.glob("*.csv")):
         print(f"wrote {extra}")
-    del report
     return EXIT_OK
 
 
@@ -103,3 +100,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

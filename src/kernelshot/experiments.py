@@ -1,10 +1,12 @@
 """Experiment configurations, runners, and report emission for the CLI.
 
 Each subcommand has a config dataclass parsed from a single JSON document
-with unknown fields rejected.  Runners write CSV/JSON reports atomically
-(temp file then rename); every JSON report embeds the config, the seed, and
-the library version, and identical config + seed reproduce byte-identical
-numeric content.
+with unknown fields rejected.  Every field declares its parser and default
+once, in the dataclass itself; one generic routine applies them and echoes
+the parsed config back into the report.  Runners write CSV/JSON reports
+atomically (temp file then rename); every JSON report embeds the config, the
+seed, and the library version, and identical config + seed reproduce
+byte-identical numeric content.
 """
 
 from __future__ import annotations
@@ -12,21 +14,22 @@ from __future__ import annotations
 import csv
 import datetime
 import json
-import os
-import tempfile
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from . import __version__
 from .bounds import (
     BoundGrid,
+    ProbabilityFunctions,
     combined_success_bounds,
     empirical_probability_functions,
     mean_concentration_bounds,
 )
-from .classifier import auroc, decision_values, fit_few_shot, roc_curve
+from .classifier import auroc, decision_values, fit_few_shot, normalize_feature_table, roc_curve
 from .distributions import DomainSpec, sample_domain, sample_unit_ball, spawn_seeds
 from .errors import ConfigError, DataError
 from .geometry import (
@@ -36,24 +39,25 @@ from .geometry import (
     orthogonality_stats,
     write_ratio_sweep_csv,
 )
-from .ingest import ingest_feature_csv
+from .ingest import _atomic_write, ingest_feature_csv
 from .kernels import (
     KernelSpec,
     centered_sq_norm,
     combo_pair_stats,
     mean_combination,
 )
-from .classifier import normalize_feature_table
 
 __all__ = [
     "OrthogonalityConfig",
     "VolumeRatioConfig",
     "BoundsConfig",
     "FewShotRocConfig",
-    "parse_kernel",
+    "COMMANDS",
     "load_config",
     "run_experiment",
     "ball_cloud",
+    "TwoBallRefits",
+    "two_ball_refits",
     "write_json_atomic",
     "write_csv_atomic",
 ]
@@ -64,21 +68,6 @@ SCHEMA_VERSION = 1
 # ---------------------------------------------------------------------------
 # Atomic writers
 # ---------------------------------------------------------------------------
-
-
-def _atomic_write(path, write_fn) -> None:
-    target = os.fspath(path)
-    directory = os.path.dirname(target) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            write_fn(fh)
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def write_json_atomic(path, obj) -> None:
@@ -96,355 +85,243 @@ def write_csv_atomic(path, header, rows) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Field parsers: each takes a raw JSON value and returns the parsed value, or
+# raises ValueError / TypeError; the config routine names the field.
+# ---------------------------------------------------------------------------
+
+
+def _param(parse, default=MISSING):
+    """A config field read by `parse`; required unless it has a default."""
+    return field(default=default, metadata={"parse": parse})
+
+
+def _parse_field(name: str, value, parse, default=MISSING):
+    """Parse one raw value; absent or null takes the default."""
+    if value is None:
+        if default is MISSING:
+            raise ConfigError(f"missing required config field {name!r}")
+        return default
+    try:
+        return parse(value)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"config field {name!r}: {exc}") from exc
+
+
+def _number(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return value
+
+
+def _real(low: float = -math.inf, high: float = math.inf):
+    def parse(value) -> float:
+        x = float(_number(value))
+        if not low <= x <= high:
+            raise ValueError(f"{x!r} outside [{low}, {high}]")
+        return x
+
+    return parse
+
+
+def _positive(value) -> float:
+    x = float(_number(value))
+    if x <= 0:
+        raise ValueError(f"must be positive, got {x!r}")
+    return x
+
+
+def _count(low: int):
+    def parse(value) -> int:
+        n = int(_number(value))
+        if n != value:
+            raise ValueError(f"expected an integer, got {value!r}")
+        if n < low:
+            raise ValueError(f"must be at least {low}, got {n}")
+        return n
+
+    return parse
+
+
+def _list(item, allow_empty: bool = False):
+    def parse(value) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected a list, got {value!r}")
+        if not value and not allow_empty:
+            raise ValueError("must be non-empty")
+        return tuple(item(v) for v in value)
+
+    return parse
+
+
+def _choice(*options):
+    def parse(value):
+        if value not in options:
+            raise ValueError(f"must be one of {list(options)}, got {value!r}")
+        return value
+
+    return parse
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+_seed = _count(0)
+
+# kernel kind -> parameter -> (parser, default); a parameter without a
+# default is required
+_KERNEL_PARAMS = {
+    "linear": {"bias": (_real(0.0), 0.0)},
+    "polynomial": {"degree": (_count(1), MISSING), "bias": (_real(0.0), 1.0)},
+    "gaussian": {"sigma": (_positive, MISSING)},
+}
+
+
+def _kernel(obj) -> KernelSpec:
+    if not isinstance(obj, dict):
+        raise TypeError(f"kernel must be an object, got {type(obj).__name__}")
+    kind = obj.get("kind")
+    if kind not in _KERNEL_PARAMS:
+        raise ValueError(f"kernel kind must be one of {sorted(_KERNEL_PARAMS)}, got {kind!r}")
+    params = _KERNEL_PARAMS[kind]
+    unknown = set(obj) - {"kind", *params}
+    if unknown:
+        raise ValueError(f"unknown {kind} kernel fields: {sorted(unknown)}")
+    return KernelSpec(
+        kind, **{name: _parse_field(name, obj.get(name), *spec) for name, spec in params.items()}
+    )
+
+
+def _echo(value):
+    """The JSON form of a parsed field value, as the report's config echo."""
+    if isinstance(value, KernelSpec):
+        return {"kind": value.kind, **{name: getattr(value, name) for name in _KERNEL_PARAMS[value.kind]}}
+    if isinstance(value, tuple):
+        return [_echo(v) for v in value]
+    return value
+
+
+# ---------------------------------------------------------------------------
 # Config parsing
 # ---------------------------------------------------------------------------
 
 
-def _require(raw: dict, key: str):
-    if key not in raw:
-        raise ConfigError(f"missing required config field {key!r}")
-    return raw[key]
+class _Config:
+    """Generic parse and echo over a config dataclass's own fields."""
 
-
-def _reject_unknown(raw: dict, allowed: set[str], context: str) -> None:
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {context} fields: {sorted(unknown)}")
-
-
-def parse_kernel(obj) -> KernelSpec:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"kernel must be an object, got {type(obj).__name__}")
-    kind = obj.get("kind")
-    allowed_by_kind = {
-        "linear": {"kind", "bias"},
-        "polynomial": {"kind", "degree", "bias"},
-        "gaussian": {"kind", "sigma"},
-    }
-    if kind not in allowed_by_kind:
-        raise ConfigError(f"kernel kind must be one of {sorted(allowed_by_kind)}, got {kind!r}")
-    _reject_unknown(obj, allowed_by_kind[kind], f"{kind} kernel")
-    try:
-        if kind == "linear":
-            return KernelSpec("linear", bias=float(obj.get("bias", 0.0)))
-        if kind == "polynomial":
-            return KernelSpec(
-                "polynomial",
-                degree=int(_require(obj, "degree")),
-                bias=float(obj.get("bias", 1.0)),
-            )
-        return KernelSpec("gaussian", sigma=float(_require(obj, "sigma")))
-    except ValueError as exc:
-        raise ConfigError(f"invalid kernel parameters: {exc}") from exc
-
-
-def _kernel_to_dict(spec: KernelSpec) -> dict:
-    if spec.kind == "gaussian":
-        return {"kind": "gaussian", "sigma": spec.sigma}
-    if spec.kind == "linear":
-        return {"kind": "linear", "bias": spec.bias}
-    return {"kind": "polynomial", "degree": spec.degree, "bias": spec.bias}
-
-
-def _check_schema(raw: dict, command: str) -> None:
-    version = raw.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {version}, expected {SCHEMA_VERSION}")
-    declared = raw.get("command")
-    if declared is not None and declared != command:
-        raise ConfigError(f"config declares command {declared!r} but {command!r} was invoked")
-
-
-@dataclass(frozen=True)
-class OrthogonalityConfig:
-    kernels: tuple[KernelSpec, ...]
-    d_values: tuple[int, ...]
-    n_points: int
-    seed: int
-    out: str
-
-    FIELDS = {"schema_version", "command", "kernels", "d_values", "n_points", "seed", "out"}
+    command: ClassVar[str]
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "OrthogonalityConfig":
-        _check_schema(raw, "orthogonality")
-        _reject_unknown(raw, cls.FIELDS, "orthogonality config")
-        kernels = tuple(parse_kernel(k) for k in _require(raw, "kernels"))
-        if not kernels:
-            raise ConfigError("kernels must be non-empty")
-        d_values = tuple(int(d) for d in _require(raw, "d_values"))
-        n_points = int(raw.get("n_points", 1000))
-        if n_points < 2:
-            raise ConfigError("n_points must be at least 2")
+    def from_dict(cls, raw: dict):
+        version = raw.get("schema_version", SCHEMA_VERSION)
+        if version != SCHEMA_VERSION:
+            raise ConfigError(f"unsupported schema_version {version}, expected {SCHEMA_VERSION}")
+        declared = raw.get("command")
+        if declared is not None and declared != cls.command:
+            raise ConfigError(f"config declares command {declared!r} but {cls.command!r} was invoked")
+        unknown = set(raw) - {"schema_version", "command"} - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown {cls.command} config fields: {sorted(unknown)}")
         return cls(
-            kernels=kernels,
-            d_values=d_values,
-            n_points=n_points,
-            seed=int(raw.get("seed", 0)),
-            out=str(_require(raw, "out")),
+            **{
+                f.name: _parse_field(f.name, raw.get(f.name), f.metadata["parse"], f.default)
+                for f in fields(cls)
+            }
         )
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "command": "orthogonality",
-            "kernels": [_kernel_to_dict(k) for k in self.kernels],
-            "d_values": list(self.d_values),
-            "n_points": self.n_points,
-            "seed": self.seed,
-            "out": self.out,
-        }
+        echo = {"schema_version": SCHEMA_VERSION, "command": self.command}
+        echo.update((f.name, _echo(getattr(self, f.name))) for f in fields(self))
+        return echo
 
 
-@dataclass(frozen=True)
-class VolumeRatioConfig:
-    kernel: KernelSpec
-    domain: DomainSpec
-    support_size: int
-    probe_size: int
-    eps_grid: tuple[float, ...]
-    delta_grid: tuple[float, ...]
-    delta_scale: str  # "cosine": delta = t * r * ||phi(v) - c||; "raw": delta = t
-    seed: int
-    out: str
+@dataclass(frozen=True, kw_only=True)
+class OrthogonalityConfig(_Config):
+    command: ClassVar[str] = "orthogonality"
 
-    FIELDS = {
-        "schema_version",
-        "command",
-        "kernel",
-        "domain",
-        "d",
-        "half_width",
-        "support_size",
-        "probe_size",
-        "eps_grid",
-        "delta_grid",
-        "delta_scale",
-        "seed",
-        "out",
-    }
+    kernels: tuple[KernelSpec, ...] = _param(_list(_kernel))
+    d_values: tuple[int, ...] = _param(_list(_count(1)))
+    n_points: int = _param(_count(2), 1000)
+    seed: int = _param(_seed, 0)
+    out: str = _param(_text)
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "VolumeRatioConfig":
-        _check_schema(raw, "volume-ratio")
-        _reject_unknown(raw, cls.FIELDS, "volume-ratio config")
-        kernel = parse_kernel(_require(raw, "kernel"))
-        domain_kind = raw.get("domain", "unit_ball")
-        if domain_kind not in ("unit_ball", "cube"):
-            raise ConfigError(f"domain must be 'unit_ball' or 'cube', got {domain_kind!r}")
-        d = int(_require(raw, "d"))
-        half_width = float(raw.get("half_width", 1.0))
-        try:
-            domain = DomainSpec(domain_kind, d, half_width)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        probe_size = int(raw.get("probe_size", 100_000))
-        support_size = int(raw.get("support_size", 1000))
-        if probe_size < 1 or support_size < 1:
-            raise ConfigError("probe_size and support_size must be at least 1")
-        eps_grid = tuple(float(v) for v in raw.get("eps_grid", ()) or ())
-        delta_grid = tuple(float(v) for v in raw.get("delta_grid", ()) or ())
-        if not eps_grid and not delta_grid:
+
+@dataclass(frozen=True, kw_only=True)
+class VolumeRatioConfig(_Config):
+    command: ClassVar[str] = "volume-ratio"
+
+    kernel: KernelSpec = _param(_kernel)
+    domain: str = _param(_choice("unit_ball", "cube"), "unit_ball")
+    d: int = _param(_count(1))
+    half_width: float = _param(_positive, 1.0)
+    support_size: int = _param(_count(2), 1000)
+    probe_size: int = _param(_count(1), 100_000)
+    eps_grid: tuple[float, ...] = _param(_list(_real(0.0, 1.0), allow_empty=True), ())
+    delta_grid: tuple[float, ...] = _param(_list(_real(), allow_empty=True), ())
+    # "cosine": delta = t * r * ||phi(v) - c||; "raw": delta = t
+    delta_scale: str = _param(_choice("cosine", "raw"), "cosine")
+    seed: int = _param(_seed, 0)
+    out: str = _param(_text)
+
+    def __post_init__(self) -> None:
+        if not self.eps_grid and not self.delta_grid:
             raise ConfigError("at least one of eps_grid / delta_grid must be provided")
-        delta_scale = raw.get("delta_scale", "cosine")
-        if delta_scale not in ("cosine", "raw"):
-            raise ConfigError(f"delta_scale must be 'cosine' or 'raw', got {delta_scale!r}")
-        return cls(
-            kernel=kernel,
-            domain=domain,
-            support_size=support_size,
-            probe_size=probe_size,
-            eps_grid=eps_grid,
-            delta_grid=delta_grid,
-            delta_scale=delta_scale,
-            seed=int(raw.get("seed", 0)),
-            out=str(_require(raw, "out")),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "command": "volume-ratio",
-            "kernel": _kernel_to_dict(self.kernel),
-            "domain": self.domain.kind,
-            "d": self.domain.dim,
-            "half_width": self.domain.half_width,
-            "support_size": self.support_size,
-            "probe_size": self.probe_size,
-            "eps_grid": list(self.eps_grid),
-            "delta_grid": list(self.delta_grid),
-            "delta_scale": self.delta_scale,
-            "seed": self.seed,
-            "out": self.out,
-        }
 
 
-@dataclass(frozen=True)
-class BoundsConfig:
-    kernel: KernelSpec
-    d: int
-    centre_distance: float
-    radius_new: float
-    radius_old: float
-    reference_size: int
-    shots: int
-    theta_grid: tuple[float, ...]
-    s_points: int
-    refits: int
-    draws: int
-    seed: int
-    out: str
+@dataclass(frozen=True, kw_only=True)
+class BoundsConfig(_Config):
+    command: ClassVar[str] = "bounds"
 
-    FIELDS = {
-        "schema_version",
-        "command",
-        "kernel",
-        "d",
-        "centre_distance",
-        "radius_new",
-        "radius_old",
-        "reference_size",
-        "shots",
-        "theta_grid",
-        "s_points",
-        "refits",
-        "draws",
-        "seed",
-        "out",
-    }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "BoundsConfig":
-        _check_schema(raw, "bounds")
-        _reject_unknown(raw, cls.FIELDS, "bounds config")
-        shots = int(raw.get("shots", 10))
-        refits = int(raw.get("refits", 50))
-        draws = int(raw.get("draws", 2000))
-        reference_size = int(raw.get("reference_size", 1000))
-        s_points = int(raw.get("s_points", 10))
-        if min(shots, refits, draws, reference_size, s_points) < 1:
-            raise ConfigError("shots, refits, draws, reference_size, s_points must be >= 1")
-        if reference_size < 2:
-            raise ConfigError("reference_size must be at least 2")
-        return cls(
-            kernel=parse_kernel(_require(raw, "kernel")),
-            d=int(raw.get("d", 20)),
-            centre_distance=float(raw.get("centre_distance", 4.0)),
-            radius_new=float(raw.get("radius_new", 0.5)),
-            radius_old=float(raw.get("radius_old", 0.5)),
-            reference_size=reference_size,
-            shots=shots,
-            theta_grid=tuple(float(t) for t in raw.get("theta_grid", (-1.0, 0.0))),
-            s_points=s_points,
-            refits=refits,
-            draws=draws,
-            seed=int(raw.get("seed", 0)),
-            out=str(_require(raw, "out")),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "command": "bounds",
-            "kernel": _kernel_to_dict(self.kernel),
-            "d": self.d,
-            "centre_distance": self.centre_distance,
-            "radius_new": self.radius_new,
-            "radius_old": self.radius_old,
-            "reference_size": self.reference_size,
-            "shots": self.shots,
-            "theta_grid": list(self.theta_grid),
-            "s_points": self.s_points,
-            "refits": self.refits,
-            "draws": self.draws,
-            "seed": self.seed,
-            "out": self.out,
-        }
+    kernel: KernelSpec = _param(_kernel)
+    d: int = _param(_count(1), 20)
+    centre_distance: float = _param(_real(0.0), 4.0)
+    radius_new: float = _param(_positive, 0.5)
+    radius_old: float = _param(_positive, 0.5)
+    reference_size: int = _param(_count(2), 1000)
+    shots: int = _param(_count(1), 10)
+    theta_grid: tuple[float, ...] = _param(_list(_real()), (-1.0, 0.0))
+    s_points: int = _param(_count(1), 10)
+    refits: int = _param(_count(1), 50)
+    draws: int = _param(_count(1), 2000)
+    seed: int = _param(_seed, 0)
+    out: str = _param(_text)
 
 
-@dataclass(frozen=True)
-class FewShotRocConfig:
-    kernels: tuple[KernelSpec, ...]
-    old_features: str
-    new_features: str
-    old_test: str | None
-    new_test: str | None
-    shots: int
-    seeds: tuple[int, ...]
-    out: str
+@dataclass(frozen=True, kw_only=True)
+class FewShotRocConfig(_Config):
+    command: ClassVar[str] = "fewshot-roc"
 
-    FIELDS = {
-        "schema_version",
-        "command",
-        "kernels",
-        "old_features",
-        "new_features",
-        "old_test",
-        "new_test",
-        "shots",
-        "seeds",
-        "n_seeds",
-        "seed",
-        "out",
-    }
+    kernels: tuple[KernelSpec, ...] = _param(_list(_kernel), (KernelSpec("linear"),))
+    old_features: str = _param(_text)
+    new_features: str = _param(_text)
+    old_test: str | None = _param(lambda v: _text(v) or None, None)
+    new_test: str | None = _param(lambda v: _text(v) or None, None)
+    shots: int = _param(_count(1), 10)
+    seeds: tuple[int, ...] = _param(_list(_seed))
+    out: str = _param(_text)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "FewShotRocConfig":
-        _check_schema(raw, "fewshot-roc")
-        _reject_unknown(raw, cls.FIELDS, "fewshot-roc config")
-        kernels = tuple(parse_kernel(k) for k in raw.get("kernels", ({"kind": "linear"},)))
-        shots = int(raw.get("shots", 10))
-        if shots < 1:
-            raise ConfigError("shots must be at least 1")
-        if "seeds" in raw and raw["seeds"] is not None:
-            seeds = tuple(int(v) for v in raw["seeds"])
-            if not seeds:
-                raise ConfigError("seeds must be non-empty when given")
-        else:
-            n_seeds = int(raw.get("n_seeds", 20))
-            if n_seeds < 1:
-                raise ConfigError("n_seeds must be at least 1")
-            seeds = tuple(spawn_seeds(int(raw.get("seed", 0)), n_seeds))
-        return cls(
-            kernels=kernels,
-            old_features=str(_require(raw, "old_features")),
-            new_features=str(_require(raw, "new_features")),
-            old_test=str(raw["old_test"]) if raw.get("old_test") else None,
-            new_test=str(raw["new_test"]) if raw.get("new_test") else None,
-            shots=shots,
-            seeds=seeds,
-            out=str(_require(raw, "out")),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "command": "fewshot-roc",
-            "kernels": [_kernel_to_dict(k) for k in self.kernels],
-            "old_features": self.old_features,
-            "new_features": self.new_features,
-            "old_test": self.old_test,
-            "new_test": self.new_test,
-            "shots": self.shots,
-            "seeds": list(self.seeds),
-            "out": self.out,
-        }
-
-
-_CONFIG_TYPES = {
-    "orthogonality": OrthogonalityConfig,
-    "volume-ratio": VolumeRatioConfig,
-    "bounds": BoundsConfig,
-    "fewshot-roc": FewShotRocConfig,
-}
+        """An explicit `seeds` list wins; otherwise `n_seeds` seeds are
+        derived from the root `seed` via independent substreams."""
+        raw = dict(raw)
+        n_seeds = _parse_field("n_seeds", raw.pop("n_seeds", None), _count(1), 20)
+        seed = _parse_field("seed", raw.pop("seed", None), _seed, 0)
+        if raw.get("seeds") is None:
+            raw["seeds"] = spawn_seeds(seed, n_seeds)
+        return super().from_dict(raw)
 
 
 def load_config(command: str, raw: dict):
-    if command not in _CONFIG_TYPES:
+    if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    return _CONFIG_TYPES[command].from_dict(raw)
+    return COMMANDS[command][0].from_dict(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -458,16 +335,13 @@ def ball_cloud(d: int, centre, radius: float, n: int, seed: int) -> np.ndarray:
     return pts + np.asarray(centre, dtype=float)
 
 
-def _provenance(seed) -> dict:
-    return {
+def _report(out_dir: Path, config, results: dict, seed) -> dict:
+    provenance = {
         "seed": seed,
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-
-
-def _report(out_dir: Path, config, results: dict, seed) -> dict:
-    report = {"config": config.to_dict(), "results": results, "provenance": _provenance(seed)}
+    report = {"config": config.to_dict(), "results": results, "provenance": provenance}
     write_json_atomic(out_dir / "report.json", report)
     return report
 
@@ -482,18 +356,7 @@ def run_orthogonality(cfg: OrthogonalityConfig) -> dict:
         for spec in cfg.kernels:
             stats = orthogonality_stats(spec, sample)
             rows.append(
-                {
-                    "kernel": spec.label,
-                    "d": d,
-                    "n_points": cfg.n_points,
-                    "sample_seed": d_seed,
-                    "mean_abs_cos": stats.mean_abs_cos,
-                    "std_cos": stats.std_cos,
-                    "mean_norm": stats.mean_norm,
-                    "std_norm": stats.std_norm,
-                    "n_pairs": stats.n_pairs,
-                    "excluded_pairs": stats.excluded_pairs,
-                }
+                {"kernel": spec.label, "d": d, "n_points": cfg.n_points, "sample_seed": d_seed, **asdict(stats)}
             )
     header = list(rows[0].keys())
     write_csv_atomic(out_dir / "orthogonality.csv", header, [[r[h] for h in header] for r in rows])
@@ -504,10 +367,11 @@ def run_volume_ratio(cfg: VolumeRatioConfig) -> dict:
     out_dir = Path(cfg.out)
     support_seed, probe_seed = spawn_seeds(cfg.seed, 2)
     spec = cfg.kernel
-    support = sample_domain(cfg.domain, cfg.support_size, support_seed)
+    domain = DomainSpec(cfg.domain, cfg.d, cfg.half_width)
+    support = sample_domain(domain, cfg.support_size, support_seed)
     centre = mean_combination(spec, support)
     radius = enclosing_radius(spec, centre, support)
-    probe = sample_domain(cfg.domain, cfg.probe_size, probe_seed)
+    probe = sample_domain(domain, cfg.probe_size, probe_seed)
 
     results: dict = {
         "radius": radius,
@@ -518,15 +382,11 @@ def run_volume_ratio(cfg: VolumeRatioConfig) -> dict:
     if cfg.eps_grid:
         estimates = ball_ratio_sweep(spec, centre, probe, radius, cfg.eps_grid)
         write_ratio_sweep_csv(out_dir / "ball_ratios.csv", cfg.eps_grid, estimates)
-        results["ball"] = [
-            {"eps": eps, "ratio": est.ratio, "ci_low": est.ci_low, "ci_high": est.ci_high,
-             "hits": est.hits, "trials": est.trials}
-            for eps, est in zip(cfg.eps_grid, estimates)
-        ]
+        results["ball"] = [{"eps": eps, **asdict(est)} for eps, est in zip(cfg.eps_grid, estimates)]
 
     if cfg.delta_grid:
         # probe direction: the image of the first basis vector
-        v = np.zeros(cfg.domain.dim)
+        v = np.zeros(cfg.d)
         v[0] = 1.0
         v_norm = float(np.sqrt(centered_sq_norm(spec, v, centre)))
         if cfg.delta_scale == "cosine":
@@ -537,84 +397,121 @@ def run_volume_ratio(cfg: VolumeRatioConfig) -> dict:
         write_ratio_sweep_csv(out_dir / "cap_ratios.csv", cfg.delta_grid, estimates)
         results["cap_direction_norm"] = v_norm
         results["cap"] = [
-            {"grid_value": t, "delta": delta, "ratio": est.ratio, "ci_low": est.ci_low,
-             "ci_high": est.ci_high, "hits": est.hits, "trials": est.trials}
+            {"grid_value": t, "delta": delta, **asdict(est)}
             for t, delta, est in zip(cfg.delta_grid, deltas, estimates)
         ]
 
     return _report(out_dir, cfg, results, cfg.seed)
 
 
-def run_bounds(cfg: BoundsConfig) -> dict:
-    out_dir = Path(cfg.out)
-    spec = cfg.kernel
-    centre_new_vec = np.zeros(cfg.d)
-    centre_old_vec = np.zeros(cfg.d)
-    centre_old_vec[0] = cfg.centre_distance
+@dataclass(frozen=True, eq=False)
+class TwoBallRefits:
+    """Reference probability functions of two uniform balls and the outcome
+    of repeated few-shot refits on them.
 
-    ref_new_seed, ref_old_seed, refit_root = spawn_seeds(cfg.seed, 3)
-    X_ref = ball_cloud(cfg.d, centre_new_vec, cfg.radius_new, cfg.reference_size, ref_new_seed)
-    Z_ref = ball_cloud(cfg.d, centre_old_vec, cfg.radius_old, cfg.reference_size, ref_old_seed)
+    mu_dists[i] is the feature distance between refit i's prototype and the
+    reference new-class centre; success_new[theta][i] / success_old[theta][i]
+    are refit i's success rates on fresh new-class / old-class draws.
+    """
+
+    pf: ProbabilityFunctions
+    grid: BoundGrid
+    dist_sq: float
+    mu_dists: np.ndarray
+    success_new: dict
+    success_old: dict
+
+
+def two_ball_refits(
+    spec: KernelSpec,
+    *,
+    d: int,
+    centre_distance: float,
+    radius_new: float,
+    radius_old: float,
+    reference_size: int,
+    shots: int,
+    thetas,
+    refits: int,
+    draws: int,
+    seeds: tuple[int, int, int],
+) -> TwoBallRefits:
+    """Fit the two-ball reference and refit the classifier `refits` times.
+
+    The new class is uniform in the ball of radius_new at the origin, the old
+    class uniform in the ball of radius_old at centre_distance along the
+    first axis.  seeds = (new-class reference, old-class reference, refit
+    root); refit i draws its shots and evaluation points from the i-th
+    substream of the refit root.
+    """
+    ref_new_seed, ref_old_seed, refit_root = seeds
+    centre_new_vec = np.zeros(d)
+    centre_old_vec = np.zeros(d)
+    centre_old_vec[0] = centre_distance
+
+    X_ref = ball_cloud(d, centre_new_vec, radius_new, reference_size, ref_new_seed)
+    Z_ref = ball_cloud(d, centre_old_vec, radius_old, reference_size, ref_old_seed)
     centre_new = mean_combination(spec, X_ref)
     centre_old = mean_combination(spec, Z_ref)
     pf = empirical_probability_functions(spec, X_ref, Z_ref, centre_new, centre_old)
     dist_sq = combo_pair_stats(spec, centre_new, centre_old).sq_distance
-    grid = BoundGrid.default(pf)
 
-    refit_seeds = spawn_seeds(refit_root, cfg.refits)
-    mu_dists = np.empty(cfg.refits)
-    succ_new = {theta: np.empty(cfg.refits) for theta in cfg.theta_grid}
-    succ_old = {theta: np.empty(cfg.refits) for theta in cfg.theta_grid}
-    for i, rseed in enumerate(refit_seeds):
+    mu_dists = np.empty(refits)
+    success_new = {theta: np.empty(refits) for theta in thetas}
+    success_old = {theta: np.empty(refits) for theta in thetas}
+    for i, rseed in enumerate(spawn_seeds(refit_root, refits)):
         shot_seed, eval_new_seed, eval_old_seed = spawn_seeds(rseed, 3)
-        shots = ball_cloud(cfg.d, centre_new_vec, cfg.radius_new, cfg.shots, shot_seed)
-        model = fit_few_shot(spec, shots, centre_old)
+        shot_points = ball_cloud(d, centre_new_vec, radius_new, shots, shot_seed)
+        model = fit_few_shot(spec, shot_points, centre_old)
         mu_dists[i] = np.sqrt(combo_pair_stats(spec, model.prototype, centre_new).sq_distance)
-        X_eval = ball_cloud(cfg.d, centre_new_vec, cfg.radius_new, cfg.draws, eval_new_seed)
-        Z_eval = ball_cloud(cfg.d, centre_old_vec, cfg.radius_old, cfg.draws, eval_old_seed)
-        dv_new = decision_values(model, X_eval)
-        dv_old = decision_values(model, Z_eval)
-        for theta in cfg.theta_grid:
-            succ_new[theta][i] = float(np.mean(dv_new >= theta))
-            succ_old[theta][i] = float(np.mean(dv_old < theta))
+        dv_new = decision_values(model, ball_cloud(d, centre_new_vec, radius_new, draws, eval_new_seed))
+        dv_old = decision_values(model, ball_cloud(d, centre_old_vec, radius_old, draws, eval_old_seed))
+        for theta in thetas:
+            success_new[theta][i] = float(np.mean(dv_new >= theta))
+            success_old[theta][i] = float(np.mean(dv_old < theta))
 
-    def mc_sigma(values: np.ndarray) -> float:
-        between = float(values.std(ddof=1)) / np.sqrt(len(values)) if len(values) > 1 else 0.0
-        return between + 1e-12
+    return TwoBallRefits(pf, BoundGrid.default(pf), dist_sq, mu_dists, success_new, success_old)
+
+
+def run_bounds(cfg: BoundsConfig) -> dict:
+    out_dir = Path(cfg.out)
+    fit = two_ball_refits(
+        cfg.kernel,
+        d=cfg.d,
+        centre_distance=cfg.centre_distance,
+        radius_new=cfg.radius_new,
+        radius_old=cfg.radius_old,
+        reference_size=cfg.reference_size,
+        shots=cfg.shots,
+        thetas=cfg.theta_grid,
+        refits=cfg.refits,
+        draws=cfg.draws,
+        seeds=tuple(spawn_seeds(cfg.seed, 3)),
+    )
 
     theta_results = []
     for theta in cfg.theta_grid:
-        rep = combined_success_bounds(cfg.shots, pf, dist_sq, theta, grid)
-        p_new = float(succ_new[theta].mean())
-        p_old = float(succ_old[theta].mean())
-        s_new = mc_sigma(succ_new[theta])
-        s_old = mc_sigma(succ_old[theta])
-        theta_results.append(
-            {
-                "theta": theta,
-                "new_class": rep.new_class.to_dict(),
-                "old_class": rep.old_class.to_dict(),
-                "mc": {
-                    "new_class": {"estimate": p_new, "sigma": s_new},
-                    "old_class": {"estimate": p_old, "sigma": s_old},
-                },
-                "sandwich": {
-                    "new_class": bool(
-                        rep.new_class.lower - 3 * s_new <= p_new <= rep.new_class.upper + 3 * s_new
-                    ),
-                    "old_class": bool(
-                        rep.old_class.lower - 3 * s_old <= p_old <= rep.old_class.upper + 3 * s_old
-                    ),
-                },
-            }
-        )
+        rep = combined_success_bounds(cfg.shots, fit.pf, fit.dist_sq, theta, fit.grid)
+        entry = {"theta": theta, "mc": {}, "sandwich": {}}
+        for side, bracket, successes in (
+            ("new_class", rep.new_class, fit.success_new[theta]),
+            ("old_class", rep.old_class, fit.success_old[theta]),
+        ):
+            estimate = float(successes.mean())
+            between = float(successes.std(ddof=1)) / np.sqrt(cfg.refits) if cfg.refits > 1 else 0.0
+            sigma = between + 1e-12
+            entry[side] = bracket.to_dict()
+            entry["mc"][side] = {"estimate": estimate, "sigma": sigma}
+            entry["sandwich"][side] = bool(bracket.lower - 3 * sigma <= estimate <= bracket.upper + 3 * sigma)
+        theta_results.append(entry)
 
+    mu_dists = fit.mu_dists
     lo = 0.5 * float(mu_dists.min())
     hi = 1.5 * float(mu_dists.max())
     s_grid = np.linspace(lo, hi, cfg.s_points)
     conc_rows = []
     for s in s_grid:
-        bracket = mean_concentration_bounds(cfg.shots, float(s), pf)
+        bracket = mean_concentration_bounds(cfg.shots, float(s), fit.pf)
         estimate = float(np.mean(mu_dists <= s))
         sigma = float(np.sqrt(max(estimate * (1 - estimate), 0.0) / cfg.refits)) + 1e-12
         conc_rows.append(
@@ -635,7 +532,7 @@ def run_bounds(cfg: BoundsConfig) -> dict:
     results = {
         "centres": "empirical-feature-means",
         "heuristic_flags": ["empirical-probability-functions"],
-        "dist_sq": dist_sq,
+        "dist_sq": fit.dist_sq,
         "theta_results": theta_results,
         "mean_concentration": conc_rows,
     }
@@ -646,14 +543,19 @@ def run_fewshot_roc(cfg: FewShotRocConfig) -> dict:
     out_dir = Path(cfg.out)
     old_train = ingest_feature_csv(cfg.old_features)
     new_train = ingest_feature_csv(cfg.new_features)
-    if old_train.width != new_train.width:
-        raise DataError(
-            f"feature width mismatch: old {old_train.width} vs new {new_train.width}"
-        )
     old_test = ingest_feature_csv(cfg.old_test) if cfg.old_test else None
     new_test = ingest_feature_csv(cfg.new_test) if cfg.new_test else None
+    for table in (new_train, old_test, new_test):
+        if table is not None and table.width != old_train.width:
+            raise DataError(
+                f"{table.source}: feature width {table.width} differs from "
+                f"{old_train.source} ({old_train.width})"
+            )
 
-    old_norm, new_norm, transform = normalize_feature_table(old_train.rows, new_train.rows)
+    try:
+        old_norm, new_norm, transform = normalize_feature_table(old_train.rows, new_train.rows)
+    except ValueError as exc:
+        raise DataError(f"{old_train.source}, {new_train.source}: {exc}") from exc
     neg_rows = transform.apply(old_test.rows) if old_test is not None else old_norm
     pos_rows = transform.apply(new_test.rows) if new_test is not None else None
     n_new = new_norm.shape[0]
@@ -724,14 +626,21 @@ def run_fewshot_roc(cfg: FewShotRocConfig) -> dict:
     return _report(out_dir, cfg, results, list(cfg.seeds))
 
 
+# command -> (config class, runner); the CLI offers one subcommand per entry
+COMMANDS = {
+    cls.command: (cls, runner)
+    for cls, runner in (
+        (OrthogonalityConfig, run_orthogonality),
+        (VolumeRatioConfig, run_volume_ratio),
+        (BoundsConfig, run_bounds),
+        (FewShotRocConfig, run_fewshot_roc),
+    )
+}
+
+
 def run_experiment(config) -> dict:
     """Dispatch a parsed config to its runner; returns the written report."""
-    if isinstance(config, OrthogonalityConfig):
-        return run_orthogonality(config)
-    if isinstance(config, VolumeRatioConfig):
-        return run_volume_ratio(config)
-    if isinstance(config, BoundsConfig):
-        return run_bounds(config)
-    if isinstance(config, FewShotRocConfig):
-        return run_fewshot_roc(config)
-    raise ConfigError(f"unknown config type {type(config).__name__}")
+    entry = COMMANDS.get(getattr(config, "command", None))
+    if entry is None or not isinstance(config, entry[0]):
+        raise ConfigError(f"unknown config type {type(config).__name__}")
+    return entry[1](config)

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
 
+from .ingest import _atomic_write
 from .kernels import (
     FeatureCombination,
     KernelSpec,
@@ -90,10 +89,6 @@ class VolumeRatioEstimate:
     def from_counts(cls, hits: int, trials: int) -> "VolumeRatioEstimate":
         low, high = wilson_interval(hits, trials)
         return cls(hits=hits, trials=trials, ratio=hits / trials, ci_low=low, ci_high=high)
-
-    def wilson(self, confidence: float) -> tuple[float, float]:
-        """Wilson interval at a caller-chosen confidence level."""
-        return wilson_interval(self.hits, self.trials, confidence)
 
 
 def _chunks(n: int, chunk_size: int):
@@ -398,20 +393,12 @@ def transition_width(sweep_values, ratios, high: float = 0.9, low: float = 0.1) 
 
 def write_ratio_sweep_csv(path, sweep_values, estimates) -> None:
     """Emit a ratio sweep as CSV with the standard columns, atomically."""
-    rows = list(zip(sweep_values, estimates))
-    directory = os.path.dirname(os.fspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(RATIO_SWEEP_COLUMNS)
-            for value, est in rows:
-                writer.writerow(
-                    [repr(float(value)), repr(est.ratio), repr(est.ci_low), repr(est.ci_high), est.hits, est.trials]
-                )
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    def _write(fh):
+        writer = csv.writer(fh)
+        writer.writerow(RATIO_SWEEP_COLUMNS)
+        for value, est in zip(sweep_values, estimates):
+            writer.writerow(
+                [repr(float(value)), repr(est.ratio), repr(est.ci_low), repr(est.ci_high), est.hits, est.trials]
+            )
+
+    _atomic_write(path, _write)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -80,12 +81,15 @@ def ingest_feature_csv(path) -> FeatureTable:
         parsed = []
         for col, cell in enumerate(row[:-1]):
             try:
-                parsed.append(float(cell))
+                value = float(cell)
             except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
                 raise DataError(
                     f"{p}: line {lineno}, column {col + 1} ({header[col]!r}): "
-                    f"non-numeric feature cell {cell!r}"
-                ) from None
+                    f"feature cell {cell!r} is not a finite number"
+                )
+            parsed.append(value)
         features.append(parsed)
         labels.append(row[-1])
     if not features:
@@ -115,15 +119,27 @@ def write_feature_csv(path, rows, labels, feature_names=None) -> None:
     if len(feature_names) != arr.shape[1]:
         raise ValueError("feature_names length does not match row width")
 
-    directory = os.path.dirname(os.fspath(path)) or "."
+    def _write(fh):
+        writer = csv.writer(fh)
+        writer.writerow(list(feature_names) + ["label"])
+        for row, label in zip(arr, labels):
+            writer.writerow([repr(float(v)) for v in row] + [label])
+
+    _atomic_write(path, _write)
+
+
+def _atomic_write(path, write_fn) -> None:
+    """Write a text file through `write_fn(fh)` into a temp file beside
+    `path`, then rename it over `path`, so readers never see a partial file.
+    Creates the parent directory if needed."""
+    target = os.fspath(path)
+    directory = os.path.dirname(target) or "."
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(list(feature_names) + ["label"])
-            for row, label in zip(arr, labels):
-                writer.writerow([repr(float(v)) for v in row] + [label])
-        os.replace(tmp, path)
+            write_fn(fh)
+        os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

@@ -14,17 +14,14 @@ import pytest
 
 from conftest import explicit_combination, explicit_poly_point, random_kernel_case
 from kernelshot import (
-    BoundGrid,
     auroc,
     ball_ratio_mc,
     cap_ratio_sweep,
     centered_inner,
     centered_sq_norm,
     combined_success_bounds,
-    combo_pair_stats,
     decision_value,
     decision_values,
-    empirical_probability_functions,
     enclosing_radius,
     fit_few_shot,
     gaussian_kernel,
@@ -42,8 +39,9 @@ from kernelshot import (
     singleton_combination,
     spawn_seeds,
     transition_width,
+    wilson_interval,
 )
-from kernelshot.experiments import ball_cloud
+from kernelshot.experiments import ball_cloud, two_ball_refits
 
 LINEAR = linear_kernel(0.0)
 
@@ -78,45 +76,31 @@ def two_ball_bundle():
     """Two uniform balls in d=20, centres 4 apart, radii 0.5, linear kernel:
     reference probability functions plus 200 refits x 10^4 draws."""
     start = time.perf_counter()
-    spec = LINEAR
-    d, k, n_ref, refits, draws = 20, 10, 2000, 200, 10_000
-    thetas = (-1.0, 0.0)
-    centre_new_vec = np.zeros(d)
-    centre_old_vec = np.r_[4.0, np.zeros(d - 1)]
-
-    X_ref = ball_cloud(d, centre_new_vec, 0.5, n_ref, seed=101)
-    Z_ref = ball_cloud(d, centre_old_vec, 0.5, n_ref, seed=102)
-    centre_new = mean_combination(spec, X_ref)
-    centre_old = mean_combination(spec, Z_ref)
-    pf = empirical_probability_functions(spec, X_ref, Z_ref, centre_new, centre_old)
-    dist_sq = combo_pair_stats(spec, centre_new, centre_old).sq_distance
-    grid = BoundGrid.default(pf)
-
-    mu_dists = np.empty(refits)
-    success_new = {theta: np.empty(refits) for theta in thetas}
-    success_old = {theta: np.empty(refits) for theta in thetas}
-    for i, refit_seed in enumerate(spawn_seeds(999, refits)):
-        shot_seed, eval_new_seed, eval_old_seed = spawn_seeds(refit_seed, 3)
-        shots = ball_cloud(d, centre_new_vec, 0.5, k, shot_seed)
-        model = fit_few_shot(spec, shots, centre_old)
-        mu_dists[i] = np.sqrt(combo_pair_stats(spec, model.prototype, centre_new).sq_distance)
-        dv_new = decision_values(model, ball_cloud(d, centre_new_vec, 0.5, draws, eval_new_seed))
-        dv_old = decision_values(model, ball_cloud(d, centre_old_vec, 0.5, draws, eval_old_seed))
-        for theta in thetas:
-            success_new[theta][i] = float(np.mean(dv_new >= theta))
-            success_old[theta][i] = float(np.mean(dv_old < theta))
-
+    k, refits, draws = 10, 200, 10_000
+    fit = two_ball_refits(
+        LINEAR,
+        d=20,
+        centre_distance=4.0,
+        radius_new=0.5,
+        radius_old=0.5,
+        reference_size=2000,
+        shots=k,
+        thetas=(-1.0, 0.0),
+        refits=refits,
+        draws=draws,
+        seeds=(101, 102, 999),
+    )
     return TwoBallBundle(
-        spec=spec,
+        spec=LINEAR,
         k=k,
         refits=refits,
         draws=draws,
-        pf=pf,
-        grid=grid,
-        dist_sq=dist_sq,
-        mu_dists=mu_dists,
-        success_new=success_new,
-        success_old=success_old,
+        pf=fit.pf,
+        grid=fit.grid,
+        dist_sq=fit.dist_sq,
+        mu_dists=fit.mu_dists,
+        success_new=fit.success_new,
+        success_old=fit.success_old,
         elapsed=time.perf_counter() - start,
     )
 
@@ -167,7 +151,7 @@ def test_c02_linear_power_law():
             probe = sample_unit_ball(d, 100_000, seed=500 + offset)
             for eps in (0.3, 0.5, 0.7, 0.9):
                 estimate = ball_ratio_mc(LINEAR, centre, probe, 1.0, eps)
-                low, high = estimate.wilson(0.99)
+                low, high = wilson_interval(estimate.hits, estimate.trials, 0.99)
                 truth = linear_ball_ratio(eps, d)
                 assert low <= truth <= high, f"d={d} eps={eps}: {truth} outside [{low}, {high}]"
         elapsed = time.perf_counter() - start

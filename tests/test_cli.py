@@ -9,7 +9,7 @@ import pytest
 
 from kernelshot import NumericError, linear_ball_ratio, write_feature_csv
 from kernelshot.cli import main
-from kernelshot.experiments import ball_cloud
+from kernelshot.experiments import ball_cloud, load_config
 
 
 def write_config(path, payload):
@@ -278,3 +278,62 @@ class TestFewShotRocCommand:
         report = json.loads((tmp_path / "roc2" / "report.json").read_text())
         assert report["config"]["seeds"] == [3, 1, 4]
         assert [r["seed"] for r in report["results"]["per_seed"]] == [3, 1, 4]
+
+
+# small valid configs, one per command; fewshot-roc reads old.csv / new.csv
+# from the working directory
+SMALL_CONFIGS = {
+    "orthogonality": {"kernels": [{"kind": "linear"}], "d_values": [3], "n_points": 10},
+    "volume-ratio": {"kernel": {"kind": "linear"}, "d": 2, "support_size": 20, "probe_size": 100,
+                     "eps_grid": [0.5]},
+    "bounds": {"kernel": {"kind": "linear"}, "d": 3, "reference_size": 50, "theta_grid": [-1.0],
+               "refits": 3, "draws": 50},
+    "fewshot-roc": {"old_features": "old.csv", "new_features": "new.csv", "shots": 2, "n_seeds": 2},
+}
+
+
+@pytest.mark.parametrize(
+    "command, patch, code, fragment",
+    [
+        ("volume-ratio", {"eps_grid": [1.5]}, 2, "'eps_grid'"),
+        ("orthogonality", {"kernels": []}, 2, "'kernels'"),
+        ("orthogonality", {"d_values": []}, 2, "'d_values'"),
+        ("orthogonality", {"d_values": "abc"}, 2, "'d_values'"),
+        ("bounds", {"d": 0}, 2, "'d'"),
+        ("volume-ratio", {"seed": -1}, 2, "'seed'"),
+        ("fewshot-roc", {"seed": -1}, 2, "'seed'"),
+        ("volume-ratio", {"kernel": {"kind": "gaussian", "sigma": float("nan")}}, 2, "'sigma'"),
+        ("bounds", {"theta_grid": []}, 2, "'theta_grid'"),
+        ("fewshot-roc", {"old_test": "wide.csv"}, 3, "wide.csv"),
+        ("fewshot-roc", {"old_features": "flat.csv", "new_features": "flat.csv"}, 3, "flat.csv"),
+        ("fewshot-roc", {"old_features": "nan.csv"}, 3, "nan.csv: line 3, column 2"),
+        ("fewshot-roc", {"new_features": "inf.csv"}, 3, "inf.csv: line 3, column 2"),
+    ],
+    ids=["eps-above-1", "no-kernels", "no-d-values", "d-values-string", "bounds-d-0", "negative-seed",
+         "fewshot-negative-seed", "sigma-nan", "no-thetas", "test-table-width", "zero-max-norm", "nan-cell",
+         "inf-cell"],
+)
+def test_bad_input_exits_with_documented_code(tmp_path, monkeypatch, capsys, command, patch, code, fragment):
+    monkeypatch.chdir(tmp_path)
+    rows = ball_cloud(3, np.zeros(3), 1.0, 6, seed=0)
+    write_feature_csv("old.csv", rows, ["old"] * 6)
+    write_feature_csv("new.csv", rows + 2.0, ["new"] * 6)
+    write_feature_csv("wide.csv", np.ones((6, 4)), ["old"] * 6)
+    write_feature_csv("flat.csv", np.ones((6, 3)), ["old"] * 6)
+    for name, bad in (("nan.csv", np.nan), ("inf.csv", np.inf)):
+        table = rows.copy()
+        table[1, 1] = bad
+        write_feature_csv(name, table, ["x"] * 6)
+    cfg = write_config(tmp_path / "c.json", {**SMALL_CONFIGS[command], **patch, "out": "out"})
+
+    assert main([command, "--config", cfg]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error" if code == 2 else "input data error")
+    assert fragment in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_CONFIGS))
+def test_config_round_trips_through_its_echo(command):
+    config = load_config(command, {**SMALL_CONFIGS[command], "out": "out"})
+    assert load_config(command, config.to_dict()) == config

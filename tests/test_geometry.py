@@ -103,7 +103,7 @@ class TestBallRatio:
     def test_linear_power_law(self, d, eps):
         probe = sample_unit_ball(d, 20_000, seed=50 + d)
         est = ball_ratio_mc(LINEAR, origin_combo(d), probe, 1.0, eps)
-        low, high = est.wilson(0.99)
+        low, high = wilson_interval(est.hits, est.trials, 0.99)
         assert low <= linear_ball_ratio(eps, d) <= high
 
     def test_gaussian_small_eps_empty(self):
@@ -159,7 +159,7 @@ class TestCapRatio:
     def test_half_ball(self):
         probe = sample_unit_ball(2, 20_000, seed=10)
         est = cap_ratio_mc(LINEAR, origin_combo(2), np.array([1.0, 0.0]), probe, 1.0, delta=0.0)
-        low, high = est.wilson(0.99)
+        low, high = wilson_interval(est.hits, est.trials, 0.99)
         assert low <= 0.5 <= high
 
     def test_monotone_in_delta(self):
