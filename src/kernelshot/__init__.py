@@ -1,9 +1,11 @@
 """kernelshot: few-shot prototype classification in kernel feature spaces.
 
-The library provides, entirely through the kernel trick:
+The library provides, through the kernel trick, or through the explicit
+feature vector of a linear or polynomial class mean over more points than
+the feature dimension:
 
 * kernel families (linear / polynomial / Gaussian) and linear algebra on
-  implicitly represented feature-space points (:mod:`kernelshot.kernels`);
+  feature-space points (:mod:`kernelshot.kernels`);
 * seeded samplers for the supported data domains
   (:mod:`kernelshot.distributions`);
 * Monte-Carlo estimators of feature-space ball/cap pre-image volume ratios

@@ -23,6 +23,7 @@ tighten results.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -75,6 +76,15 @@ class StepCdf:
         result = counts / self.knots.size
         return float(result) if np.ndim(result) == 0 else result
 
+    @cached_property
+    def _thinned_knots(self) -> np.ndarray:
+        """All knots when there are at most 1024, else 513 evenly spaced
+        quantiles plus the 64 largest knots; computed once per CDF."""
+        if self.knots.size <= 1024:
+            return self.knots
+        qs = np.quantile(self.knots, np.linspace(0.0, 1.0, 513))
+        return np.concatenate([qs, self.knots[-64:]])
+
 
 @dataclass(frozen=True, eq=False)
 class ProbabilityFunctions:
@@ -105,7 +115,7 @@ def empirical_probability_functions(
     """Build all five empirical probability functions from class samples.
 
     The projection CDF needs at least two new-class points.  All quantities
-    are evaluated through the kernel trick against the given centres.
+    are inner products with the given centres (see inner_with_combo).
     """
     X = as_points(new_sample)
     Z = as_points(old_sample)
@@ -414,13 +424,7 @@ def _mean_candidates(k: int, s: float, pf: ProbabilityFunctions) -> tuple[np.nda
     radii at every localisation knot, and from the delta = s^2 point.
     """
     s_sq = s * s
-    p_knots = pf.projection.knots
-    if p_knots.size > 1024:
-        qs = np.quantile(p_knots, np.linspace(0.0, 1.0, 513))
-        tail = p_knots[-64:]
-        deltas_a = np.concatenate([qs, tail])
-    else:
-        deltas_a = p_knots
+    deltas_a = pf.projection._thinned_knots
     radii_a = np.sqrt(np.maximum(k * s_sq - (k - 1) * deltas_a, 0.0))
 
     radii_b = pf.localisation_new.knots

@@ -6,9 +6,10 @@ mean as the prototype; a point is assigned the new label whenever
 
     (phi(x) - prototype, prototype - old_centre) >= theta,
 
-and is otherwise deferred to the legacy classifier.  Everything is evaluated
-through the kernel trick, so the prototype and the old-class centre stay
-implicit.
+and is otherwise deferred to the legacy classifier.  Inner products with
+the prototype and the old-class centre go through the kernel trick, or
+through a centre's explicit feature vector when it has one (see
+:class:`kernelshot.kernels.FeatureCombination`).
 """
 
 from __future__ import annotations
@@ -139,6 +140,8 @@ def roc_curve(pos_scores, neg_scores) -> RocCurve:
     neg = np.asarray(neg_scores, dtype=float).ravel()
     if pos.size == 0 or neg.size == 0:
         raise ValueError("both score lists must be non-empty")
+    if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(neg))):
+        raise ValueError("scores must be finite")
     values = np.unique(np.concatenate([pos, neg]))[::-1]
     thresholds = np.concatenate([[np.inf], values, [-np.inf]])
     sorted_pos = np.sort(pos)

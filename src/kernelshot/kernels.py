@@ -16,10 +16,19 @@ inner products against it expand into Gram sums:
 
 The double sum is cached at construction, which matters when the same
 combination is probed ~1e5 times by the Monte-Carlo estimators.
+
+Linear and polynomial kernels have a finite feature map, with
+C(d + degree, degree) coordinates (:func:`poly_feature_map`).  When a
+combination has more support points than that, it also keeps its explicit
+vector v = sum_i w_i phi(x_i) (``FeatureCombination.primal``).  Every inner
+product against it is then phi(y) . v, one feature row instead of a kernel
+row against the whole support, and (c, c) is v . v.  Gaussian kernels, and
+supports no larger than the feature dimension, stay on the kernel trick.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -54,6 +63,7 @@ __all__ = [
     "poly_feature_map",
     "SQ_NORM_TOL",
     "DEFAULT_FEATURE_DIM_CAP",
+    "PRIMAL_BLOCK",
 ]
 
 # Squared norms computed through Gram sums may round off slightly negative.
@@ -62,6 +72,10 @@ __all__ = [
 SQ_NORM_TOL = 1e-9
 
 DEFAULT_FEATURE_DIM_CAP = 10**6
+
+# Rows of phi built at a time on the primal path, so its scratch memory is
+# PRIMAL_BLOCK x feature dimension whatever the number of rows.
+PRIMAL_BLOCK = 512
 
 _KINDS = ("linear", "polynomial", "gaussian")
 
@@ -83,6 +97,10 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}; expected one of {_KINDS}")
+        if not all(math.isfinite(v) for v in (self.degree, self.bias, self.sigma)):
+            raise ValueError(
+                f"degree, bias and sigma must be finite, got {self.degree}, {self.bias}, {self.sigma}"
+            )
         if int(self.degree) != self.degree or self.degree < 1:
             raise ValueError(f"degree must be a positive integer, got {self.degree}")
         if self.kind == "linear" and self.degree != 1:
@@ -196,16 +214,20 @@ def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FeatureCombination:
-    """An implicit feature-space point c = sum_i w_i phi(x_i).
+    """A feature-space point c = sum_i w_i phi(x_i).
 
-    Immutable after construction.  ``self_inner`` caches (c, c), the
-    weighted Gram double sum, so repeated probes against c cost one kernel
-    row instead of a full Gram evaluation.
+    Immutable after construction.  ``primal`` is the explicit vector
+    w @ phi(support) when the kernel is linear or polynomial and its feature
+    dimension is below the support size, else None.  ``self_inner`` caches
+    (c, c): primal . primal when there is a primal vector, otherwise the
+    weighted Gram double sum, so repeated probes against c cost one feature
+    row or one kernel row instead of a full Gram evaluation.
     """
 
     spec: KernelSpec
     support: np.ndarray
     weights: np.ndarray
+    primal: np.ndarray | None = field(init=False)
     self_inner: float = field(init=False)
 
     def __post_init__(self) -> None:
@@ -219,8 +241,15 @@ class FeatureCombination:
         weights.setflags(write=False)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "weights", weights)
-        gram = gram_matrix(self.spec, support)
-        self_inner = float(weights @ gram @ weights)
+        primal = None
+        if self.spec.kind == "gaussian" or poly_feature_dim(self.dim, self.spec.degree) >= self.size:
+            gram = gram_matrix(self.spec, support)
+            self_inner = float(weights @ gram @ weights)
+        else:
+            primal = sum(weights[lo:hi] @ phi for lo, hi, phi in _feature_blocks(self.spec, support))
+            primal.setflags(write=False)
+            self_inner = float(primal @ primal)
+        object.__setattr__(self, "primal", primal)
         object.__setattr__(self, "self_inner", _clamp_sq(self_inner, "combination self inner product"))
 
     @property
@@ -254,7 +283,12 @@ def inner_with_combo(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
     _check_combo(spec, c)
     Xa = as_points(X)
     _check_dims(Xa, c.support)
-    return kernel_matrix(spec, Xa, c.support) @ c.weights
+    if c.primal is None:
+        return kernel_matrix(spec, Xa, c.support) @ c.weights
+    out = np.empty(Xa.shape[0])
+    for lo, hi, phi in _feature_blocks(spec, Xa):
+        out[lo:hi] = phi @ c.primal
+    return out
 
 
 def centered_sq_norms(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
@@ -286,9 +320,10 @@ def centered_gram(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
     _check_combo(spec, c)
     Xa = as_points(X)
     _check_dims(Xa, c.support)
-    K = kernel_matrix(spec, Xa, Xa)
+    # a first, so its scratch memory is freed before K exists; in place
+    # below: K can be hundreds of MB for large samples
     a = inner_with_combo(spec, Xa, c)
-    # in place: K can be hundreds of MB for large samples
+    K = kernel_matrix(spec, Xa, Xa)
     K -= a[:, None]
     K -= a[None, :]
     K += c.self_inner
@@ -296,10 +331,17 @@ def centered_gram(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
 
 
 def combo_inner(spec: KernelSpec, A: FeatureCombination, B: FeatureCombination) -> float:
-    """(A, B) between two implicit combinations."""
+    """(A, B) between two combinations, through the primal vector of either
+    one when it has one."""
     _check_combo(spec, A)
     _check_combo(spec, B)
     _check_dims(A.support, B.support)
+    if A.primal is not None and B.primal is not None:
+        return float(A.primal @ B.primal)
+    if B.primal is not None:
+        return float(A.weights @ inner_with_combo(spec, A.support, B))
+    if A.primal is not None:
+        return float(B.weights @ inner_with_combo(spec, B.support, A))
     return float(A.weights @ kernel_matrix(spec, A.support, B.support) @ B.weights)
 
 
@@ -309,15 +351,16 @@ class PairStats(NamedTuple):
 
 
 def combo_pair_stats(spec: KernelSpec, A: FeatureCombination, B: FeatureCombination) -> PairStats:
-    """||A - B||^2 and (A, B) for two implicit combinations."""
+    """||A - B||^2 and (A, B) for two combinations."""
     inner = combo_inner(spec, A, B)
     sq = A.self_inner - 2.0 * inner + B.self_inner
     return PairStats(_clamp_sq(sq, "pairwise squared distance"), inner)
 
 
 # ---------------------------------------------------------------------------
-# Explicit polynomial feature map.  Serves as the independent oracle for the
-# kernel-trick computations above, and is only tractable for small d/degree.
+# Explicit polynomial feature map.  Serves as the primal representation of
+# combinations over more points than it has coordinates, and as the
+# independent oracle for the kernel-trick computations above.
 # ---------------------------------------------------------------------------
 
 
@@ -367,6 +410,52 @@ def poly_coefficient(m: tuple[int, ...], degree: int, bias: float) -> float:
     return math.sqrt(sq)
 
 
+@functools.lru_cache(maxsize=16)
+def _feature_plan(d: int, degree: int, bias: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """How to build every monomial of the graded-lex basis from a lower one.
+
+    Monomial i >= 1 is monomial parent[i - 1] times variable var[i - 1], the
+    last variable with a non-zero exponent, so each degree's monomials come
+    from the previous degree's.  coef[i] is alpha(m_i).  Read-only, since
+    the cache hands the same arrays to every caller.
+    """
+    basis = multi_index_basis(d, degree)
+    index = {m: i for i, m in enumerate(basis)}
+    parent = np.empty(len(basis) - 1, dtype=np.intp)
+    var = np.empty(len(basis) - 1, dtype=np.intp)
+    for i, m in enumerate(basis[1:]):
+        j = max(t for t, mt in enumerate(m) if mt)
+        parent[i] = index[m[:j] + (m[j] - 1,) + m[j + 1 :]]
+        var[i] = j
+    coef = np.array([poly_coefficient(m, degree, bias) for m in basis])
+    for arr in (parent, var, coef):
+        arr.setflags(write=False)
+    return parent, var, coef
+
+
+def _feature_rows(X: np.ndarray, degree: int, bias: float) -> np.ndarray:
+    """phi of every row of a 2-d array, without the dimension cap."""
+    n, d = X.shape
+    parent, var, coef = _feature_plan(d, degree, float(bias))
+    mono = np.empty((n, coef.size))
+    mono[:, 0] = 1.0
+    start = 1
+    for total in range(1, degree + 1):
+        stop = start + math.comb(d - 1 + total, total)
+        step = slice(start - 1, stop - 1)
+        np.multiply(mono[:, parent[step]], X[:, var[step]], out=mono[:, start:stop])
+        start = stop
+    mono *= coef
+    return mono
+
+
+def _feature_blocks(spec: KernelSpec, X: np.ndarray):
+    """Yield (lo, hi, phi(X[lo:hi])) over blocks of PRIMAL_BLOCK rows."""
+    for lo in range(0, X.shape[0], PRIMAL_BLOCK):
+        hi = min(lo + PRIMAL_BLOCK, X.shape[0])
+        yield lo, hi, _feature_rows(X[lo:hi], spec.degree, spec.bias)
+
+
 def poly_feature_map(
     x, degree: int, bias: float, dim_cap: int = DEFAULT_FEATURE_DIM_CAP
 ) -> np.ndarray:
@@ -374,20 +463,17 @@ def poly_feature_map(
 
     Entries are alpha(m) * x^m over the graded-lex multi-index basis, so that
     dot(poly_feature_map(x), poly_feature_map(y)) == (bias^2 + x . y)^degree.
+    A vector x gives a vector; an (n, d) array gives the (n, dim) rows phi(x_i).
     Raises if the feature dimension C(d + degree, degree) exceeds dim_cap.
     """
-    xv = np.asarray(x, dtype=float).ravel()
-    d = xv.size
-    if d == 0:
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim > 2:
+        raise ValueError(f"expected a vector or a 2-d point array, got shape {arr.shape}")
+    X = arr.reshape(1, -1) if arr.ndim < 2 else arr
+    if X.shape[1] == 0:
         raise ValueError("empty input vector")
-    dim = poly_feature_dim(d, degree)
+    dim = poly_feature_dim(X.shape[1], degree)
     if dim > dim_cap:
         raise ValueError(f"feature dimension {dim} exceeds cap {dim_cap}")
-    out = np.empty(dim)
-    for i, m in enumerate(multi_index_basis(d, degree)):
-        mono = 1.0
-        for xt, mt in zip(xv, m):
-            if mt:
-                mono *= xt**mt
-        out[i] = poly_coefficient(m, degree, bias) * mono
-    return out
+    phi = _feature_rows(X, degree, bias)
+    return phi if arr.ndim == 2 else phi[0]

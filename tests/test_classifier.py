@@ -173,6 +173,14 @@ class TestRocCurve:
         with pytest.raises(ValueError):
             roc_curve([], [1.0])
 
+    @pytest.mark.parametrize(
+        "pos, neg",
+        [([float("nan"), 1.0], [0.0]), ([1.0], [float("inf")]), ([-float("inf")], [0.0])],
+    )
+    def test_non_finite_rejected(self, pos, neg):
+        with pytest.raises(ValueError, match="finite"):
+            roc_curve(pos, neg)
+
 
 class TestAuroc:
     def test_matches_mann_whitney_with_ties(self):

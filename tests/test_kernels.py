@@ -5,17 +5,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import explicit_combination, explicit_poly_point, random_kernel_case
 from kernelshot import (
     FeatureCombination,
     KernelSpec,
+    centered_gram,
     centered_inner,
+    centered_inners,
     centered_sq_norm,
+    centered_sq_norms,
+    combo_inner,
     combo_pair_stats,
     eval_kernel,
     gaussian_kernel,
     gram_matrix,
+    inner_with_combo,
+    kernel_matrix,
     linear_kernel,
     mean_combination,
     multi_index_basis,
@@ -25,6 +33,7 @@ from kernelshot import (
     polynomial_kernel,
     singleton_combination,
 )
+from kernelshot.kernels import PRIMAL_BLOCK, kernel_diag
 
 ALL_SPECS = [
     linear_kernel(0.0),
@@ -48,6 +57,15 @@ class TestKernelSpec:
             KernelSpec("linear", degree=2)
         with pytest.raises(ValueError):
             KernelSpec("sigmoid")
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                KernelSpec("gaussian", sigma=bad)
+            with pytest.raises(ValueError, match="finite"):
+                KernelSpec("polynomial", degree=2, bias=bad)
+            with pytest.raises(ValueError, match="finite"):
+                KernelSpec("linear", bias=bad)
+            with pytest.raises(ValueError, match="finite"):
+                KernelSpec("polynomial", degree=bad)
 
     def test_labels_distinct(self):
         labels = {spec.label for spec in ALL_SPECS}
@@ -291,3 +309,131 @@ class TestKernelTrickOracle:
                 float((a_vec - b_vec) @ (a_vec - b_vec)), abs=1e-9
             )
             assert stats.inner == pytest.approx(float(a_vec @ b_vec), abs=1e-9)
+
+
+# Linear and polynomial kernels with the constant term absent and present.
+FINITE_SPECS = [
+    linear_kernel(0.0),
+    linear_kernel(0.7),
+    polynomial_kernel(2, 0.0),
+    polynomial_kernel(2, 1.0),
+    polynomial_kernel(3, 0.5),
+]
+
+
+def assert_close(got, want, scale):
+    """Agreement to 1e-9 relative to the size of the terms being combined."""
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * scale)
+
+
+class TestPrimalPath:
+    """A combination over more points than the feature dimension keeps the
+    explicit vector w @ phi(S); the kernel trick is the reference for it."""
+
+    @pytest.mark.parametrize("spec", FINITE_SPECS, ids=lambda s: s.label)
+    @pytest.mark.parametrize("extra", [-3, 0, 1, 40])
+    def test_matches_kernel_trick(self, spec, extra):
+        rng = np.random.default_rng(31)
+        d = 3
+        n = poly_feature_dim(d, spec.degree) + extra
+        S = rng.uniform(-1, 1, size=(n, d))
+        w = rng.normal(size=n)
+        X = rng.uniform(-1, 1, size=(7, d))
+        v = rng.uniform(-1, 1, size=d)
+        c = FeatureCombination(spec, S, w)
+        assert (c.primal is not None) == (extra > 0)
+
+        K = kernel_matrix(spec, X, S)
+        inner = K @ w
+        double_sum = float(w @ gram_matrix(spec, S) @ w)
+        scale = float(np.abs(K).max() * np.abs(w).sum())
+        assert_close(inner_with_combo(spec, X, c), inner, scale)
+        assert_close(c.self_inner, double_sum, scale * np.abs(w).sum())
+        assert_close(
+            centered_sq_norms(spec, X, c),
+            kernel_diag(spec, X) - 2.0 * inner + double_sum,
+            scale * np.abs(w).sum(),
+        )
+        inner_v = float(kernel_matrix(spec, v, S)[0] @ w)
+        assert_close(
+            centered_inners(spec, X, v, c),
+            kernel_matrix(spec, X, v)[:, 0] - inner - inner_v + double_sum,
+            scale * np.abs(w).sum(),
+        )
+        assert_close(
+            centered_gram(spec, X, c),
+            kernel_matrix(spec, X, X) - inner[:, None] - inner[None, :] + double_sum,
+            scale * np.abs(w).sum(),
+        )
+
+    @pytest.mark.parametrize("spec", FINITE_SPECS, ids=lambda s: s.label)
+    def test_combo_inner_matches_kernel_trick(self, spec):
+        rng = np.random.default_rng(32)
+        d = 2
+        dim = poly_feature_dim(d, spec.degree)
+        big = [rng.uniform(-1, 1, size=(dim + 5, d)) for _ in range(2)]
+        small = rng.uniform(-1, 1, size=(2, d))
+        combos = [mean_combination(spec, pts) for pts in (*big, small)]
+        assert [c.primal is not None for c in combos] == [True, True, False]
+        for A in combos:
+            for B in combos:
+                want = float(A.weights @ kernel_matrix(spec, A.support, B.support) @ B.weights)
+                assert_close(combo_inner(spec, A, B), want, 1.0 + abs(want))
+
+    def test_blocks_cover_every_row(self):
+        spec = polynomial_kernel(2, 1.0)
+        rng = np.random.default_rng(33)
+        S = rng.uniform(-1, 1, size=(2 * PRIMAL_BLOCK + 7, 2))
+        c = mean_combination(spec, S)
+        assert c.primal is not None
+        X = rng.uniform(-1, 1, size=(PRIMAL_BLOCK + 3, 2))
+        assert_close(inner_with_combo(spec, X, c), kernel_matrix(spec, X, S) @ c.weights, 10.0)
+        assert_close(c.self_inner, float(c.weights @ gram_matrix(spec, S) @ c.weights), 10.0)
+
+    def test_absent_for_gaussian_and_small_supports(self):
+        rng = np.random.default_rng(34)
+        S = rng.normal(size=(200, 2))
+        assert mean_combination(gaussian_kernel(1.0), S).primal is None
+        for spec in FINITE_SPECS:
+            dim = poly_feature_dim(2, spec.degree)
+            assert mean_combination(spec, S[:dim]).primal is None
+            assert mean_combination(spec, S[: dim + 1]).primal is not None
+
+    def test_primal_is_read_only(self):
+        c = mean_combination(linear_kernel(), np.vstack([np.eye(3), -np.eye(3)]))
+        with pytest.raises(ValueError):
+            c.primal[0] = 1.0
+
+    @pytest.mark.parametrize("spec", FINITE_SPECS, ids=lambda s: s.label)
+    def test_batch_feature_map_reproduces_kernel_matrix(self, spec):
+        rng = np.random.default_rng(35)
+        X = rng.uniform(-1, 1, size=(6, 3))
+        Y = rng.uniform(-1, 1, size=(4, 3))
+        phi_x = poly_feature_map(X, spec.degree, spec.bias)
+        phi_y = poly_feature_map(Y, spec.degree, spec.bias)
+        assert phi_x.shape == (6, poly_feature_dim(3, spec.degree))
+        assert_close(phi_x @ phi_y.T, kernel_matrix(spec, X, Y), 10.0)
+        for row, x in zip(phi_x, X):
+            np.testing.assert_array_equal(row, poly_feature_map(x, spec.degree, spec.bias))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        d=st.integers(1, 4),
+        degree=st.integers(1, 3),
+        bias=st.sampled_from([0.0, 0.5, 1.0]),
+        extra=st.integers(-2, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_primal_matches_dual_property(self, d, degree, bias, extra, seed):
+        spec = KernelSpec("linear", bias=bias) if degree == 1 else polynomial_kernel(degree, bias)
+        n = max(1, poly_feature_dim(d, degree) + extra)
+        rng = np.random.default_rng(seed)
+        S = rng.uniform(-1, 1, size=(n, d))
+        w = rng.normal(size=n)
+        X = rng.uniform(-1, 1, size=(5, d))
+        c = FeatureCombination(spec, S, w)
+        K = kernel_matrix(spec, X, S)
+        scale = float(np.abs(K).max() * np.abs(w).sum())
+        assert_close(inner_with_combo(spec, X, c), K @ w, scale)
+        double_sum = float(w @ gram_matrix(spec, S) @ w)
+        assert_close(c.self_inner, double_sum, scale * np.abs(w).sum())
