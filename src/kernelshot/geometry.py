@@ -23,10 +23,13 @@ from .ingest import _atomic_write
 from .kernels import (
     FeatureCombination,
     KernelSpec,
+    _check_dims,
+    _clamp_sq,
     as_points,
     centered_gram,
-    centered_inners,
-    centered_sq_norms,
+    inner_with_combo,
+    kernel_diag,
+    kernel_matrix,
     mean_combination,
 )
 
@@ -98,6 +101,45 @@ def _chunks(n: int, chunk_size: int):
         yield start, min(start + chunk_size, n)
 
 
+def _probe_pass(spec: KernelSpec, c: FeatureCombination, pts: np.ndarray, chunk_size: int, v=None):
+    """Yield (||phi(y) - c||^2, inners) for each chunk of probe rows y.
+
+    The squared norms are clamped at zero against round-off.  Given a
+    direction v, inners holds (phi(y) - c, phi(v) - c) for the chunk, else
+    it is None.  Both come from one kernel row (phi(y), c) per probe point,
+    and (phi(v), c) is evaluated once per pass.
+    """
+    if v is not None:
+        va = np.asarray(v, dtype=float)[None, :]
+        _check_dims(pts, va)
+        v_c = float(inner_with_combo(spec, va, c)[0])
+    for lo, hi in _chunks(pts.shape[0], chunk_size):
+        block = pts[lo:hi]
+        a = inner_with_combo(spec, block, c)
+        sq = _clamp_sq(kernel_diag(spec, block) - 2.0 * a + c.self_inner, "centered squared norm")
+        if v is None:
+            yield sq, None
+        else:
+            yield sq, kernel_matrix(spec, block, va)[:, 0] - a - v_c + c.self_inner
+
+
+def _check_grid(r: float, values, name: str, unit_interval: bool) -> list[float]:
+    """Validate a sweep's radius and grid; the grid as floats."""
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError(f"r must be positive and finite, got {r}")
+    grid = [float(t) for t in values]
+    for t in grid:
+        if not math.isfinite(t):
+            raise ValueError(f"{name} must be finite, got {t}")
+        if unit_interval and not 0.0 <= t <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], got {t}")
+    return grid
+
+
+def _estimates(hits: np.ndarray, trials: int) -> list[VolumeRatioEstimate]:
+    return [VolumeRatioEstimate.from_counts(int(h), trials) for h in hits]
+
+
 def enclosing_radius(
     spec: KernelSpec,
     c: FeatureCombination,
@@ -109,11 +151,9 @@ def enclosing_radius(
     This underestimates the true support radius; report consumers should
     treat it as sample-estimated.
     """
-    pts = as_points(support)
     radius = 0.0
-    for lo, hi in _chunks(pts.shape[0], chunk_size):
-        d = np.sqrt(centered_sq_norms(spec, pts[lo:hi], c))
-        radius = max(radius, float(d.max()))
+    for sq, _ in _probe_pass(spec, c, as_points(support), chunk_size):
+        radius = max(radius, float(np.sqrt(sq).max()))
     return radius
 
 
@@ -130,17 +170,7 @@ def ball_ratio_mc(
     With the probe uniform on the support region this estimates the volume
     ratio of the eps-shrunk feature ball pre-image to the full one.
     """
-    if r <= 0:
-        raise ValueError(f"r must be positive, got {r}")
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps must be in [0, 1], got {eps}")
-    pts = as_points(probe)
-    threshold = eps * r
-    hits = 0
-    for lo, hi in _chunks(pts.shape[0], chunk_size):
-        d = np.sqrt(centered_sq_norms(spec, pts[lo:hi], c))
-        hits += int(np.count_nonzero(d <= threshold))
-    return VolumeRatioEstimate.from_counts(hits, pts.shape[0])
+    return ball_ratio_sweep(spec, c, probe, r, [eps], chunk_size=chunk_size)[0]
 
 
 def cap_ratio_mc(
@@ -170,19 +200,13 @@ def ball_ratio_sweep(
     Counts are identical to calling ball_ratio_mc per value: the same probe
     distances are thresholded per eps.
     """
-    if r <= 0:
-        raise ValueError(f"r must be positive, got {r}")
-    eps_arr = [float(e) for e in eps_values]
-    for e in eps_arr:
-        if not 0.0 <= e <= 1.0:
-            raise ValueError(f"eps must be in [0, 1], got {e}")
+    thresholds = np.array([e * r for e in _check_grid(r, eps_values, "eps", unit_interval=True)])
     pts = as_points(probe)
-    hits = np.zeros(len(eps_arr), dtype=np.int64)
-    for lo, hi in _chunks(pts.shape[0], chunk_size):
-        d = np.sqrt(centered_sq_norms(spec, pts[lo:hi], c))
-        for j, e in enumerate(eps_arr):
-            hits[j] += int(np.count_nonzero(d <= e * r))
-    return [VolumeRatioEstimate.from_counts(int(h), pts.shape[0]) for h in hits]
+    hits = np.zeros(thresholds.size, dtype=np.int64)
+    for sq, _ in _probe_pass(spec, c, pts, chunk_size):
+        # number of distances d <= threshold; NaN sorts last and never counts
+        hits += np.searchsorted(np.sort(np.sqrt(sq)), thresholds, side="right")
+    return _estimates(hits, pts.shape[0])
 
 
 def cap_ratio_sweep(
@@ -195,20 +219,14 @@ def cap_ratio_sweep(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> list[VolumeRatioEstimate]:
     """cap_ratio_mc over many delta values with a single pass over the probe."""
-    if r <= 0:
-        raise ValueError(f"r must be positive, got {r}")
-    deltas = [float(t) for t in delta_values]
+    neg_deltas = -np.array(_check_grid(r, delta_values, "delta", unit_interval=False))
     pts = as_points(probe)
-    va = np.asarray(v, dtype=float)
-    hits = np.zeros(len(deltas), dtype=np.int64)
-    for lo, hi in _chunks(pts.shape[0], chunk_size):
-        block = pts[lo:hi]
-        d = np.sqrt(centered_sq_norms(spec, block, c))
-        inner = centered_inners(spec, block, va, c)
-        inside = d <= r
-        for j, delta in enumerate(deltas):
-            hits[j] += int(np.count_nonzero(inside & (inner >= delta)))
-    return [VolumeRatioEstimate.from_counts(int(h), pts.shape[0]) for h in hits]
+    hits = np.zeros(neg_deltas.size, dtype=np.int64)
+    for sq, inner in _probe_pass(spec, c, pts, chunk_size, v):
+        inside = np.sqrt(sq) <= r
+        # inner >= delta exactly when -inner <= -delta; NaN sorts last and never counts
+        hits += np.searchsorted(np.sort(-inner[inside]), neg_deltas, side="right")
+    return _estimates(hits, pts.shape[0])
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ supports no larger than the feature dimension, stay on the kernel trick.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -181,12 +182,18 @@ def kernel_matrix(spec: KernelSpec, X, Y) -> np.ndarray:
     if spec.kind == "gaussian":
         xs = np.einsum("ij,ij->i", Xa, Xa)
         ys = xs if same else np.einsum("ij,ij->i", Ya, Ya)
-        sq = xs[:, None] + ys[None, :] - 2.0 * (Xa @ Ya.T)
-        np.maximum(sq, 0.0, out=sq)
+        # in place, in the order (xs + ys) - 2 (X Y^T): one product buffer
+        # and one result buffer, the same values as the textbook expression
+        prod = Xa @ Ya.T
+        prod *= 2.0
+        out = np.add(xs[:, None], ys[None, :])
+        out -= prod
+        np.maximum(out, 0.0, out=out)
         if same:
             # cancellation can leave ~1e-16 on the diagonal; kappa(x, x) must be 1
-            np.fill_diagonal(sq, 0.0)
-        return np.exp(sq * (-1.0 / (2.0 * spec.sigma)))
+            np.fill_diagonal(out, 0.0)
+        out *= -1.0 / (2.0 * spec.sigma)
+        return np.exp(out, out=out)
     base = spec.bias**2 + Xa @ Ya.T
     if spec.degree == 1:
         return base
@@ -370,12 +377,17 @@ def poly_feature_dim(d: int, degree: int) -> int:
 
 
 def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """Tuples of `parts` non-negative integers summing to `total`, in
+    lexicographic order.
+
+    Stars and bars: `total` stars and parts - 1 bars fill total + parts - 1
+    slots, and each entry counts the stars between consecutive bars.
+    Choosing the bar slots in lexicographic order yields the tuples in
+    lexicographic order too.
+    """
+    end = (total + parts - 1,)
+    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + end))
 
 
 def multi_index_basis(d: int, degree: int) -> list[tuple[int, ...]]:

@@ -6,13 +6,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernelshot import (
     ball_ratio_mc,
     ball_ratio_sweep,
     cap_ratio_mc,
     cap_ratio_sweep,
+    centered_inners,
     centered_sq_norm,
+    centered_sq_norms,
     enclosing_radius,
     gaussian_ball_preimage_volume,
     gaussian_kernel,
@@ -180,6 +184,124 @@ class TestCapRatio:
         sweep = cap_ratio_sweep(LINEAR, c, v, probe, 1.0, deltas)
         pointwise = [cap_ratio_mc(LINEAR, c, v, probe, 1.0, t) for t in deltas]
         assert sweep == pointwise
+
+
+class TestSweepValidation:
+    def test_ball_rejects_nan_radius(self):
+        probe = sample_unit_ball(2, 10, seed=0)
+        with pytest.raises(ValueError, match="finite"):
+            ball_ratio_mc(LINEAR, origin_combo(2), probe, r=math.nan, eps=0.5)
+
+    def test_ball_rejects_infinite_radius(self):
+        probe = sample_unit_ball(2, 10, seed=0)
+        with pytest.raises(ValueError, match="finite"):
+            ball_ratio_mc(LINEAR, origin_combo(2), probe, r=math.inf, eps=0.5)
+
+    def test_cap_rejects_nan_delta(self):
+        probe = sample_unit_ball(2, 10, seed=0)
+        with pytest.raises(ValueError, match="finite"):
+            cap_ratio_sweep(LINEAR, origin_combo(2), np.array([1.0, 0.0]), probe, 1.0, [math.nan])
+
+
+SWEEP_SPECS = [gaussian_kernel(0.3), gaussian_kernel(2.0), polynomial_kernel(2, 1.0), polynomial_kernel(3, 0.5)]
+SWEEP_PROBE = 300
+
+
+def sweep_case(spec, d, n_support, seed):
+    """Centre, probe, radius and cap direction of one random sweep scenario.
+
+    The polynomial supports range over both sides of the feature dimension,
+    so the kernel-row and the primal paths are both exercised.
+    """
+    rng = np.random.default_rng(seed)
+    support = rng.uniform(-1.0, 1.0, size=(n_support, d))
+    c = mean_combination(spec, support)
+    probe = rng.uniform(-1.2, 1.2, size=(SWEEP_PROBE, d))
+    v = rng.uniform(-1.0, 1.0, size=d)
+    return c, probe, enclosing_radius(spec, c, support), v
+
+
+def sorted_grid(rng, low, high, size=6):
+    return sorted(float(t) for t in rng.uniform(low, high, size=size))
+
+
+SCENARIO = dict(
+    spec=st.sampled_from(SWEEP_SPECS),
+    d=st.integers(1, 4),
+    n_support=st.integers(2, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+# 250 leaves a partial last chunk of the 300-point probe
+CHUNK_SIZES = [1, 97, 250]
+
+
+class TestSweepProperties:
+    @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(**SCENARIO)
+    def test_counts_do_not_depend_on_chunk_size(self, spec, d, n_support, seed, chunk_size):
+        c, probe, r, v = sweep_case(spec, d, n_support, seed)
+        rng = np.random.default_rng(seed)
+        eps = sorted_grid(rng, 0.0, 1.0)
+        bound = r * math.sqrt(centered_sq_norm(spec, v, c))
+        deltas = sorted_grid(rng, -bound, bound)
+        assert ball_ratio_sweep(spec, c, probe, r, eps, chunk_size=chunk_size) == ball_ratio_sweep(
+            spec, c, probe, r, eps
+        )
+        assert cap_ratio_sweep(spec, c, v, probe, r, deltas, chunk_size=chunk_size) == cap_ratio_sweep(
+            spec, c, v, probe, r, deltas
+        )
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(**SCENARIO)
+    def test_counts_match_direct_thresholding(self, spec, d, n_support, seed):
+        c, probe, r, v = sweep_case(spec, d, n_support, seed)
+        rng = np.random.default_rng(seed)
+        eps = sorted_grid(rng, 0.0, 1.0)
+        bound = r * math.sqrt(centered_sq_norm(spec, v, c))
+        deltas = sorted_grid(rng, -bound, bound)
+        dist = np.sqrt(centered_sq_norms(spec, probe, c))
+        inner = centered_inners(spec, probe, v, c)
+        ball = [int(np.count_nonzero(dist <= e * r)) for e in eps]
+        cap = [int(np.count_nonzero((dist <= r) & (inner >= t))) for t in deltas]
+        assert [est.hits for est in ball_ratio_sweep(spec, c, probe, r, eps)] == ball
+        assert [est.hits for est in cap_ratio_sweep(spec, c, v, probe, r, deltas)] == cap
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(**SCENARIO)
+    def test_ball_hits_monotone_in_eps(self, spec, d, n_support, seed):
+        c, probe, r, _ = sweep_case(spec, d, n_support, seed)
+        eps = sorted_grid(np.random.default_rng(seed), 0.0, 1.0, size=12)
+        hits = [est.hits for est in ball_ratio_sweep(spec, c, probe, r, eps)]
+        assert all(a <= b for a, b in zip(hits, hits[1:]))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(**SCENARIO)
+    def test_sweeps_equal_per_value_calls(self, spec, d, n_support, seed):
+        c, probe, r, v = sweep_case(spec, d, n_support, seed)
+        rng = np.random.default_rng(seed)
+        eps = sorted_grid(rng, 0.0, 1.0)
+        bound = r * math.sqrt(centered_sq_norm(spec, v, c))
+        deltas = sorted_grid(rng, -bound, bound)
+        assert ball_ratio_sweep(spec, c, probe, r, eps) == [ball_ratio_mc(spec, c, probe, r, e) for e in eps]
+        assert cap_ratio_sweep(spec, c, v, probe, r, deltas) == [
+            cap_ratio_mc(spec, c, v, probe, r, t) for t in deltas
+        ]
+
+    @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(**SCENARIO)
+    def test_enclosing_radius_does_not_depend_on_chunk_size(self, spec, d, n_support, seed, chunk_size):
+        c, probe, _, _ = sweep_case(spec, d, n_support, seed)
+        chunked = enclosing_radius(spec, c, probe, chunk_size=chunk_size)
+        whole = enclosing_radius(spec, c, probe)
+        if chunk_size == 1:
+            # numpy reduces a one-row kernel block against the weights with a
+            # BLAS dot rather than a matrix-vector product, and the two may
+            # round the sum differently in the last place
+            assert chunked == pytest.approx(whole, rel=1e-15, abs=0.0)
+        else:
+            assert chunked == whole
 
 
 class TestOrthogonalityStats:

@@ -123,6 +123,13 @@ class TestGramMatrix:
             gram_matrix(linear_kernel(), np.empty((0, 3)))
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
+    def test_exactly_symmetric(self, spec):
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(40, 5))
+        K = gram_matrix(spec, X)
+        np.testing.assert_array_equal(K, K.T)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
     def test_positive_semidefinite(self, spec):
         rng = np.random.default_rng(11)
         for _ in range(50):
@@ -131,6 +138,56 @@ class TestGramMatrix:
             X = rng.normal(scale=rng.uniform(0.2, 2.0), size=(n, d))
             K = gram_matrix(spec, X)
             assert np.linalg.eigvalsh(K).min() >= -1e-8
+
+
+def textbook_gaussian_matrix(X, Y, sigma, same):
+    """The Gaussian kernel matrix as one out-of-place expression; the oracle
+    for the in-place construction in kernel_matrix."""
+    xs = np.einsum("ij,ij->i", X, X)
+    ys = xs if same else np.einsum("ij,ij->i", Y, Y)
+    sq = xs[:, None] + ys[None, :] - 2.0 * (X @ Y.T)
+    np.maximum(sq, 0.0, out=sq)
+    if same:
+        np.fill_diagonal(sq, 0.0)
+    return np.exp(sq * (-1.0 / (2.0 * sigma)))
+
+
+class TestGaussianKernelMatrix:
+    @pytest.mark.parametrize("sigma", [0.05, 0.5, 3.0])
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (7, 3, 2), (50, 40, 5), (300, 17, 32)])
+    def test_bitwise_equal_to_textbook_expression(self, sigma, shape):
+        rows, cols, d = shape
+        rng = np.random.default_rng(rows + cols + d)
+        X = rng.normal(size=(rows, d))
+        Y = rng.normal(size=(cols, d))
+        np.testing.assert_array_equal(
+            kernel_matrix(gaussian_kernel(sigma), X, Y), textbook_gaussian_matrix(X, Y, sigma, same=False)
+        )
+
+    @pytest.mark.parametrize("sigma", [0.05, 0.5, 3.0])
+    def test_same_array_bitwise_with_unit_diagonal(self, sigma):
+        X = np.random.default_rng(13).normal(scale=3.0, size=(60, 4))
+        K = kernel_matrix(gaussian_kernel(sigma), X, X)
+        np.testing.assert_array_equal(K, textbook_gaussian_matrix(X, X, sigma, same=True))
+        assert np.all(np.diagonal(K) == 1.0)
+
+    def test_strided_input(self):
+        X = np.random.default_rng(14).normal(size=(30, 6))[::2, ::2]
+        spec = gaussian_kernel(0.7)
+        np.testing.assert_array_equal(
+            kernel_matrix(spec, X, X), textbook_gaussian_matrix(X, X, 0.7, same=True)
+        )
+
+
+def recursive_compositions(total, parts):
+    """Depth-`parts` recursion over the first entry; the oracle for the
+    stars-and-bars enumeration."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in recursive_compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 class TestPolyFeatureMap:
@@ -147,6 +204,14 @@ class TestPolyFeatureMap:
     def test_graded_lex_order(self):
         basis = multi_index_basis(2, 2)
         assert basis == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("degree", range(1, 5))
+    def test_basis_matches_recursive_oracle(self, d, degree):
+        expected = [m for total in range(degree + 1) for m in recursive_compositions(total, d)]
+        basis = multi_index_basis(d, degree)
+        assert basis == expected
+        assert len(basis) == poly_feature_dim(d, degree)
 
     def test_kernel_identity_cubic(self):
         rng = np.random.default_rng(42)
