@@ -32,8 +32,9 @@ from .errors import NumericError
 from .kernels import (
     FeatureCombination,
     KernelSpec,
+    _centered_pair_blocks,
+    _clamp_sq,
     as_points,
-    centered_gram,
     centered_sq_norms,
     combo_inner,
     inner_with_combo,
@@ -122,14 +123,17 @@ def empirical_probability_functions(
     if X.shape[0] < 2:
         raise ValueError(f"projection CDF needs at least 2 new-class points, got {X.shape[0]}")
 
-    CX = centered_gram(spec, X, centre_new)
-    diag = np.diagonal(CX)
-    if np.any(diag < -1e-9):
-        raise ValueError(f"centered squared norm negative beyond tolerance: {diag.min()}")
-    norms_new = np.sqrt(np.maximum(diag, 0.0))
-    iu = np.triu_indices(X.shape[0], k=1)
-    # ordered pairs duplicate each unordered pair; the CDF is unchanged
-    pair_inners = CX[iu]
+    # the pairs i < j in row-major order; ordered pairs duplicate each
+    # unordered pair, so the CDF is unchanged
+    n = X.shape[0]
+    pair_inners = np.empty(n * (n - 1) // 2)
+    sq_new = np.empty(n)
+    for lo, hi, C in _centered_pair_blocks(spec, X, centre_new):
+        sq_new[lo:hi] = np.diagonal(C)
+        pairs = C[np.arange(n - lo) > np.arange(hi - lo)[:, None]]
+        start = lo * n - lo * (lo + 1) // 2  # rows before lo hold this many pairs
+        pair_inners[start : start + pairs.size] = pairs
+    norms_new = np.sqrt(_clamp_sq(sq_new, "centered squared norm"))
 
     cross = combo_inner(spec, centre_new, centre_old)
     sep_new = (

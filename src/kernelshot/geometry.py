@@ -23,10 +23,10 @@ from .ingest import _atomic_write
 from .kernels import (
     FeatureCombination,
     KernelSpec,
+    _centered_pair_blocks,
     _check_dims,
     _clamp_sq,
     as_points,
-    centered_gram,
     inner_with_combo,
     kernel_diag,
     kernel_matrix,
@@ -252,31 +252,26 @@ def orthogonality_stats(spec: KernelSpec, sample) -> OrthogonalityStats:
     if n < 2:
         raise ValueError(f"need at least 2 points, got {n}")
     mu = mean_combination(spec, pts)
-    C = centered_gram(spec, pts, mu)
-    sq = np.diagonal(C).copy()
-    if np.any(sq < -1e-9):
-        raise ValueError(f"centered squared norm negative beyond tolerance: {sq.min()}")
-    np.maximum(sq, 0.0, out=sq)
-    norms = np.sqrt(sq)
-    valid = norms > 0.0
-
-    count = 0
-    excluded = 0
+    norms = np.empty(n)
+    # 1 / norm, and 0 for a zero norm, so the cosines of its pairs vanish
+    inv = np.zeros(n)
     sum_cos = 0.0
     sum_cos_sq = 0.0
     sum_abs = 0.0
-    for i in range(n - 1):
-        row = C[i, i + 1 :]
-        if not valid[i]:
-            excluded += row.size
-            continue
-        mask = valid[i + 1 :]
-        good = row[mask] / (norms[i] * norms[i + 1 :][mask])
-        excluded += row.size - good.size
-        count += good.size
-        sum_cos += float(good.sum())
-        sum_cos_sq += float((good * good).sum())
-        sum_abs += float(np.abs(good).sum())
+    # bottom-up blocks: the norms of rows lo: are known when block lo arrives
+    for lo, hi, C in _centered_pair_blocks(spec, pts, mu):
+        norms[lo:hi] = np.sqrt(_clamp_sq(np.diagonal(C), "centered squared norm"))
+        np.divide(1.0, norms[lo:hi], out=inv[lo:hi], where=norms[lo:hi] > 0.0)
+        C *= inv[lo:hi, None]
+        C *= inv[None, lo:]
+        # keep the pairs i < j: the strict upper triangle of the block
+        C[:, : hi - lo] = np.triu(C[:, : hi - lo], 1)
+        sum_cos += float(C.sum())
+        flat = C.ravel()
+        sum_cos_sq += float(flat @ flat)
+        sum_abs += float(np.abs(flat, out=flat).sum())
+    valid = int(np.count_nonzero(norms > 0.0))
+    count = valid * (valid - 1) // 2
     if count == 0:
         raise ValueError("all pairs are degenerate (zero centered norm)")
 
@@ -288,7 +283,7 @@ def orthogonality_stats(spec: KernelSpec, sample) -> OrthogonalityStats:
         mean_norm=float(norms.mean()),
         std_norm=float(norms.std()),
         n_pairs=count,
-        excluded_pairs=excluded,
+        excluded_pairs=n * (n - 1) // 2 - count,
     )
 
 

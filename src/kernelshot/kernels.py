@@ -64,7 +64,7 @@ __all__ = [
     "poly_feature_map",
     "SQ_NORM_TOL",
     "DEFAULT_FEATURE_DIM_CAP",
-    "PRIMAL_BLOCK",
+    "ROW_BLOCK",
 ]
 
 # Squared norms computed through Gram sums may round off slightly negative.
@@ -74,9 +74,13 @@ SQ_NORM_TOL = 1e-9
 
 DEFAULT_FEATURE_DIM_CAP = 10**6
 
-# Rows of phi built at a time on the primal path, so its scratch memory is
-# PRIMAL_BLOCK x feature dimension whatever the number of rows.
-PRIMAL_BLOCK = 512
+# Rows evaluated at a time on every blocked path (feature rows, kernel rows
+# against a support, centred pair blocks), so scratch memory is ROW_BLOCK x
+# the feature dimension, the support size or n, whatever the number of rows.
+ROW_BLOCK = 512
+
+# Rows a BLAS matrix-vector product reduces together (OpenBLAS dgemv on x86).
+_ROW_GROUP = 4
 
 _KINDS = ("linear", "polynomial", "gaussian")
 
@@ -250,10 +254,20 @@ class FeatureCombination:
         object.__setattr__(self, "weights", weights)
         primal = None
         if self.spec.kind == "gaussian" or poly_feature_dim(self.dim, self.spec.degree) >= self.size:
-            gram = gram_matrix(self.spec, support)
-            self_inner = float(weights @ gram @ weights)
+            # w @ K one block of columns at a time, with no support x support matrix
+            wK = np.empty(self.size)
+            for lo, hi in _row_blocks(self.size):
+                K = kernel_matrix(self.spec, support, support[lo:hi])
+                if self.spec.kind == "gaussian":
+                    # as kernel_matrix(S, S) has it: kappa(x, x) is exactly 1
+                    np.fill_diagonal(K[lo:hi], 1.0)
+                wK[lo:hi] = weights @ K
+            self_inner = float(wK @ weights)
         else:
-            primal = sum(weights[lo:hi] @ phi for lo, hi, phi in _feature_blocks(self.spec, support))
+            primal = sum(
+                weights[lo:hi] @ _feature_rows(support[lo:hi], self.spec.degree, self.spec.bias)
+                for lo, hi in _row_blocks(self.size)
+            )
             primal.setflags(write=False)
             self_inner = float(primal @ primal)
         object.__setattr__(self, "primal", primal)
@@ -290,11 +304,21 @@ def inner_with_combo(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
     _check_combo(spec, c)
     Xa = as_points(X)
     _check_dims(Xa, c.support)
-    if c.primal is None:
-        return kernel_matrix(spec, Xa, c.support) @ c.weights
     out = np.empty(Xa.shape[0])
-    for lo, hi, phi in _feature_blocks(spec, Xa):
-        out[lo:hi] = phi @ c.primal
+    for lo, hi in _row_blocks(Xa.shape[0]):
+        # numpy reduces a lone row with a BLAS dot, and a BLAS matrix-vector
+        # product sums a short last group of rows in another order than its
+        # full groups; repeating the last row up to a whole group gives each
+        # row the value it has in any other block
+        block = Xa[lo:hi]
+        pad = -block.shape[0] % _ROW_GROUP
+        if pad:
+            block = np.pad(block, ((0, pad), (0, 0)), mode="edge")
+        if c.primal is None:
+            values = kernel_matrix(spec, block, c.support) @ c.weights
+        else:
+            values = _feature_rows(block, spec.degree, spec.bias) @ c.primal
+        out[lo:hi] = values[: hi - lo]
     return out
 
 
@@ -335,6 +359,30 @@ def centered_gram(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
     K -= a[None, :]
     K += c.self_inner
     return K
+
+
+def _centered_pair_blocks(spec: KernelSpec, X, c: FeatureCombination):
+    """Yield (lo, hi, C[lo:hi, lo:]) of C = centered_gram(spec, X, c).
+
+    Blocks of ROW_BLOCK rows over the upper block-triangle, from the last
+    block to the first, so that the diagonal of every row after hi has been
+    yielded before block lo.  Entry [i, j - lo] is (phi(x_i) - c, phi(x_j) - c)
+    in centered_gram's operation order, and the diagonal entries carry the
+    centred squared norms.  Scratch memory is one block, ROW_BLOCK x n.
+    """
+    _check_combo(spec, c)
+    Xa = as_points(X)
+    _check_dims(Xa, c.support)
+    a = inner_with_combo(spec, Xa, c)
+    for lo, hi in reversed(list(_row_blocks(Xa.shape[0]))):
+        C = kernel_matrix(spec, Xa[lo:hi], Xa[lo:])
+        if spec.kind == "gaussian":
+            # as kernel_matrix(X, X) has it: kappa(x, x) is exactly 1
+            np.fill_diagonal(C, 1.0)
+        C -= a[lo:hi, None]
+        C -= a[None, lo:]
+        C += c.self_inner
+        yield lo, hi, C
 
 
 def combo_inner(spec: KernelSpec, A: FeatureCombination, B: FeatureCombination) -> float:
@@ -461,11 +509,18 @@ def _feature_rows(X: np.ndarray, degree: int, bias: float) -> np.ndarray:
     return mono
 
 
-def _feature_blocks(spec: KernelSpec, X: np.ndarray):
-    """Yield (lo, hi, phi(X[lo:hi])) over blocks of PRIMAL_BLOCK rows."""
-    for lo in range(0, X.shape[0], PRIMAL_BLOCK):
-        hi = min(lo + PRIMAL_BLOCK, X.shape[0])
-        yield lo, hi, _feature_rows(X[lo:hi], spec.degree, spec.bias)
+def _row_blocks(n: int):
+    """Yield (lo, hi) over n rows in blocks of ROW_BLOCK.
+
+    A last block of a single row is folded into the one before it: numpy
+    evaluates a one-row product with another BLAS routine, which rounds
+    differently, so several rows never leave a lone row behind.
+    """
+    starts = list(range(0, n, ROW_BLOCK))
+    if n > 1 and n - starts[-1] == 1:
+        starts.pop()
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        yield lo, hi
 
 
 def poly_feature_map(

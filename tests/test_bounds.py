@@ -4,16 +4,20 @@ degenerate and synthetic data."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernelshot import (
     BoundGrid,
     NumericError,
     StepCdf,
     combined_success_bounds,
+    centered_gram,
     combo_pair_stats,
     empirical_probability_functions,
     eval_kernel,
     few_shot_success_bounds,
+    gaussian_kernel,
     geometric_probability_brackets,
     linear_ball_ratio,
     linear_kernel,
@@ -21,8 +25,10 @@ from kernelshot import (
     mean_concentration_bounds,
     new_class_margin,
     old_class_margin,
+    polynomial_kernel,
     singleton_combination,
 )
+from kernelshot import kernels
 from kernelshot.experiments import ball_cloud
 
 LINEAR = linear_kernel(0.0)
@@ -112,6 +118,50 @@ class TestEmpiricalProbabilityFunctions:
                 singleton_combination(LINEAR, np.array([1.0, 0.0])),
                 singleton_combination(LINEAR, np.array([0.0, 1.0])),
             )
+
+
+PF_SPECS = [LINEAR, polynomial_kernel(2, 1.0), gaussian_kernel(0.5)]
+
+
+def assert_knots_close(got, want, scale):
+    """Same number of knots, each within round-off of the size of the terms
+    combined: OpenBLAS may round the entries of a block of kernel rows in
+    the last place differently from the same entries of a larger product."""
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * scale)
+
+
+class TestBlockedProjectionKnots:
+    """The projection knots are copied block by block from the centred pair
+    blocks; the strict upper triangle of the dense centred Gram is their
+    reference."""
+
+    # 1025 rows leave a one-row remainder after two blocks of 512
+    @pytest.mark.parametrize("spec", PF_SPECS, ids=lambda s: s.label)
+    @pytest.mark.parametrize("d", [3, 40])
+    def test_match_dense_upper_triangle(self, spec, d):
+        X = ball_cloud(d, np.zeros(d), 1.0, 1025, seed=d)
+        Z = ball_cloud(d, np.full(d, 0.5), 1.0, 50, seed=d + 1)
+        pf, c_x, _, _ = pf_from_points(spec, X, Z)
+        CX = centered_gram(spec, X, c_x)
+        scale = 1.0 + float(np.abs(CX).max())
+        assert_knots_close(pf.projection.knots, np.sort(CX[np.triu_indices(X.shape[0], k=1)]), scale)
+        norms = np.sort(np.sqrt(np.maximum(np.diagonal(CX), 0.0)))
+        assert_knots_close(pf.localisation_new.knots, norms, scale)
+
+    @pytest.mark.parametrize("row_block", [2, 97, 400])
+    @pytest.mark.parametrize("spec", PF_SPECS, ids=lambda s: s.label)
+    def test_do_not_depend_on_row_block(self, monkeypatch, spec, row_block):
+        X = ball_cloud(4, np.zeros(4), 1.0, 301, seed=21)
+        Z = ball_cloud(4, np.full(4, 0.5), 1.0, 40, seed=22)
+        c_x = mean_combination(spec, X)
+        c_z = mean_combination(spec, Z)
+        want = empirical_probability_functions(spec, X, Z, c_x, c_z)
+        monkeypatch.setattr(kernels, "ROW_BLOCK", row_block)
+        got = empirical_probability_functions(spec, X, Z, c_x, c_z)
+        scale = 1.0 + float(np.abs(want.projection.knots).max())
+        assert_knots_close(got.projection.knots, want.projection.knots, scale)
+        assert_knots_close(got.localisation_new.knots, want.localisation_new.knots, scale)
 
 
 class TestMargins:
@@ -342,6 +392,61 @@ class TestFewShotSuccessBounds:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             BoundGrid(a_values=(), b_values=(1.0,), beta_values=(1.0,), gamma_values=(1.0,), epsilon_values=(1.0,))
+
+
+class TestBracketOrderingProperty:
+    """lower <= upper for every bracket returned, on random two-class samples.
+
+    A success bracket can come out inverted when the mean-concentration
+    bracket is tight and the sample small (see
+    test_small_shot_count_inversion_is_reported); that must raise, never
+    return."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        spec=st.sampled_from(PF_SPECS),
+        d=st.integers(1, 6),
+        n_new=st.integers(2, 60),
+        n_old=st.integers(1, 60),
+        shift=st.floats(0.0, 3.0),
+        k=st.integers(1, 12),
+        s=st.floats(1e-3, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mean_concentration_brackets_ordered(self, spec, d, n_new, n_old, shift, k, s, seed):
+        X = ball_cloud(d, np.zeros(d), 1.0, n_new, seed=seed)
+        Z = ball_cloud(d, np.full(d, shift), 1.0, n_old, seed=seed + 1)
+        pf, *_ = pf_from_points(spec, X, Z)
+        bracket = mean_concentration_bounds(k, s, pf)
+        assert 0.0 <= bracket.lower <= bracket.upper <= 1.0
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        spec=st.sampled_from(PF_SPECS),
+        d=st.integers(1, 6),
+        n_new=st.integers(2, 60),
+        n_old=st.integers(1, 60),
+        shift=st.floats(0.0, 3.0),
+        k=st.integers(1, 12),
+        theta=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_success_brackets_ordered(self, spec, d, n_new, n_old, shift, k, theta, seed):
+        X = ball_cloud(d, np.zeros(d), 1.0, n_new, seed=seed)
+        Z = ball_cloud(d, np.full(d, shift), 1.0, n_old, seed=seed + 1)
+        pf, _, _, dist_sq = pf_from_points(spec, X, Z)
+        grid = BoundGrid.default(pf, points_per_axis=6)
+        for evaluate in (
+            lambda: combined_success_bounds(k, pf, dist_sq, theta, grid),
+            lambda: few_shot_success_bounds(pf, dist_sq, theta, certain_mean, grid),
+        ):
+            try:
+                result = evaluate()
+            except NumericError as err:
+                assert "inverted" in str(err)
+                continue
+            for report in result:
+                assert 0.0 <= report.lower <= report.upper <= 1.0
 
 
 class TestCombinedBounds:

@@ -4,6 +4,8 @@ normalisation."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import explicit_combination, explicit_poly_point, random_kernel_case
 from kernelshot import (
@@ -191,6 +193,15 @@ class TestAuroc:
             assert auroc(roc_curve(pos, neg)) == pytest.approx(
                 mann_whitney(pos, neg), abs=1e-12
             )
+
+    # scores from a small grid, so ties within and across the classes are common
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        pos=st.lists(st.integers(-4, 4).map(lambda v: v / 4.0), min_size=1, max_size=25),
+        neg=st.lists(st.integers(-4, 4).map(lambda v: v / 4.0), min_size=1, max_size=25),
+    )
+    def test_matches_mann_whitney_property(self, pos, neg):
+        assert auroc(roc_curve(pos, neg)) == pytest.approx(mann_whitney(pos, neg), abs=1e-12)
 
     def test_invariant_under_increasing_transforms(self):
         rng = np.random.default_rng(6)

@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernelshot import (
+    OrthogonalityStats,
     ball_ratio_mc,
     ball_ratio_sweep,
     cap_ratio_mc,
     cap_ratio_sweep,
+    centered_gram,
     centered_inners,
     centered_sq_norm,
     centered_sq_norms,
@@ -33,6 +35,7 @@ from kernelshot import (
     transition_width,
     wilson_interval,
 )
+from kernelshot import kernels
 from kernelshot.geometry import write_ratio_sweep_csv
 
 LINEAR = linear_kernel(0.0)
@@ -293,15 +296,7 @@ class TestSweepProperties:
     @given(**SCENARIO)
     def test_enclosing_radius_does_not_depend_on_chunk_size(self, spec, d, n_support, seed, chunk_size):
         c, probe, _, _ = sweep_case(spec, d, n_support, seed)
-        chunked = enclosing_radius(spec, c, probe, chunk_size=chunk_size)
-        whole = enclosing_radius(spec, c, probe)
-        if chunk_size == 1:
-            # numpy reduces a one-row kernel block against the weights with a
-            # BLAS dot rather than a matrix-vector product, and the two may
-            # round the sum differently in the last place
-            assert chunked == pytest.approx(whole, rel=1e-15, abs=0.0)
-        else:
-            assert chunked == whole
+        assert enclosing_radius(spec, c, probe, chunk_size=chunk_size) == enclosing_radius(spec, c, probe)
 
 
 class TestOrthogonalityStats:
@@ -337,6 +332,101 @@ class TestOrthogonalityStats:
     def test_single_point_rejected(self):
         with pytest.raises(ValueError):
             orthogonality_stats(LINEAR, np.array([[1.0, 2.0]]))
+
+
+def dense_orthogonality_stats(spec, sample):
+    """The orthogonality statistics from the whole n x n centred Gram matrix,
+    walked one row at a time: the reference for the blocked routine."""
+    pts = np.asarray(sample, dtype=float)
+    n = pts.shape[0]
+    C = centered_gram(spec, pts, mean_combination(spec, pts))
+    sq = np.diagonal(C).copy()
+    assert np.all(sq >= -1e-9)
+    np.maximum(sq, 0.0, out=sq)
+    norms = np.sqrt(sq)
+    valid = norms > 0.0
+
+    count = 0
+    excluded = 0
+    sum_cos = 0.0
+    sum_cos_sq = 0.0
+    sum_abs = 0.0
+    for i in range(n - 1):
+        row = C[i, i + 1 :]
+        if not valid[i]:
+            excluded += row.size
+            continue
+        mask = valid[i + 1 :]
+        good = row[mask] / (norms[i] * norms[i + 1 :][mask])
+        excluded += row.size - good.size
+        count += good.size
+        sum_cos += float(good.sum())
+        sum_cos_sq += float((good * good).sum())
+        sum_abs += float(np.abs(good).sum())
+
+    mean_cos = sum_cos / count
+    return OrthogonalityStats(
+        mean_abs_cos=sum_abs / count,
+        std_cos=math.sqrt(max(sum_cos_sq / count - mean_cos * mean_cos, 0.0)),
+        mean_norm=float(norms.mean()),
+        std_norm=float(norms.std()),
+        n_pairs=count,
+        excluded_pairs=excluded,
+    )
+
+
+def with_zero_norm_points(d, seed):
+    """256 points whose linear feature mean is exactly the origin, six of
+    them at the origin, so those six have centred norm exactly 0.
+
+    Coordinates are multiples of 1/8 and the weights 1/256, so every partial
+    sum of the mean is exact."""
+    half = np.random.default_rng(seed).integers(-8, 9, size=(125, d)) / 8.0
+    return np.vstack([half, np.zeros((6, d)), -half])
+
+
+ORTHO_SPECS = [LINEAR, polynomial_kernel(2, 1.0), polynomial_kernel(3, 0.5), gaussian_kernel(0.5)]
+
+
+def assert_same_stats(got, want):
+    """Counts exactly, the rest to rel 1e-12.
+
+    The blocked routine evaluates kernel rows in blocks, and OpenBLAS may
+    round a block's entries in the last place differently from the same
+    entries of one n x n product; the cosines are also summed in another
+    order."""
+    assert (got.n_pairs, got.excluded_pairs) == (want.n_pairs, want.excluded_pairs)
+    for name in ("mean_abs_cos", "std_cos", "mean_norm", "std_norm"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0.0), name
+
+
+class TestBlockedOrthogonality:
+    """orthogonality_stats reduces blocks of centred pair inner products; the
+    dense centred Gram walked row by row is its reference."""
+
+    # 1025 rows leave a one-row remainder after two blocks of 512; d = 40
+    # puts the polynomial means of 1025 points on the kernel-trick path
+    @pytest.mark.parametrize("spec", ORTHO_SPECS, ids=lambda s: s.label)
+    @pytest.mark.parametrize("d", [3, 40])
+    def test_matches_dense_oracle(self, spec, d):
+        sample = sample_unit_ball(d, 1025, seed=d).points
+        assert_same_stats(orthogonality_stats(spec, sample), dense_orthogonality_stats(spec, sample))
+
+    def test_zero_norm_pairs_counted_in_closed_form(self):
+        sample = with_zero_norm_points(3, seed=5)
+        stats = orthogonality_stats(LINEAR, sample)
+        assert stats.n_pairs == 250 * 249 // 2
+        assert stats.excluded_pairs == 256 * 255 // 2 - stats.n_pairs
+        assert_same_stats(stats, dense_orthogonality_stats(LINEAR, sample))
+
+    @pytest.mark.parametrize("row_block", [2, 97, 400])
+    @pytest.mark.parametrize("spec", [LINEAR, polynomial_kernel(2, 1.0), gaussian_kernel(0.5)], ids=lambda s: s.label)
+    def test_does_not_depend_on_row_block(self, monkeypatch, spec, row_block):
+        samples = [sample_unit_ball(4, 301, seed=6).points, with_zero_norm_points(4, seed=7)]
+        default = [orthogonality_stats(spec, sample) for sample in samples]
+        monkeypatch.setattr(kernels, "ROW_BLOCK", row_block)
+        for sample, want in zip(samples, default):
+            assert_same_stats(orthogonality_stats(spec, sample), want)
 
 
 class TestAnalyticForms:

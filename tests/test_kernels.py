@@ -33,7 +33,8 @@ from kernelshot import (
     polynomial_kernel,
     singleton_combination,
 )
-from kernelshot.kernels import PRIMAL_BLOCK, kernel_diag
+from kernelshot import kernels
+from kernelshot.kernels import ROW_BLOCK, _centered_pair_blocks, _row_blocks, kernel_diag
 
 ALL_SPECS = [
     linear_kernel(0.0),
@@ -448,10 +449,10 @@ class TestPrimalPath:
     def test_blocks_cover_every_row(self):
         spec = polynomial_kernel(2, 1.0)
         rng = np.random.default_rng(33)
-        S = rng.uniform(-1, 1, size=(2 * PRIMAL_BLOCK + 7, 2))
+        S = rng.uniform(-1, 1, size=(2 * ROW_BLOCK + 7, 2))
         c = mean_combination(spec, S)
         assert c.primal is not None
-        X = rng.uniform(-1, 1, size=(PRIMAL_BLOCK + 3, 2))
+        X = rng.uniform(-1, 1, size=(ROW_BLOCK + 3, 2))
         assert_close(inner_with_combo(spec, X, c), kernel_matrix(spec, X, S) @ c.weights, 10.0)
         assert_close(c.self_inner, float(c.weights @ gram_matrix(spec, S) @ c.weights), 10.0)
 
@@ -502,3 +503,80 @@ class TestPrimalPath:
         assert_close(inner_with_combo(spec, X, c), K @ w, scale)
         double_sum = float(w @ gram_matrix(spec, S) @ w)
         assert_close(c.self_inner, double_sum, scale * np.abs(w).sum())
+
+
+class TestRowBlocks:
+    """Blocked evaluation: every path splits rows with _row_blocks, and the
+    dense kernel-trick expressions are the reference."""
+
+    @pytest.mark.parametrize("row_block", [2, 3, 97, ROW_BLOCK])
+    def test_blocks_cover_rows_without_a_lone_row(self, monkeypatch, row_block):
+        monkeypatch.setattr(kernels, "ROW_BLOCK", row_block)
+        for n in range(1, 3 * row_block + 3):
+            blocks = list(_row_blocks(n))
+            assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+            assert blocks[-1][1] == n
+            assert all(1 <= hi - lo <= row_block + 1 for lo, hi in blocks)
+            if n > 1:
+                assert all(hi - lo > 1 for lo, hi in blocks)
+
+    @pytest.mark.parametrize(
+        "spec, d, n_support",
+        [
+            (gaussian_kernel(0.5), 5, 1000),
+            (gaussian_kernel(2.0), 3, 40),
+            (polynomial_kernel(2, 1.0), 40, 600),  # dual: below the feature dimension
+            (polynomial_kernel(2, 1.0), 5, 1000),  # primal
+        ],
+        ids=lambda v: getattr(v, "label", str(v)),
+    )
+    def test_each_row_independent_of_its_block(self, monkeypatch, spec, d, n_support):
+        rng = np.random.default_rng(36)
+        c = mean_combination(spec, rng.uniform(-1, 1, size=(n_support, d)))
+        X = rng.uniform(-1, 1, size=(101, d))
+        whole = inner_with_combo(spec, X, c)
+        # a lone row, and rows at every offset of a short last group
+        for i in (0, 1, 50, 99, 100):
+            assert inner_with_combo(spec, X[i], c)[0] == whole[i]
+        for stop in (2, 3, 5, 6, 7):
+            np.testing.assert_array_equal(inner_with_combo(spec, X[:stop], c), whole[:stop])
+        monkeypatch.setattr(kernels, "ROW_BLOCK", 2)
+        np.testing.assert_array_equal(inner_with_combo(spec, X, c), whole)
+
+    @pytest.mark.parametrize(
+        "spec, d, n_support",
+        [
+            (gaussian_kernel(0.5), 5, 1025),  # two blocks of 512, then a lone row folded in
+            (gaussian_kernel(0.25), 2, 7),
+            (polynomial_kernel(2, 1.0), 40, 600),
+            (polynomial_kernel(3, 0.5), 4, 30),
+            (linear_kernel(1.0), 50, 20),
+        ],
+        ids=lambda v: getattr(v, "label", str(v)),
+    )
+    def test_dual_self_inner_matches_gram(self, spec, d, n_support):
+        rng = np.random.default_rng(37)
+        S = rng.uniform(-1, 1, size=(n_support, d))
+        w = rng.normal(size=n_support)
+        c = FeatureCombination(spec, S, w)
+        assert c.primal is None
+        want = float(w @ gram_matrix(spec, S) @ w)
+        assert c.self_inner == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_gaussian_pair_blocks_have_unit_kernel_diagonal(self):
+        # as in centered_gram, the centred squared norm is 1 - 2 a + (c, c)
+        # exactly, from kappa(x, x) = 1, whatever the block
+        spec = gaussian_kernel(0.4)
+        X = np.random.default_rng(39).uniform(-1, 1, size=(1025, 6))
+        c = mean_combination(spec, X)
+        a = inner_with_combo(spec, X, c)
+        blocks = list(_centered_pair_blocks(spec, X, c))
+        assert [(lo, hi) for lo, hi, _ in blocks] == [(512, 1025), (0, 512)]
+        for lo, hi, C in blocks:
+            assert C.shape == (hi - lo, X.shape[0] - lo)
+            np.testing.assert_array_equal(np.diagonal(C), (1.0 - a[lo:hi]) - a[lo:hi] + c.self_inner)
+
+    def test_gaussian_self_inner_has_unit_diagonal(self):
+        rng = np.random.default_rng(38)
+        for x in rng.uniform(-3, 3, size=(20, 6)):
+            assert singleton_combination(gaussian_kernel(0.3), x).self_inner == 1.0
