@@ -61,14 +61,20 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class StepCdf:
-    """Right-continuous empirical CDF: fraction of knots <= t."""
+    """Right-continuous empirical CDF: fraction of knots <= t.
+
+    Knots that arrive sorted are kept as a read-only view, not copied; the
+    caller's array is never sorted or frozen.
+    """
 
     knots: np.ndarray
 
     def __post_init__(self) -> None:
-        knots = np.sort(np.asarray(self.knots, dtype=float).ravel())
+        knots = np.asarray(self.knots, dtype=float).ravel()
         if knots.size == 0:
             raise ValueError("empirical CDF needs at least one knot")
+        # a NaN fails every comparison, so knots holding one are sorted, NaN last
+        knots = knots.view() if np.all(knots[:-1] <= knots[1:]) else np.sort(knots)
         knots.setflags(write=False)
         object.__setattr__(self, "knots", knots)
 
@@ -134,6 +140,8 @@ def empirical_probability_functions(
         start = lo * n - lo * (lo + 1) // 2  # rows before lo hold this many pairs
         pair_inners[start : start + pairs.size] = pairs
     norms_new = np.sqrt(_clamp_sq(sq_new, "centered squared norm"))
+    # in place, so the n(n-1)/2 knots exist once
+    pair_inners.sort()
 
     cross = combo_inner(spec, centre_new, centre_old)
     sep_new = (

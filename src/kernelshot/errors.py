@@ -17,5 +17,7 @@ class DataError(KernelshotError):
     """Malformed or missing input data (feature CSVs, paths)."""
 
 
-class NumericError(KernelshotError):
-    """Numerically impossible result, e.g. an inverted probability bracket."""
+class NumericError(KernelshotError, ValueError):
+    """Numerically impossible result, e.g. an inverted probability bracket or
+    a kernel value that overflowed.  Also a ValueError, so that callers
+    catching the ValueError of an invalid numeric argument catch it too."""

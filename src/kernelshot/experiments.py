@@ -44,6 +44,7 @@ from .kernels import (
     KernelSpec,
     centered_sq_norm,
     combo_pair_stats,
+    inner_with_combo,
     mean_combination,
 )
 
@@ -571,6 +572,13 @@ def run_fewshot_roc(cfg: FewShotRocConfig) -> dict:
     kernel_summaries = []
     for kernel_idx, spec in enumerate(cfg.kernels):
         centre_old = mean_combination(spec, old_norm)
+        # (phi(x), old centre) once per kernel for the rows every seed's model
+        # scores.  Without a new_test table the positives are the seed's
+        # unused training rows; they keep a per-seed evaluation, because a
+        # multi-threaded BLAS can round a row in the last place differently
+        # when the rows evaluated with it change.
+        neg_old = inner_with_combo(spec, neg_rows, centre_old)
+        pos_old = None if pos_rows is None else inner_with_combo(spec, pos_rows, centre_old)
         aurocs = []
         for seed_idx, seed in enumerate(cfg.seeds):
             rng = np.random.default_rng(seed)
@@ -583,7 +591,10 @@ def run_fewshot_roc(cfg: FewShotRocConfig) -> dict:
             else:
                 positives = pos_rows
             model = fit_few_shot(spec, shots, centre_old)
-            curve = roc_curve(decision_values(model, positives), decision_values(model, neg_rows))
+            curve = roc_curve(
+                decision_values(model, positives, old_inner=pos_old),
+                decision_values(model, neg_rows, old_inner=neg_old),
+            )
             area = auroc(curve)
             aurocs.append(area)
             rows.append({"kernel": spec.label, "seed": seed, "auroc": area})

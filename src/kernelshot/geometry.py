@@ -258,8 +258,10 @@ def orthogonality_stats(spec: KernelSpec, sample) -> OrthogonalityStats:
     sum_cos = 0.0
     sum_cos_sq = 0.0
     sum_abs = 0.0
-    # bottom-up blocks: the norms of rows lo: are known when block lo arrives
-    for lo, hi, C in _centered_pair_blocks(spec, pts, mu):
+    # bottom-up blocks: the norms of rows lo: are known when block lo arrives.
+    # mu's support is the sample itself, so without a primal vector its
+    # construction already summed (phi(x_i), mu) for every row
+    for lo, hi, C in _centered_pair_blocks(spec, pts, mu, a=mu._support_inner):
         norms[lo:hi] = np.sqrt(_clamp_sq(np.diagonal(C), "centered squared norm"))
         np.divide(1.0, norms[lo:hi], out=inv[lo:hi], where=norms[lo:hi] > 0.0)
         C *= inv[lo:hi, None]

@@ -36,6 +36,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import NumericError
+
 __all__ = [
     "KernelSpec",
     "linear_kernel",
@@ -155,11 +157,21 @@ def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def _clamp_sq(values, context: str):
-    """Clamp round-off-negative squared quantities to zero."""
+    """Clamp round-off-negative squared quantities to zero.
+
+    Raises NumericError, naming the quantity, for a value that is not finite
+    (from an overflowed kernel value, or inf - inf) or is below -SQ_NORM_TOL.
+    """
     arr = np.asarray(values, dtype=float)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        bad = float(arr[~finite].flat[0])
+        raise NumericError(
+            f"{context} is not finite ({bad}): a kernel value overflowed or an input is not finite"
+        )
     if np.any(arr < -SQ_NORM_TOL):
         worst = float(arr.min())
-        raise ValueError(f"{context} is negative beyond round-off tolerance: {worst}")
+        raise NumericError(f"{context} is negative beyond round-off tolerance: {worst}")
     out = np.where(arr < 0.0, 0.0, arr)
     return float(out) if out.ndim == 0 else out
 
@@ -232,7 +244,9 @@ class FeatureCombination:
     dimension is below the support size, else None.  ``self_inner`` caches
     (c, c): primal . primal when there is a primal vector, otherwise the
     weighted Gram double sum, so repeated probes against c cost one feature
-    row or one kernel row instead of a full Gram evaluation.
+    row or one kernel row instead of a full Gram evaluation.  Without a
+    primal vector, ``_support_inner`` keeps (phi(s_j), c) for every support
+    point s_j, the row sums w @ K(S, S) that (c, c) is summed from.
     """
 
     spec: KernelSpec
@@ -240,6 +254,7 @@ class FeatureCombination:
     weights: np.ndarray
     primal: np.ndarray | None = field(init=False)
     self_inner: float = field(init=False)
+    _support_inner: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         support = as_points(self.support).copy()
@@ -262,8 +277,10 @@ class FeatureCombination:
                     # as kernel_matrix(S, S) has it: kappa(x, x) is exactly 1
                     np.fill_diagonal(K[lo:hi], 1.0)
                 wK[lo:hi] = weights @ K
+            wK.setflags(write=False)
             self_inner = float(wK @ weights)
         else:
+            wK = None
             primal = sum(
                 weights[lo:hi] @ _feature_rows(support[lo:hi], self.spec.degree, self.spec.bias)
                 for lo, hi in _row_blocks(self.size)
@@ -271,6 +288,7 @@ class FeatureCombination:
             primal.setflags(write=False)
             self_inner = float(primal @ primal)
         object.__setattr__(self, "primal", primal)
+        object.__setattr__(self, "_support_inner", wK)
         object.__setattr__(self, "self_inner", _clamp_sq(self_inner, "combination self inner product"))
 
     @property
@@ -361,7 +379,7 @@ def centered_gram(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
     return K
 
 
-def _centered_pair_blocks(spec: KernelSpec, X, c: FeatureCombination):
+def _centered_pair_blocks(spec: KernelSpec, X, c: FeatureCombination, a=None):
     """Yield (lo, hi, C[lo:hi, lo:]) of C = centered_gram(spec, X, c).
 
     Blocks of ROW_BLOCK rows over the upper block-triangle, from the last
@@ -369,11 +387,14 @@ def _centered_pair_blocks(spec: KernelSpec, X, c: FeatureCombination):
     yielded before block lo.  Entry [i, j - lo] is (phi(x_i) - c, phi(x_j) - c)
     in centered_gram's operation order, and the diagonal entries carry the
     centred squared norms.  Scratch memory is one block, ROW_BLOCK x n.
+    `a` holds (phi(x_i), c) for every row when the caller already has it;
+    by default it is computed with inner_with_combo.
     """
     _check_combo(spec, c)
     Xa = as_points(X)
     _check_dims(Xa, c.support)
-    a = inner_with_combo(spec, Xa, c)
+    if a is None:
+        a = inner_with_combo(spec, Xa, c)
     for lo, hi in reversed(list(_row_blocks(Xa.shape[0]))):
         C = kernel_matrix(spec, Xa[lo:hi], Xa[lo:])
         if spec.kind == "gaussian":

@@ -53,6 +53,22 @@ class TestStepCdf:
         assert np.all((vals >= 0) & (vals <= 1))
 
 
+    def test_sorted_knots_are_a_read_only_view(self):
+        knots = np.array([1.0, 2.0, 2.0, 5.0])
+        cdf = StepCdf(knots)
+        assert np.shares_memory(cdf.knots, knots)
+        assert not cdf.knots.flags.writeable
+        assert knots.flags.writeable
+
+    def test_unsorted_knots_are_sorted_in_a_copy(self):
+        knots = np.array([5.0, np.nan, 1.0, 2.0])
+        cdf = StepCdf(knots)
+        np.testing.assert_array_equal(cdf.knots, [1.0, 2.0, 5.0, np.nan])
+        np.testing.assert_array_equal(knots, [5.0, np.nan, 1.0, 2.0])
+        assert knots.flags.writeable
+        assert cdf(3.0) == 0.5
+
+
 def pf_from_points(spec, X, Z):
     c_x = mean_combination(spec, X)
     c_z = mean_combination(spec, Z)

@@ -17,6 +17,7 @@ from kernelshot import (
     decision_values,
     fit_few_shot,
     gaussian_kernel,
+    inner_with_combo,
     linear_kernel,
     mean_combination,
     normalize_feature_table,
@@ -108,6 +109,30 @@ class TestDecisionValue:
         model = two_point_model()
         with pytest.raises(ValueError, match="dimension mismatch"):
             decision_value(model, np.array([1.0, 0.0, 0.0]))
+
+
+KERNELS = [LINEAR, polynomial_kernel(2, 1.0), gaussian_kernel(0.5)]
+
+
+class TestOldInner:
+    """decision_values with the old-centre column passed in, as fewshot-roc
+    computes it once per kernel for every seed's model."""
+
+    @pytest.mark.parametrize("spec", KERNELS, ids=lambda s: s.label)
+    def test_passed_column_gives_the_same_bits(self, spec):
+        rng = np.random.default_rng(44)
+        # 300 old rows put the linear and poly2 old centres on the primal path
+        centre_old = mean_combination(spec, rng.normal(size=(300, 6)))
+        model = fit_few_shot(spec, rng.normal(size=(5, 6)), centre_old)
+        X = rng.normal(size=(1030, 6))
+        column = inner_with_combo(spec, X, centre_old)
+        np.testing.assert_array_equal(decision_values(model, X, old_inner=column), decision_values(model, X))
+
+    @pytest.mark.parametrize("bad_shape", [(9,), (11,), (10, 1), ()])
+    def test_wrong_shape_rejected(self, bad_shape):
+        model = two_point_model()
+        with pytest.raises(ValueError, match="old_inner"):
+            decision_values(model, np.ones((10, 2)), old_inner=np.zeros(bad_shape))
 
 
 class TestClassify:

@@ -7,7 +7,18 @@ import json
 import numpy as np
 import pytest
 
-from kernelshot import NumericError, linear_ball_ratio, write_feature_csv
+from kernelshot import (
+    NumericError,
+    auroc,
+    decision_values,
+    fit_few_shot,
+    ingest_feature_csv,
+    linear_ball_ratio,
+    mean_combination,
+    normalize_feature_table,
+    roc_curve,
+    write_feature_csv,
+)
 from kernelshot.cli import main
 from kernelshot.experiments import ball_cloud, load_config
 
@@ -251,6 +262,46 @@ class TestFewShotRocCommand:
         assert len(rows) == 40
         assert report["results"]["sources"]["old_features"]["checksum"]
 
+    @pytest.mark.parametrize("test_tables", [True, False], ids=["test-tables", "unused-shots"])
+    def test_matches_a_per_seed_evaluation(self, tmp_path, feature_files, test_tables):
+        # the runner scores rows against the old centre once per kernel; the
+        # per-seed evaluation from scratch must give the same bits
+        old_path, new_path = feature_files
+        raw = {
+            "kernels": [{"kind": "linear"}, {"kind": "polynomial", "degree": 2, "bias": 1.0},
+                        {"kind": "gaussian", "sigma": 0.5}],
+            "old_features": str(old_path),
+            "new_features": str(new_path),
+            "shots": 5,
+            "seeds": [3, 1],
+            "out": str(tmp_path / "roc"),
+        }
+        if test_tables:
+            raw.update(old_test=str(old_path), new_test=str(new_path))
+        assert main(["fewshot-roc", "--config", write_config(tmp_path / "c.json", raw)]) == 0
+        report = json.loads((tmp_path / "roc" / "report.json").read_text())
+
+        cfg = load_config("fewshot-roc", raw)
+        old_rows = ingest_feature_csv(old_path).rows
+        new_rows = ingest_feature_csv(new_path).rows
+        old_norm, new_norm, transform = normalize_feature_table(old_rows, new_rows)
+        want = []
+        for kernel_idx, spec in enumerate(cfg.kernels):
+            centre_old = mean_combination(spec, old_norm)
+            for seed_idx, seed in enumerate(cfg.seeds):
+                idx = np.random.default_rng(seed).choice(len(new_norm), size=cfg.shots, replace=False)
+                model = fit_few_shot(spec, new_norm[idx], centre_old)
+                if test_tables:
+                    pos, neg = transform.apply(new_rows), transform.apply(old_rows)
+                else:
+                    pos, neg = np.delete(new_norm, idx, axis=0), old_norm
+                curve = roc_curve(decision_values(model, pos), decision_values(model, neg))
+                want.append(auroc(curve))
+                if seed_idx == 0:
+                    written = read_csv(tmp_path / "roc" / f"roc_kernel{kernel_idx}_seed{seed}.csv")
+                    assert [float(r["threshold"]) for r in written] == curve.thresholds.tolist()
+        assert [r["auroc"] for r in report["results"]["per_seed"]] == want
+
     def test_missing_feature_file_exits_3(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",
@@ -330,6 +381,21 @@ def test_bad_input_exits_with_documented_code(tmp_path, monkeypatch, capsys, com
     err = capsys.readouterr().err
     assert err.startswith("config error" if code == 2 else "input data error")
     assert fragment in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["volume-ratio", "orthogonality", "bounds"])
+def test_kernel_overflow_exits_4(tmp_path, capsys, command):
+    # (100 + x.y)^200 overflows a double
+    kernel = {"kind": "polynomial", "degree": 200, "bias": 10.0}
+    patch = {"kernels": [kernel]} if command == "orthogonality" else {"kernel": kernel}
+    cfg = write_config(tmp_path / "c.json", {**SMALL_CONFIGS[command], **patch, "out": str(tmp_path / "out")})
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([command, "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure")
+    assert "not finite" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "out" / "report.json").exists()
 
 

@@ -429,6 +429,26 @@ class TestBlockedOrthogonality:
             assert_same_stats(orthogonality_stats(spec, sample), want)
 
 
+    def test_gaussian_reuses_the_mean_row_sums(self, monkeypatch):
+        # n^2 kernel entries for the mean's self inner product, whose row sums
+        # are (phi(x_i), mu), then the upper block-triangle of pair blocks;
+        # evaluating (phi(x_i), mu) again would add another n^2
+        n = 1025
+        sample = sample_unit_ball(4, n, seed=9).points
+        evals = []
+        original = kernels.kernel_matrix
+
+        def counting(spec, X, Y):
+            K = original(spec, X, Y)
+            evals.append(K.size)
+            return K
+
+        monkeypatch.setattr(kernels, "kernel_matrix", counting)
+        orthogonality_stats(gaussian_kernel(0.5), sample)
+        pair_entries = sum((hi - lo) * (n - lo) for lo, hi in kernels._row_blocks(n))
+        assert sum(evals) == n * n + pair_entries
+
+
 class TestAnalyticForms:
     def test_linear_ball_ratio(self):
         assert linear_ball_ratio(1.0, 7) == 1.0

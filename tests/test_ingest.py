@@ -71,3 +71,55 @@ class TestIngest:
         write_lines(path, ["label", "a"])
         with pytest.raises(DataError, match="at least one feature column"):
             ingest_feature_csv(path)
+
+
+class TestNumberSyntax:
+    """Inputs on which numpy's loadtxt and Python's float() disagree, or that
+    a CSV reader must handle, pinned to their outcome."""
+
+    def test_digit_group_underscore_rejected(self, tmp_path):
+        # float() reads "1_000" as 1000; loadtxt does not
+        path = tmp_path / "t.csv"
+        write_lines(path, ["f0,f1,label", "1,2,a", "3,1_000,b"])
+        with pytest.raises(DataError, match=r"line 3, column 2 \('f1'\): feature cell '1_000'"):
+            ingest_feature_csv(path)
+
+    def test_non_ascii_digits_rejected(self, tmp_path):
+        # float() reads Arabic-Indic digits; loadtxt does not
+        path = tmp_path / "t.csv"
+        write_lines(path, ["f0,f1,label", "١٢,2,a"])
+        with pytest.raises(DataError, match=r"line 2, column 1 \('f0'\)"):
+            ingest_feature_csv(path)
+
+    def test_whitespace_around_a_number_accepted(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_lines(path, ["f0,f1,label", " 1.5 ,\t-2e-3,a"])
+        np.testing.assert_array_equal(ingest_feature_csv(path).rows, [[1.5, -2e-3]])
+
+    @pytest.mark.parametrize("cell", ["infinity", "-Infinity", "inf", "nan", "1e400"])
+    def test_non_finite_spellings_rejected(self, tmp_path, cell):
+        path = tmp_path / "t.csv"
+        write_lines(path, ["f0,f1,label", f"1,{cell},a"])
+        with pytest.raises(DataError, match=r"line 2, column 2 \('f1'\): .* is not a finite number"):
+            ingest_feature_csv(path)
+
+    def test_quoted_label_with_a_comma(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_lines(path, ["f0,f1,label", '1,"2",\"old, test\"', '3,4," b "'])
+        table = ingest_feature_csv(path)
+        np.testing.assert_array_equal(table.rows, [[1.0, 2.0], [3.0, 4.0]])
+        assert table.labels == ("old, test", " b ")
+
+    def test_crlf_line_endings_and_blank_lines(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"f0,f1,label\r\n1,2,a\r\n\r\n3,4,b\r\n")
+        table = ingest_feature_csv(path)
+        np.testing.assert_array_equal(table.rows, [[1.0, 2.0], [3.0, 4.0]])
+        assert table.labels == ("a", "b")
+
+    def test_first_bad_record_in_reading_order(self, tmp_path):
+        # a bad cell before a ragged row is reported, not the ragged row
+        path = tmp_path / "t.csv"
+        write_lines(path, ["f0,f1,label", "1,2,a", "", "1,inf,b", "1,x,c", "1,d"])
+        with pytest.raises(DataError, match=r"line 4, column 2 \('f1'\): feature cell 'inf'"):
+            ingest_feature_csv(path)

@@ -12,6 +12,7 @@ from conftest import explicit_combination, explicit_poly_point, random_kernel_ca
 from kernelshot import (
     FeatureCombination,
     KernelSpec,
+    NumericError,
     centered_gram,
     centered_inner,
     centered_inners,
@@ -34,7 +35,14 @@ from kernelshot import (
     singleton_combination,
 )
 from kernelshot import kernels
-from kernelshot.kernels import ROW_BLOCK, _centered_pair_blocks, _row_blocks, kernel_diag
+from kernelshot.kernels import (
+    ROW_BLOCK,
+    SQ_NORM_TOL,
+    _centered_pair_blocks,
+    _clamp_sq,
+    _row_blocks,
+    kernel_diag,
+)
 
 ALL_SPECS = [
     linear_kernel(0.0),
@@ -330,6 +338,35 @@ class TestCenteredOps:
         c = singleton_combination(linear_kernel(), np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             c.support[0, 0] = 2.0
+
+
+class TestClampSq:
+    """Squared quantities clamp round-off negatives to 0 and raise
+    NumericError, which is also a ValueError, for anything else."""
+
+    def test_round_off_negatives_clamp_to_zero(self):
+        np.testing.assert_array_equal(_clamp_sq(np.array([2.0, -SQ_NORM_TOL, -1e-16]), "q"), [2.0, 0.0, 0.0])
+        assert _clamp_sq(-1e-12, "q") == 0.0
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_raises_naming_the_quantity(self, bad):
+        with pytest.raises(NumericError, match=r"^centered squared norm is not finite"):
+            _clamp_sq(np.array([1.0, bad, 2.0]), "centered squared norm")
+
+    def test_negative_beyond_tolerance_raises(self):
+        with pytest.raises(NumericError, match="negative beyond round-off tolerance"):
+            _clamp_sq(np.array([1.0, -1e-6]), "pairwise squared distance")
+
+    def test_numeric_error_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            _clamp_sq(np.nan, "q")
+
+    def test_overflowing_kernel_raises_at_construction(self):
+        spec = polynomial_kernel(200, 10.0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericError, match="combination self inner product is not finite"
+        ):
+            mean_combination(spec, np.ones((3, 2)))
 
 
 class TestKernelTrickOracle:
