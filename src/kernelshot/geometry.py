@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import NumericError
 from .ingest import _atomic_write
 from .kernels import (
     FeatureCombination,
@@ -275,7 +276,7 @@ def orthogonality_stats(spec: KernelSpec, sample) -> OrthogonalityStats:
     valid = int(np.count_nonzero(norms > 0.0))
     count = valid * (valid - 1) // 2
     if count == 0:
-        raise ValueError("all pairs are degenerate (zero centered norm)")
+        raise NumericError("all pairs are degenerate (zero centered norm)")
 
     mean_cos = sum_cos / count
     var_cos = max(sum_cos_sq / count - mean_cos * mean_cos, 0.0)

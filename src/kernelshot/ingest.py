@@ -1,8 +1,9 @@
 """Feature-vector CSV ingestion.
 
-Expected format: UTF-8, comma separated, one header row, all columns numeric
-except a trailing column named "label".  Parsing is strict; malformed input
-raises :class:`DataError` naming the offending line or cell.
+Expected format: UTF-8, comma separated, lines ending in LF or CRLF, one
+header row, all columns numeric except a trailing column named "label".
+Parsing is strict; malformed input raises :class:`DataError` naming the
+offending line or cell (or byte, for text that is not UTF-8).
 """
 
 from __future__ import annotations
@@ -66,10 +67,19 @@ def ingest_feature_csv(path) -> FeatureTable:
         raise DataError(f"feature file not found: {p}")
     blob = p.read_bytes()
     checksum = hashlib.sha256(blob).hexdigest()
-    text = blob.decode("utf-8")
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = blob.count(b"\n", 0, exc.start) + 1
+        raise DataError(
+            f"{p}: not UTF-8: line {line}, byte offset {exc.start} (0x{blob[exc.start]:02x}): {exc.reason}"
+        ) from None
     reader = csv.reader(_lines(text))
 
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise _csv_error(p, reader, exc) from None
     if header is None or not header:
         raise DataError(f"{p}: empty file, expected a header row")
     if header[-1].strip() != "label":
@@ -123,20 +133,32 @@ def _first_bad_record(p: Path, header: list[str], reader) -> DataError | None:
     with the wrong number of columns or a feature cell that is not a finite
     number; None if there is none."""
     width = len(header)
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue  # blank line (e.g. trailing newline)
-        if len(row) != width:
-            return DataError(f"{p}: line {lineno}: expected {width} columns, found {len(row)}")
-        if _finite_numbers(row[:-1]):
-            continue
-        for col, cell in enumerate(row[:-1]):
-            if not _finite_numbers([cell]):
-                return DataError(
-                    f"{p}: line {lineno}, column {col + 1} ({header[col]!r}): "
-                    f"feature cell {cell!r} is not a finite number"
-                )
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue  # blank line (e.g. trailing newline)
+            if len(row) != width:
+                return DataError(f"{p}: line {lineno}: expected {width} columns, found {len(row)}")
+            if _finite_numbers(row[:-1]):
+                continue
+            for col, cell in enumerate(row[:-1]):
+                if not _finite_numbers([cell]):
+                    return DataError(
+                        f"{p}: line {lineno}, column {col + 1} ({header[col]!r}): "
+                        f"feature cell {cell!r} is not a finite number"
+                    )
+    except csv.Error as exc:
+        return _csv_error(p, reader, exc)
     return None
+
+
+def _csv_error(p: Path, reader, exc: csv.Error) -> DataError:
+    """The error for a line the CSV reader cannot split into a record, most
+    often a carriage return that ends no line (a file with CR-only line
+    endings).  The reader's hint about opening files is dropped: it speaks
+    to the caller of csv, not to whoever wrote the file."""
+    reason = str(exc).split(" - ")[0]
+    return DataError(f"{p}: line {reader.line_num}: not a CSV record ({reason}); lines must end in LF or CRLF")
 
 
 def _finite_numbers(cells: list[str]) -> bool:

@@ -76,10 +76,17 @@ SQ_NORM_TOL = 1e-9
 
 DEFAULT_FEATURE_DIM_CAP = 10**6
 
-# Rows evaluated at a time on every blocked path (feature rows, kernel rows
-# against a support, centred pair blocks), so scratch memory is ROW_BLOCK x
-# the feature dimension, the support size or n, whatever the number of rows.
+# Most rows evaluated at a time on every blocked path (feature rows, kernel
+# rows against a support, centred pair blocks), so scratch memory is at most
+# ROW_BLOCK x the feature dimension, the support size or n, whatever the
+# number of rows.  Rows against a combination's support are further bounded
+# by _BLOCK_ENTRIES (see _row_blocks).
 ROW_BLOCK = 512
+
+# Entries (float64, 512 KB) in one block of rows against a support: a wide
+# support gets fewer rows per block, so each block's scratch stays in cache
+# instead of costing two fresh multi-MB arrays.
+_BLOCK_ENTRIES = 1 << 16
 
 # Rows a BLAS matrix-vector product reduces together (OpenBLAS dgemv on x86).
 _ROW_GROUP = 4
@@ -271,7 +278,7 @@ class FeatureCombination:
         if self.spec.kind == "gaussian" or poly_feature_dim(self.dim, self.spec.degree) >= self.size:
             # w @ K one block of columns at a time, with no support x support matrix
             wK = np.empty(self.size)
-            for lo, hi in _row_blocks(self.size):
+            for lo, hi in _row_blocks(self.size, self.size):
                 K = kernel_matrix(self.spec, support, support[lo:hi])
                 if self.spec.kind == "gaussian":
                     # as kernel_matrix(S, S) has it: kappa(x, x) is exactly 1
@@ -281,6 +288,8 @@ class FeatureCombination:
             self_inner = float(wK @ weights)
         else:
             wK = None
+            # a sum over blocks, so the block layout is part of its value:
+            # ROW_BLOCK rows whatever the feature dimension
             primal = sum(
                 weights[lo:hi] @ _feature_rows(support[lo:hi], self.spec.degree, self.spec.bias)
                 for lo, hi in _row_blocks(self.size)
@@ -323,7 +332,8 @@ def inner_with_combo(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
     Xa = as_points(X)
     _check_dims(Xa, c.support)
     out = np.empty(Xa.shape[0])
-    for lo, hi in _row_blocks(Xa.shape[0]):
+    width = c.size if c.primal is None else c.primal.size
+    for lo, hi in _row_blocks(Xa.shape[0], width):
         # numpy reduces a lone row with a BLAS dot, and a BLAS matrix-vector
         # product sums a short last group of rows in another order than its
         # full groups; repeating the last row up to a whole group gives each
@@ -530,14 +540,20 @@ def _feature_rows(X: np.ndarray, degree: int, bias: float) -> np.ndarray:
     return mono
 
 
-def _row_blocks(n: int):
-    """Yield (lo, hi) over n rows in blocks of ROW_BLOCK.
+def _row_blocks(n: int, width: int = 1):
+    """Yield (lo, hi) over n rows in blocks of at most ROW_BLOCK rows.
 
+    Each row holds `width` entries (a support size or a feature dimension),
+    and a block holds about _BLOCK_ENTRIES of them: _BLOCK_ENTRIES // width
+    rows, rounded down to whole groups of _ROW_GROUP (so that only a last
+    block can end in a short group) and at least one group, capped at
+    ROW_BLOCK.  With the default width, blocks have ROW_BLOCK rows.
     A last block of a single row is folded into the one before it: numpy
     evaluates a one-row product with another BLAS routine, which rounds
     differently, so several rows never leave a lone row behind.
     """
-    starts = list(range(0, n, ROW_BLOCK))
+    rows = min(ROW_BLOCK, max(_ROW_GROUP, _BLOCK_ENTRIES // width // _ROW_GROUP * _ROW_GROUP))
+    starts = list(range(0, n, rows))
     if n > 1 and n - starts[-1] == 1:
         starts.pop()
     for lo, hi in zip(starts, starts[1:] + [n]):

@@ -60,6 +60,20 @@ class TestIngestCheck:
         assert main(["ingest-check", str(path)]) == 3
         assert "input data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "blob, fragment",
+        [(b"f0,label\n\xff1,a\n", "not UTF-8: line 2, byte offset 9"), (b"f0,label\r1,a\r", "LF or CRLF")],
+        ids=["not-utf8", "cr-only"],
+    )
+    def test_unreadable_file_exits_3(self, tmp_path, capsys, blob, fragment):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(blob)
+        assert main(["ingest-check", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input data error")
+        assert f"{path}: " in err and fragment in err
+        assert "Traceback" not in err
+
 
 class TestConfigErrors:
     def test_missing_config_file(self, tmp_path, capsys):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernelshot import (
+    NumericError,
     OrthogonalityStats,
     ball_ratio_mc,
     ball_ratio_sweep,
@@ -332,6 +333,13 @@ class TestOrthogonalityStats:
     def test_single_point_rejected(self):
         with pytest.raises(ValueError):
             orthogonality_stats(LINEAR, np.array([[1.0, 2.0]]))
+
+    def test_all_pairs_degenerate_is_a_numeric_error(self):
+        # every point coincides with the mean, so no pair has a cosine
+        pts = np.tile([0.5, -1.0], (4, 1))
+        for spec in (LINEAR, gaussian_kernel(1.0)):
+            with pytest.raises(NumericError, match="all pairs are degenerate"):
+                orthogonality_stats(spec, pts)
 
 
 def dense_orthogonality_stats(spec, sample):

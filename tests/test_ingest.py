@@ -117,6 +117,23 @@ class TestNumberSyntax:
         np.testing.assert_array_equal(table.rows, [[1.0, 2.0], [3.0, 4.0]])
         assert table.labels == ("a", "b")
 
+    def test_not_utf8_names_the_byte_offset(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"f0,label\n\xff1,a\n")
+        with pytest.raises(DataError, match=r"t\.csv: not UTF-8: line 2, byte offset 9 \(0xff\)"):
+            ingest_feature_csv(path)
+
+    @pytest.mark.parametrize(
+        "blob, line",
+        [(b"f0,label\r1,a\r", 1), (b"f0,f1,label\n1,2,a\n1,x,b\r3,4,c\n", 3)],
+        ids=["cr-only", "cr-in-a-bad-body"],
+    )
+    def test_lone_carriage_return_names_the_line(self, tmp_path, blob, line):
+        path = tmp_path / "t.csv"
+        path.write_bytes(blob)
+        with pytest.raises(DataError, match=rf"t\.csv: line {line}: not a CSV record .* LF or CRLF"):
+            ingest_feature_csv(path)
+
     def test_first_bad_record_in_reading_order(self, tmp_path):
         # a bad cell before a ragged row is reported, not the ragged row
         path = tmp_path / "t.csv"

@@ -617,3 +617,122 @@ class TestRowBlocks:
         rng = np.random.default_rng(38)
         for x in rng.uniform(-3, 3, size=(20, 6)):
             assert singleton_combination(gaussian_kernel(0.3), x).self_inner == 1.0
+
+
+def block_rows(width):
+    """Rows in a full block against `width` entries per row."""
+    group = kernels._ROW_GROUP
+    return min(ROW_BLOCK, max(group, kernels._BLOCK_ENTRIES // width // group * group))
+
+
+def recording(monkeypatch, name):
+    """Replace kernels.<name> with a wrapper that records each result's shape."""
+    shapes = []
+    original = getattr(kernels, name)
+
+    def record(*args):
+        out = original(*args)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(kernels, name, record)
+    return shapes
+
+
+class TestRowBlocksByWidth:
+    """Blocks of rows against a support hold about _BLOCK_ENTRIES entries:
+    fewer rows against a wider support, never more than ROW_BLOCK."""
+
+    # a lone last row folded into a full block of 64 (width 1000), and short
+    # last groups padded to _ROW_GROUP rows
+    N_ROWS = (1030, 1089)
+
+    def test_one_argument_keeps_row_block(self):
+        assert list(_row_blocks(1100)) == [(0, 512), (512, 1024), (1024, 1100)]
+        assert list(_row_blocks(1100, 1)) == list(_row_blocks(1100))
+
+    @pytest.mark.parametrize("width, rows", [(7, 512), (128, 512), (129, 508), (1000, 64), (3000, 20), (10**6, 4)])
+    def test_blocks_are_whole_groups_within_the_entry_bound(self, width, rows):
+        assert block_rows(width) == rows
+        for n in (2, rows - 1, rows, rows + 1, 3 * rows + 1, 3 * rows + 5):
+            blocks = list(_row_blocks(n, width))
+            assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+            assert blocks[-1][1] == n
+            sizes = [hi - lo for lo, hi in blocks]
+            # full blocks, then a last one that may hold a folded lone row
+            assert all(size == rows for size in sizes[:-1])
+            assert 1 < sizes[-1] <= rows + 1
+
+    @pytest.mark.parametrize("n_support", [7, 1000, 3000])
+    def test_kernel_rows_against_a_support(self, monkeypatch, n_support):
+        spec = gaussian_kernel(0.5)
+        rng = np.random.default_rng(40)
+        c = mean_combination(spec, rng.uniform(-1, 1, size=(n_support, 5)))
+        shapes = recording(monkeypatch, "kernel_matrix")
+        rows = block_rows(n_support)
+        for n in self.N_ROWS:
+            shapes.clear()
+            inner_with_combo(spec, rng.uniform(-1, 1, size=(n, 5)), c)
+            assert shapes[0] == (rows, n_support)
+            assert {w for _, w in shapes} == {n_support}
+            assert sum(r for r, _ in shapes) - n < kernels._ROW_GROUP
+            for r, _ in shapes:
+                assert r <= max(kernels._ROW_GROUP, kernels._BLOCK_ENTRIES // n_support) + kernels._ROW_GROUP
+                assert r <= ROW_BLOCK
+
+    @pytest.mark.parametrize("d, n_support", [(5, 1000), (50, 3000)])
+    def test_feature_rows_against_a_primal_vector(self, monkeypatch, d, n_support):
+        spec = polynomial_kernel(2, 1.0)
+        rng = np.random.default_rng(41)
+        c = mean_combination(spec, rng.uniform(-1, 1, size=(n_support, d)))
+        assert c.primal is not None
+        width = c.primal.size
+        shapes = recording(monkeypatch, "_feature_rows")
+        for n in self.N_ROWS:
+            shapes.clear()
+            inner_with_combo(spec, rng.uniform(-1, 1, size=(n, d)), c)
+            assert shapes[0] == (block_rows(width), width)
+            for r, _ in shapes:
+                assert r <= max(kernels._ROW_GROUP, kernels._BLOCK_ENTRIES // width) + kernels._ROW_GROUP
+                assert r <= ROW_BLOCK
+
+    @pytest.mark.parametrize("n_support", [7, 1000, 3000])
+    def test_columns_of_a_combination_self_inner(self, monkeypatch, n_support):
+        S = np.random.default_rng(42).uniform(-1, 1, size=(n_support, 5))
+        shapes = recording(monkeypatch, "kernel_matrix")
+        mean_combination(gaussian_kernel(0.5), S)
+        assert shapes[0] == (n_support, min(n_support, block_rows(n_support)))
+        assert sum(cols for _, cols in shapes) == n_support
+        for rows, cols in shapes:
+            assert rows == n_support
+            assert cols <= max(kernels._ROW_GROUP, kernels._BLOCK_ENTRIES // n_support) + 1
+            assert cols <= ROW_BLOCK
+
+    @pytest.mark.parametrize(
+        "spec, d, n_support",
+        [
+            (gaussian_kernel(0.5), 5, 7),
+            (gaussian_kernel(0.5), 5, 1000),
+            (gaussian_kernel(0.5), 5, 3000),
+            (polynomial_kernel(2, 1.0), 50, 1000),  # dual: below the feature dimension
+            (polynomial_kernel(2, 1.0), 5, 1000),  # primal, 21 features
+            (polynomial_kernel(2, 1.0), 50, 3000),  # primal, 1326 features
+        ],
+        ids=lambda v: getattr(v, "label", str(v)),
+    )
+    def test_same_bits_as_row_block_rows(self, monkeypatch, spec, d, n_support):
+        rng = np.random.default_rng(43)
+        S = rng.uniform(-1, 1, size=(n_support, d))
+        w = rng.normal(size=n_support)
+        X = rng.uniform(-1, 1, size=(1089, d))
+        c = FeatureCombination(spec, S, w)
+        got = inner_with_combo(spec, X, c)
+        # every block ROW_BLOCK rows, as before the entry bound
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", ROW_BLOCK * 10**7)
+        c_old = FeatureCombination(spec, S, w)
+        np.testing.assert_array_equal(got, inner_with_combo(spec, X, c_old))
+        assert c.self_inner == c_old.self_inner
+        if c.primal is None:
+            np.testing.assert_array_equal(c._support_inner, c_old._support_inner)
+        else:
+            np.testing.assert_array_equal(c.primal, c_old.primal)
