@@ -33,9 +33,9 @@ from .kernels import (
     FeatureCombination,
     KernelSpec,
     _centered_pair_blocks,
+    _centered_rows,
     _clamp_sq,
     as_points,
-    centered_sq_norms,
     combo_inner,
     inner_with_combo,
 )
@@ -129,35 +129,27 @@ def empirical_probability_functions(
     if X.shape[0] < 2:
         raise ValueError(f"projection CDF needs at least 2 new-class points, got {X.shape[0]}")
 
+    # each sample's kernel rows against its own centre, evaluated once
+    a_new = inner_with_combo(spec, X, centre_new)
+    a_old = inner_with_combo(spec, Z, centre_old)
     # the pairs i < j in row-major order; ordered pairs duplicate each
     # unordered pair, so the CDF is unchanged
     n = X.shape[0]
     pair_inners = np.empty(n * (n - 1) // 2)
     sq_new = np.empty(n)
-    for lo, hi, C in _centered_pair_blocks(spec, X, centre_new):
+    for lo, hi, C in _centered_pair_blocks(spec, X, centre_new, a=a_new):
         sq_new[lo:hi] = np.diagonal(C)
         pairs = C[np.arange(n - lo) > np.arange(hi - lo)[:, None]]
         start = lo * n - lo * (lo + 1) // 2  # rows before lo hold this many pairs
         pair_inners[start : start + pairs.size] = pairs
-    norms_new = np.sqrt(_clamp_sq(sq_new, "centered squared norm"))
+    norms_new = np.sqrt(_clamp_sq(sq_new, f"{spec.label} centered squared norm"))
     # in place, so the n(n-1)/2 knots exist once
     pair_inners.sort()
 
     cross = combo_inner(spec, centre_new, centre_old)
-    sep_new = (
-        inner_with_combo(spec, X, centre_old)
-        - inner_with_combo(spec, X, centre_new)
-        - cross
-        + centre_new.self_inner
-    )
-
-    norms_old = np.sqrt(centered_sq_norms(spec, Z, centre_old))
-    sep_old = (
-        inner_with_combo(spec, Z, centre_new)
-        - inner_with_combo(spec, Z, centre_old)
-        - cross
-        + centre_old.self_inner
-    )
+    sep_new = inner_with_combo(spec, X, centre_old) - a_new - cross + centre_new.self_inner
+    norms_old = np.sqrt(_centered_rows(spec, Z, centre_old, a_old)[0])
+    sep_old = inner_with_combo(spec, Z, centre_new) - a_old - cross + centre_old.self_inner
 
     return ProbabilityFunctions(
         projection=StepCdf(pair_inners),

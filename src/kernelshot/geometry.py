@@ -25,12 +25,10 @@ from .kernels import (
     FeatureCombination,
     KernelSpec,
     _centered_pair_blocks,
-    _check_dims,
+    _centered_rows,
     _clamp_sq,
     as_points,
     inner_with_combo,
-    kernel_diag,
-    kernel_matrix,
     mean_combination,
 )
 
@@ -110,18 +108,13 @@ def _probe_pass(spec: KernelSpec, c: FeatureCombination, pts: np.ndarray, chunk_
     it is None.  Both come from one kernel row (phi(y), c) per probe point,
     and (phi(v), c) is evaluated once per pass.
     """
+    va = v_c = None
     if v is not None:
         va = np.asarray(v, dtype=float)[None, :]
-        _check_dims(pts, va)
         v_c = float(inner_with_combo(spec, va, c)[0])
     for lo, hi in _chunks(pts.shape[0], chunk_size):
         block = pts[lo:hi]
-        a = inner_with_combo(spec, block, c)
-        sq = _clamp_sq(kernel_diag(spec, block) - 2.0 * a + c.self_inner, "centered squared norm")
-        if v is None:
-            yield sq, None
-        else:
-            yield sq, kernel_matrix(spec, block, va)[:, 0] - a - v_c + c.self_inner
+        yield _centered_rows(spec, block, c, inner_with_combo(spec, block, c), va, v_c)
 
 
 def _check_grid(r: float, values, name: str, unit_interval: bool) -> list[float]:
@@ -263,7 +256,7 @@ def orthogonality_stats(spec: KernelSpec, sample) -> OrthogonalityStats:
     # mu's support is the sample itself, so without a primal vector its
     # construction already summed (phi(x_i), mu) for every row
     for lo, hi, C in _centered_pair_blocks(spec, pts, mu, a=mu._support_inner):
-        norms[lo:hi] = np.sqrt(_clamp_sq(np.diagonal(C), "centered squared norm"))
+        norms[lo:hi] = np.sqrt(_clamp_sq(np.diagonal(C), f"{spec.label} centered squared norm"))
         np.divide(1.0, norms[lo:hi], out=inv[lo:hi], where=norms[lo:hi] > 0.0)
         C *= inv[lo:hi, None]
         C *= inv[None, lo:]

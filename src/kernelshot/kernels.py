@@ -298,7 +298,8 @@ class FeatureCombination:
             self_inner = float(primal @ primal)
         object.__setattr__(self, "primal", primal)
         object.__setattr__(self, "_support_inner", wK)
-        object.__setattr__(self, "self_inner", _clamp_sq(self_inner, "combination self inner product"))
+        context = f"{self.spec.label} combination self inner product"
+        object.__setattr__(self, "self_inner", _clamp_sq(self_inner, context))
 
     @property
     def dim(self) -> int:
@@ -336,8 +337,9 @@ def inner_with_combo(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
     for lo, hi in _row_blocks(Xa.shape[0], width):
         # numpy reduces a lone row with a BLAS dot, and a BLAS matrix-vector
         # product sums a short last group of rows in another order than its
-        # full groups; repeating the last row up to a whole group gives each
-        # row the value it has in any other block
+        # full groups, so the last row is repeated up to a whole group.  The
+        # product X @ S.T in kernel_matrix still rounds a row by the number of
+        # rows: TestRowBlocks checks block independence for its shapes only
         block = Xa[lo:hi]
         pad = -block.shape[0] % _ROW_GROUP
         if pad:
@@ -350,10 +352,19 @@ def inner_with_combo(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
     return out
 
 
+def _centered_rows(spec: KernelSpec, X: np.ndarray, c: FeatureCombination, a, v=None, v_c=None):
+    """Clamped ||phi(x) - c||^2 for every row x of X, from a = (phi(x), c),
+    and given a (1, d) v and v_c = (phi(v), c), (phi(x) - c, phi(v) - c)."""
+    sq = _clamp_sq(kernel_diag(spec, X) - 2.0 * a + c.self_inner, f"{spec.label} centered squared norm")
+    if v is None:
+        return sq, None
+    return sq, kernel_matrix(spec, X, v)[:, 0] - a - v_c + c.self_inner
+
+
 def centered_sq_norms(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
     """||phi(x) - c||^2 for every row x of X, clamped at zero against round-off."""
-    vals = kernel_diag(spec, X) - 2.0 * inner_with_combo(spec, X, c) + c.self_inner
-    return _clamp_sq(vals, "centered squared norm")
+    Xa = as_points(X)
+    return _centered_rows(spec, Xa, c, inner_with_combo(spec, Xa, c))[0]
 
 
 def centered_sq_norm(spec: KernelSpec, y, c: FeatureCombination) -> float:
@@ -361,13 +372,12 @@ def centered_sq_norm(spec: KernelSpec, y, c: FeatureCombination) -> float:
 
 
 def centered_inners(spec: KernelSpec, X, v, c: FeatureCombination) -> np.ndarray:
-    """(phi(x) - c, phi(v) - c) for every row x of X against a fixed vector v."""
-    _check_combo(spec, c)
+    """(phi(x) - c, phi(v) - c) for every row x of X against a fixed vector v;
+    raises NumericError where ||phi(x) - c||^2 would (see centered_sq_norms)."""
     Xa = as_points(X)
     va = np.asarray(v, dtype=float)[None, :]
-    _check_dims(Xa, va)
-    k_xv = kernel_matrix(spec, Xa, va)[:, 0]
-    return k_xv - inner_with_combo(spec, Xa, c) - float(inner_with_combo(spec, va, c)[0]) + c.self_inner
+    v_c = float(inner_with_combo(spec, va, c)[0])
+    return _centered_rows(spec, Xa, c, inner_with_combo(spec, Xa, c), va, v_c)[1]
 
 
 def centered_inner(spec: KernelSpec, y, z, c: FeatureCombination) -> float:
@@ -418,17 +428,15 @@ def _centered_pair_blocks(spec: KernelSpec, X, c: FeatureCombination, a=None):
 
 def combo_inner(spec: KernelSpec, A: FeatureCombination, B: FeatureCombination) -> float:
     """(A, B) between two combinations, through the primal vector of either
-    one when it has one."""
+    one when it has one, else as blocked kernel rows of A's support against B."""
     _check_combo(spec, A)
     _check_combo(spec, B)
     _check_dims(A.support, B.support)
     if A.primal is not None and B.primal is not None:
         return float(A.primal @ B.primal)
-    if B.primal is not None:
-        return float(A.weights @ inner_with_combo(spec, A.support, B))
     if A.primal is not None:
         return float(B.weights @ inner_with_combo(spec, B.support, A))
-    return float(A.weights @ kernel_matrix(spec, A.support, B.support) @ B.weights)
+    return float(A.weights @ inner_with_combo(spec, A.support, B))
 
 
 class PairStats(NamedTuple):
@@ -440,7 +448,7 @@ def combo_pair_stats(spec: KernelSpec, A: FeatureCombination, B: FeatureCombinat
     """||A - B||^2 and (A, B) for two combinations."""
     inner = combo_inner(spec, A, B)
     sq = A.self_inner - 2.0 * inner + B.self_inner
-    return PairStats(_clamp_sq(sq, "pairwise squared distance"), inner)
+    return PairStats(_clamp_sq(sq, f"{spec.label} pairwise squared distance"), inner)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
-"""Shared test helpers: explicit-feature-map oracles for the kernel trick."""
+"""Shared test helpers: explicit-feature-map oracles for the kernel trick,
+and a peak-memory probe."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -22,3 +25,14 @@ def random_kernel_case(rng, max_d=4, max_degree=3):
     degree = int(rng.integers(1, max_degree + 1))
     bias = float(rng.choice([0.0, 0.5, 1.0]))
     return d, degree, bias
+
+
+def traced_peak(fn):
+    """fn() and the peak bytes allocated while it ran, as tracemalloc sees
+    them (numpy reports its array buffers to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

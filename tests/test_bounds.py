@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from kernelshot import (
     BoundGrid,
     NumericError,
@@ -28,7 +29,7 @@ from kernelshot import (
     polynomial_kernel,
     singleton_combination,
 )
-from kernelshot import kernels
+from kernelshot import bounds, kernels
 from kernelshot.experiments import ball_cloud
 
 LINEAR = linear_kernel(0.0)
@@ -178,6 +179,48 @@ class TestBlockedProjectionKnots:
         scale = 1.0 + float(np.abs(want.projection.knots).max())
         assert_knots_close(got.projection.knots, want.projection.knots, scale)
         assert_knots_close(got.localisation_new.knots, want.localisation_new.knots, scale)
+
+
+class TestProbabilityFunctionPasses:
+    """Each sample's kernel rows are evaluated once against each centre, and
+    nothing but the returned knots grows as n x n."""
+
+    def test_each_sample_evaluated_once_per_centre(self, monkeypatch):
+        spec = gaussian_kernel(0.5)
+        X, Z, S_new, S_old = (
+            ball_cloud(4, np.full(4, shift), 1.0, 300, seed=30 + i) for i, shift in enumerate((0.0, 0.5, 0.0, 0.5))
+        )
+        # centres over reference points of their own: were c_new the mean of X,
+        # combo_inner's pass over c_new's support would repeat the rows of
+        # (X, c_old), which this test does not cover
+        c_new = mean_combination(spec, S_new)
+        c_old = mean_combination(spec, S_old)
+        calls = []
+        original = kernels.inner_with_combo
+
+        def record(spec, rows, c):
+            calls.append((np.asarray(rows).tobytes(), id(c)))
+            return original(spec, rows, c)
+
+        monkeypatch.setattr(kernels, "inner_with_combo", record)
+        monkeypatch.setattr(bounds, "inner_with_combo", record)
+        empirical_probability_functions(spec, X, Z, c_new, c_old)
+        assert len(calls) == len(set(calls))
+        for rows in (X, Z):
+            for c in (c_new, c_old):
+                assert (rows.tobytes(), id(c)) in calls
+
+    @pytest.mark.parametrize("spec", [gaussian_kernel(0.5), polynomial_kernel(2, 1.0)], ids=lambda s: s.label)
+    def test_peak_below_one_square_matrix_besides_the_knots(self, spec):
+        n = 3000
+        rng = np.random.default_rng(46)
+        X = rng.uniform(-1, 1, size=(n, 20))
+        Z = rng.uniform(-1, 1, size=(n, 20)) + 0.5
+        c_x = mean_combination(spec, X)
+        c_z = mean_combination(spec, Z)
+        pf, peak = traced_peak(lambda: empirical_probability_functions(spec, X, Z, c_x, c_z))
+        knots = sum(getattr(pf, name).knots.nbytes for name in pf.__dataclass_fields__)
+        assert peak - knots < n * n * 8
 
 
 class TestMargins:

@@ -409,6 +409,7 @@ def test_kernel_overflow_exits_4(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("numeric failure")
     assert "not finite" in err
+    assert "poly200(b=10)" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "report.json").exists()
 

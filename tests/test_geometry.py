@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from kernelshot import (
     NumericError,
     OrthogonalityStats,
@@ -455,6 +456,18 @@ class TestBlockedOrthogonality:
         orthogonality_stats(gaussian_kernel(0.5), sample)
         pair_entries = sum((hi - lo) * (n - lo) for lo, hi in kernels._row_blocks(n))
         assert sum(evals) == n * n + pair_entries
+
+
+class TestOrthogonalityMemory:
+    """No n x n matrix: blocks of ROW_BLOCK x n centred pair inner products
+    and O(n) vectors are all orthogonality_stats holds at once."""
+
+    @pytest.mark.parametrize("spec", [gaussian_kernel(0.5), polynomial_kernel(2, 1.0)], ids=lambda s: s.label)
+    def test_peak_below_one_square_matrix(self, spec):
+        n = 3000
+        sample = np.random.default_rng(45).uniform(-1, 1, size=(n, 20))
+        _, peak = traced_peak(lambda: orthogonality_stats(spec, sample))
+        assert peak < n * n * 8
 
 
 class TestAnalyticForms:

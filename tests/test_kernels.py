@@ -542,6 +542,32 @@ class TestPrimalPath:
         assert_close(c.self_inner, double_sum, scale * np.abs(w).sum())
 
 
+class TestBlockedComboInner:
+    """(A, B) between two centres without a primal vector is summed over
+    blocks of kernel rows of A's support against B, with no support x
+    support matrix; the dense w_A @ K @ w_B is its reference."""
+
+    @pytest.mark.parametrize(
+        "spec, d, sizes",
+        [
+            (gaussian_kernel(0.5), 5, (2000, 2000)),
+            (gaussian_kernel(2.0), 3, (1100, 700)),
+            (polynomial_kernel(2, 1.0), 40, (600, 700)),  # dual: below 861 features
+        ],
+        ids=lambda v: getattr(v, "label", str(v)),
+    )
+    def test_matches_dense_oracle_in_blocks(self, monkeypatch, spec, d, sizes):
+        rng = np.random.default_rng(44)
+        A, B = (FeatureCombination(spec, rng.uniform(-1, 1, size=(m, d)), rng.normal(size=m)) for m in sizes)
+        assert A.primal is None and B.primal is None
+        want = float(A.weights @ kernel_matrix(spec, A.support, B.support) @ B.weights)
+        shapes = recording(monkeypatch, "kernel_matrix")
+        got = combo_inner(spec, A, B)
+        assert shapes
+        assert all(min(shape) <= ROW_BLOCK + 1 for shape in shapes), shapes
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 class TestRowBlocks:
     """Blocked evaluation: every path splits rows with _row_blocks, and the
     dense kernel-trick expressions are the reference."""
