@@ -197,24 +197,29 @@ def eval_kernel(spec: KernelSpec, x, y) -> float:
 
 
 def kernel_matrix(spec: KernelSpec, X, Y) -> np.ndarray:
-    """Evaluate kappa on all pairs: entry [i, j] = kappa(X[i], Y[j])."""
+    """Evaluate kappa on all pairs: entry [i, j] = kappa(X[i], Y[j]).
+
+    For a Gaussian kernel kappa(x, x) = 1 exactly (see the bound below)."""
     Xa = as_points(X)
     Ya = as_points(Y)
     _check_dims(Xa, Ya)
-    same = Xa is Ya
     if spec.kind == "gaussian":
         xs = np.einsum("ij,ij->i", Xa, Xa)
-        ys = xs if same else np.einsum("ij,ij->i", Ya, Ya)
+        ys = np.einsum("ij,ij->i", Ya, Ya)
         # in place, in the order (xs + ys) - 2 (X Y^T): one product buffer
         # and one result buffer, the same values as the textbook expression
         prod = Xa @ Ya.T
         prod *= 2.0
         out = np.add(xs[:, None], ys[None, :])
         out -= prod
-        np.maximum(out, 0.0, out=out)
-        if same:
-            # cancellation can leave ~1e-16 on the diagonal; kappa(x, x) must be 1
-            np.fill_diagonal(out, 0.0)
+        del prod
+        # |x|^2 and x . y are sums of d terms, each within d/2 ulp of |x|^2,
+        # so a point paired with itself keeps less than d + 1 ulp of 2 |x|^2
+        bound = (Xa.shape[1] + 1) * 2.0**-52 * (xs.max() + ys.max())
+        if out.min() <= bound:
+            near = np.flatnonzero(out <= bound)
+            diff = Xa[near // out.shape[1]] - Ya[near % out.shape[1]]
+            out.flat[near] = np.einsum("ij,ij->i", diff, diff)
         out *= -1.0 / (2.0 * spec.sigma)
         return np.exp(out, out=out)
     base = spec.bias**2 + Xa @ Ya.T
@@ -253,7 +258,7 @@ class FeatureCombination:
     weighted Gram double sum, so repeated probes against c cost one feature
     row or one kernel row instead of a full Gram evaluation.  Without a
     primal vector, ``_support_inner`` keeps (phi(s_j), c) for every support
-    point s_j, the row sums w @ K(S, S) that (c, c) is summed from.
+    point s_j, via inner_with_combo; Gaussian kappa(s_j, s_j) is 1 (kernel_matrix).
     """
 
     spec: KernelSpec
@@ -274,16 +279,9 @@ class FeatureCombination:
         weights.setflags(write=False)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "weights", weights)
-        primal = None
         if self.spec.kind == "gaussian" or poly_feature_dim(self.dim, self.spec.degree) >= self.size:
-            # w @ K one block of columns at a time, with no support x support matrix
-            wK = np.empty(self.size)
-            for lo, hi in _row_blocks(self.size, self.size):
-                K = kernel_matrix(self.spec, support, support[lo:hi])
-                if self.spec.kind == "gaussian":
-                    # as kernel_matrix(S, S) has it: kappa(x, x) is exactly 1
-                    np.fill_diagonal(K[lo:hi], 1.0)
-                wK[lo:hi] = weights @ K
+            object.__setattr__(self, "primal", None)
+            wK = inner_with_combo(self.spec, support, self)
             wK.setflags(write=False)
             self_inner = float(wK @ weights)
         else:
@@ -296,7 +294,7 @@ class FeatureCombination:
             )
             primal.setflags(write=False)
             self_inner = float(primal @ primal)
-        object.__setattr__(self, "primal", primal)
+            object.__setattr__(self, "primal", primal)
         object.__setattr__(self, "_support_inner", wK)
         context = f"{self.spec.label} combination self inner product"
         object.__setattr__(self, "self_inner", _clamp_sq(self_inner, context))
@@ -406,7 +404,8 @@ def _centered_pair_blocks(spec: KernelSpec, X, c: FeatureCombination, a=None):
     block to the first, so that the diagonal of every row after hi has been
     yielded before block lo.  Entry [i, j - lo] is (phi(x_i) - c, phi(x_j) - c)
     in centered_gram's operation order, and the diagonal entries carry the
-    centred squared norms.  Scratch memory is one block, ROW_BLOCK x n.
+    centred squared norms, for a Gaussian kernel from kappa(x, x) = 1 exactly
+    (kernel_matrix).  Scratch memory is one block, ROW_BLOCK x n.
     `a` holds (phi(x_i), c) for every row when the caller already has it;
     by default it is computed with inner_with_combo.
     """
@@ -417,9 +416,6 @@ def _centered_pair_blocks(spec: KernelSpec, X, c: FeatureCombination, a=None):
         a = inner_with_combo(spec, Xa, c)
     for lo, hi in reversed(list(_row_blocks(Xa.shape[0]))):
         C = kernel_matrix(spec, Xa[lo:hi], Xa[lo:])
-        if spec.kind == "gaussian":
-            # as kernel_matrix(X, X) has it: kappa(x, x) is exactly 1
-            np.fill_diagonal(C, 1.0)
         C -= a[lo:hi, None]
         C -= a[None, lo:]
         C += c.self_inner

@@ -439,9 +439,10 @@ class TestBlockedOrthogonality:
 
 
     def test_gaussian_reuses_the_mean_row_sums(self, monkeypatch):
-        # n^2 kernel entries for the mean's self inner product, whose row sums
-        # are (phi(x_i), mu), then the upper block-triangle of pair blocks;
-        # evaluating (phi(x_i), mu) again would add another n^2
+        # n (n + pad) kernel entries for the mean's self inner product, whose
+        # row sums are (phi(x_i), mu), pad being the rows inner_with_combo
+        # repeats to fill a last group, then the upper block-triangle of pair
+        # blocks; evaluating (phi(x_i), mu) again would add another n^2
         n = 1025
         sample = sample_unit_ball(4, n, seed=9).points
         evals = []
@@ -454,8 +455,10 @@ class TestBlockedOrthogonality:
 
         monkeypatch.setattr(kernels, "kernel_matrix", counting)
         orthogonality_stats(gaussian_kernel(0.5), sample)
+        pad = sum(-(hi - lo) % kernels._ROW_GROUP for lo, hi in kernels._row_blocks(n, n))
+        assert 0 < pad < kernels._ROW_GROUP
         pair_entries = sum((hi - lo) * (n - lo) for lo, hi in kernels._row_blocks(n))
-        assert sum(evals) == n * n + pair_entries
+        assert sum(evals) == n * (n + pad) + pair_entries
 
 
 class TestOrthogonalityMemory:

@@ -20,8 +20,10 @@ from kernelshot import (
     centered_sq_norms,
     combo_inner,
     combo_pair_stats,
+    enclosing_radius,
     eval_kernel,
     gaussian_kernel,
+    gaussian_mean_norm_limits,
     gram_matrix,
     inner_with_combo,
     kernel_matrix,
@@ -186,6 +188,35 @@ class TestGaussianKernelMatrix:
         np.testing.assert_array_equal(
             kernel_matrix(spec, X, X), textbook_gaussian_matrix(X, X, 0.7, same=True)
         )
+
+
+class TestCoincidentPoints:
+    """kappa(x, x) = 1 exactly for a Gaussian kernel whichever arrays x sits
+    in, so the sigma -> 0 limit (every image orthogonal) comes out exact."""
+
+    @pytest.mark.parametrize("d", [3, 64, 3000])
+    @pytest.mark.parametrize("data", ["normal", "nonnegative"])
+    def test_unit_at_every_coincident_pair(self, d, data):
+        rng = np.random.default_rng(d)
+        X = rng.normal(scale=3.0, size=(60, d)) if data == "normal" else rng.uniform(0.0, 1.0, size=(60, d))
+        dup = X[rng.integers(0, 60, size=80)]
+        spec = gaussian_kernel(0.5 * d)
+        for A, B in ((X[3:9], X), (X, X.copy()), (dup, dup), (dup, X)):
+            K = kernel_matrix(spec, A, B)
+            coincident = (A[:, None, :] == B[None, :, :]).all(axis=2)
+            assert coincident.any()
+            assert np.all(K[coincident] == 1.0)
+            assert np.all((K > 0.0) & (K <= 1.0))
+
+    @pytest.mark.parametrize("sigma", [1e-10, 1e-14, 1e-18])
+    def test_sigma_to_zero_is_exact(self, sigma):
+        n = 50
+        X = np.random.default_rng(46).uniform(-1, 1, size=(n, 3))
+        spec = gaussian_kernel(sigma)
+        mean = mean_combination(spec, X)
+        np.testing.assert_array_max_ulp(enclosing_radius(spec, mean, X), math.sqrt(1.0 - 1.0 / n), maxulp=2)
+        np.testing.assert_array_max_ulp(centered_sq_norms(spec, X, mean), np.full(n, 1.0 - 1.0 / n), maxulp=2)
+        np.testing.assert_array_max_ulp(mean.self_inner, gaussian_mean_norm_limits(n, sigma).sigma_to_zero, maxulp=2)
 
 
 def recursive_compositions(total, parts):
@@ -723,16 +754,18 @@ class TestRowBlocksByWidth:
                 assert r <= ROW_BLOCK
 
     @pytest.mark.parametrize("n_support", [7, 1000, 3000])
-    def test_columns_of_a_combination_self_inner(self, monkeypatch, n_support):
+    def test_rows_of_a_combination_self_inner(self, monkeypatch, n_support):
+        # blocks of support rows against the whole support, as inner_with_combo
+        # evaluates them: no support x support matrix
         S = np.random.default_rng(42).uniform(-1, 1, size=(n_support, 5))
         shapes = recording(monkeypatch, "kernel_matrix")
         mean_combination(gaussian_kernel(0.5), S)
-        assert shapes[0] == (n_support, min(n_support, block_rows(n_support)))
-        assert sum(cols for _, cols in shapes) == n_support
-        for rows, cols in shapes:
-            assert rows == n_support
-            assert cols <= max(kernels._ROW_GROUP, kernels._BLOCK_ENTRIES // n_support) + 1
-            assert cols <= ROW_BLOCK
+        assert shapes[0] == (min(block_rows(n_support), n_support + -n_support % kernels._ROW_GROUP), n_support)
+        assert {cols for _, cols in shapes} == {n_support}
+        assert 0 <= sum(rows for rows, _ in shapes) - n_support < kernels._ROW_GROUP
+        for rows, _ in shapes:
+            assert rows <= max(kernels._ROW_GROUP, kernels._BLOCK_ENTRIES // n_support) + kernels._ROW_GROUP
+            assert rows <= ROW_BLOCK
 
     @pytest.mark.parametrize(
         "spec, d, n_support",
