@@ -59,6 +59,7 @@ from .distributions import (
 )
 from .geometry import (
     VolumeRatioEstimate,
+    CentredProbe,
     OrthogonalityStats,
     MeanNormLimits,
     wilson_interval,
@@ -144,6 +145,7 @@ __all__ = [
     "cube_moments",
     "spawn_seeds",
     "VolumeRatioEstimate",
+    "CentredProbe",
     "OrthogonalityStats",
     "MeanNormLimits",
     "wilson_interval",

@@ -33,6 +33,7 @@ from .classifier import auroc, decision_values, fit_few_shot, normalize_feature_
 from .distributions import DomainSpec, sample_domain, sample_unit_ball, spawn_seeds
 from .errors import ConfigError, DataError
 from .geometry import (
+    CentredProbe,
     ball_ratio_sweep,
     cap_ratio_sweep,
     enclosing_radius,
@@ -372,7 +373,8 @@ def run_volume_ratio(cfg: VolumeRatioConfig) -> dict:
     support = sample_domain(domain, cfg.support_size, support_seed)
     centre = mean_combination(spec, support)
     radius = enclosing_radius(spec, centre, support)
-    probe = sample_domain(domain, cfg.probe_size, probe_seed)
+    # one kernel column (phi(y), centre) per probe point, for both sweeps
+    probe = CentredProbe(spec, centre, sample_domain(domain, cfg.probe_size, probe_seed))
 
     results: dict = {
         "radius": radius,

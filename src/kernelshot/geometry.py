@@ -4,14 +4,17 @@ kernels.
 
 The Monte-Carlo estimators count uniform probe points falling into the
 pre-image of a feature-space ball around an implicit centre c (and, for
-caps, additionally on the far side of a hyperplane).  Counts are exact
-integer reductions over probe chunks, so results are independent of the
-chunk size and deterministic given the probe sample.
+caps, additionally on the far side of a hyperplane).  A CentredProbe keeps
+each probe's kernel column (phi(y), c) for every sweep over that probe, and
+only the elementwise work is chunked.  Counts are exact integer reductions
+over the chunks, so results are independent of the chunk size and
+deterministic given the probe sample.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -26,6 +29,7 @@ from .kernels import (
     KernelSpec,
     _centered_pair_blocks,
     _centered_rows,
+    _check_combo,
     _clamp_sq,
     as_points,
     inner_with_combo,
@@ -34,6 +38,7 @@ from .kernels import (
 
 __all__ = [
     "VolumeRatioEstimate",
+    "CentredProbe",
     "OrthogonalityStats",
     "MeanNormLimits",
     "wilson_interval",
@@ -100,21 +105,48 @@ def _chunks(n: int, chunk_size: int):
         yield start, min(start + chunk_size, n)
 
 
-def _probe_pass(spec: KernelSpec, c: FeatureCombination, pts: np.ndarray, chunk_size: int, v=None):
+@dataclass(frozen=True, eq=False)
+class CentredProbe:
+    """Probe points and their kernel column (phi(y), c), evaluated once."""
+
+    spec: KernelSpec
+    centre: FeatureCombination
+    points: np.ndarray
+
+    def __post_init__(self) -> None:
+        _check_combo(self.spec, self.centre)
+        object.__setattr__(self, "points", as_points(self.points))
+
+    @functools.cached_property
+    def centre_inner(self) -> np.ndarray:
+        return inner_with_combo(self.spec, self.points, self.centre)
+
+
+def _probe_pass(spec: KernelSpec, c: FeatureCombination, probe, chunk_size: int, v=None):
     """Yield (||phi(y) - c||^2, inners) for each chunk of probe rows y.
 
     The squared norms are clamped at zero against round-off.  Given a
     direction v, inners holds (phi(y) - c, phi(v) - c) for the chunk, else
-    it is None.  Both come from one kernel row (phi(y), c) per probe point,
-    and (phi(v), c) is evaluated once per pass.
+    it is None.  Both come from the probe's kernel column (phi(y), c), so
+    only the elementwise work is chunked; (phi(v), c) is evaluated once per
+    pass.
     """
+    if not isinstance(probe, CentredProbe):
+        probe = CentredProbe(spec, c, probe)
+    if probe.spec != spec or probe.centre is not c:
+        raise ValueError("probe is centred on another kernel or combination")
     va = v_c = None
     if v is not None:
         va = np.asarray(v, dtype=float)[None, :]
         v_c = float(inner_with_combo(spec, va, c)[0])
-    for lo, hi in _chunks(pts.shape[0], chunk_size):
-        block = pts[lo:hi]
-        yield _centered_rows(spec, block, c, inner_with_combo(spec, block, c), va, v_c)
+    pts, a = probe.points, probe.centre_inner
+    try:
+        for lo, hi in _chunks(pts.shape[0], chunk_size):
+            yield _centered_rows(spec, pts[lo:hi], c, a[lo:hi], va, v_c)
+    except NumericError:
+        # a failed pass leaves the probe as it found it
+        vars(probe).pop("centre_inner", None)
+        raise
 
 
 def _check_grid(r: float, values, name: str, unit_interval: bool) -> list[float]:
@@ -146,7 +178,7 @@ def enclosing_radius(
     treat it as sample-estimated.
     """
     radius = 0.0
-    for sq, _ in _probe_pass(spec, c, as_points(support), chunk_size):
+    for sq, _ in _probe_pass(spec, c, support, chunk_size):
         radius = max(radius, float(np.sqrt(sq).max()))
     return radius
 
@@ -195,12 +227,11 @@ def ball_ratio_sweep(
     distances are thresholded per eps.
     """
     thresholds = np.array([e * r for e in _check_grid(r, eps_values, "eps", unit_interval=True)])
-    pts = as_points(probe)
     hits = np.zeros(thresholds.size, dtype=np.int64)
-    for sq, _ in _probe_pass(spec, c, pts, chunk_size):
+    for sq, _ in _probe_pass(spec, c, probe, chunk_size):
         # number of distances d <= threshold; NaN sorts last and never counts
         hits += np.searchsorted(np.sort(np.sqrt(sq)), thresholds, side="right")
-    return _estimates(hits, pts.shape[0])
+    return _estimates(hits, as_points(probe).shape[0])
 
 
 def cap_ratio_sweep(
@@ -214,13 +245,12 @@ def cap_ratio_sweep(
 ) -> list[VolumeRatioEstimate]:
     """cap_ratio_mc over many delta values with a single pass over the probe."""
     neg_deltas = -np.array(_check_grid(r, delta_values, "delta", unit_interval=False))
-    pts = as_points(probe)
     hits = np.zeros(neg_deltas.size, dtype=np.int64)
-    for sq, inner in _probe_pass(spec, c, pts, chunk_size, v):
+    for sq, inner in _probe_pass(spec, c, probe, chunk_size, v):
         inside = np.sqrt(sq) <= r
         # inner >= delta exactly when -inner <= -delta; NaN sorts last and never counts
         hits += np.searchsorted(np.sort(-inner[inside]), neg_deltas, side="right")
-    return _estimates(hits, pts.shape[0])
+    return _estimates(hits, as_points(probe).shape[0])
 
 
 @dataclass(frozen=True)
@@ -402,6 +432,10 @@ def transition_width(sweep_values, ratios, high: float = 0.9, low: float = 0.1) 
 
 def write_ratio_sweep_csv(path, sweep_values, estimates) -> None:
     """Emit a ratio sweep as CSV with the standard columns, atomically."""
+    sweep_values, estimates = list(sweep_values), list(estimates)
+    if len(sweep_values) != len(estimates):
+        raise ValueError(f"{len(sweep_values)} sweep values but {len(estimates)} estimates")
+
     def _write(fh):
         writer = csv.writer(fh)
         writer.writerow(RATIO_SWEEP_COLUMNS)

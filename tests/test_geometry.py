@@ -3,6 +3,7 @@ statistics, and the closed-form kernel geometry results."""
 
 import csv
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 from conftest import traced_peak
 from kernelshot import (
+    CentredProbe,
+    DomainSpec,
     NumericError,
     OrthogonalityStats,
     ball_ratio_mc,
@@ -32,12 +35,15 @@ from kernelshot import (
     orthogonality_stats,
     polynomial_kernel,
     quadratic_ball_ratio_bound,
+    sample_domain,
     sample_unit_ball,
     singleton_combination,
+    spawn_seeds,
     transition_width,
     wilson_interval,
 )
 from kernelshot import kernels
+from kernelshot.experiments import load_config, run_volume_ratio
 from kernelshot.geometry import write_ratio_sweep_csv
 
 LINEAR = linear_kernel(0.0)
@@ -301,6 +307,70 @@ class TestSweepProperties:
         assert enclosing_radius(spec, c, probe, chunk_size=chunk_size) == enclosing_radius(spec, c, probe)
 
 
+class TestCentredProbe:
+    @pytest.mark.parametrize("cap_first", [False, True], ids=["ball-cap", "cap-ball"])
+    @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(**SCENARIO)
+    def test_shared_column_gives_the_counts_of_plain_sweeps(self, spec, d, n_support, seed, chunk_size, cap_first):
+        c, probe, r, v = sweep_case(spec, d, n_support, seed)
+        rng = np.random.default_rng(seed)
+        eps = sorted_grid(rng, 0.0, 1.0)
+        bound = r * math.sqrt(centered_sq_norm(spec, v, c))
+        deltas = sorted_grid(rng, -bound, bound)
+        shared = CentredProbe(spec, c, probe)
+        sweeps = [
+            lambda p: ball_ratio_sweep(spec, c, p, r, eps, chunk_size=chunk_size),
+            lambda p: cap_ratio_sweep(spec, c, v, p, r, deltas, chunk_size=chunk_size),
+        ]
+        if cap_first:
+            sweeps.reverse()
+        for sweep in sweeps:
+            assert sweep(shared) == sweep(probe)
+
+    def test_probe_centred_elsewhere_is_rejected(self):
+        spec = gaussian_kernel(0.5)
+        support = sample_unit_ball(3, 20, seed=1).points
+        c = mean_combination(spec, support)
+        probe = CentredProbe(spec, c, sample_unit_ball(3, 30, seed=2))
+        with pytest.raises(ValueError, match="another kernel or combination"):
+            ball_ratio_sweep(spec, mean_combination(spec, support), probe, 1.0, [0.5])
+        with pytest.raises(ValueError, match="another kernel or combination"):
+            cap_ratio_sweep(gaussian_kernel(0.6), c, np.ones(3), probe, 1.0, [0.0])
+        with pytest.raises(ValueError, match="kernel spec mismatch"):
+            CentredProbe(gaussian_kernel(0.6), c, probe.points)
+
+    def test_failed_pass_caches_nothing(self):
+        # kappa(y, y) = (1 + |y|^2)^200 overflows, while the column
+        # (phi(y), phi(0)) = 1 is finite
+        spec = polynomial_kernel(200, 1.0)
+        probe = CentredProbe(spec, singleton_combination(spec, np.zeros(2)), np.full((5, 2), 10.0))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match="not finite"):
+            ball_ratio_sweep(spec, probe.centre, probe, 1.0, [0.5])
+        assert "centre_inner" not in vars(probe)
+
+    def test_run_volume_ratio_evaluates_each_probe_row_once(self, tmp_path, monkeypatch):
+        # whole groups of probe rows, so no block repeats a row to fill one
+        config = {
+            "kernel": {"kind": "gaussian", "sigma": 0.5}, "d": 3, "support_size": 50, "probe_size": 2000,
+            "eps_grid": [0.5, 1.0], "delta_grid": [0.0, 0.5], "seed": 4, "out": str(tmp_path),
+        }
+        cfg = load_config("volume-ratio", config)
+        rows = Counter()
+        original = kernels.kernel_matrix
+
+        def recording(spec, X, Y):
+            if len(Y) == cfg.support_size:
+                rows.update(x.tobytes() for x in X)
+            return original(spec, X, Y)
+
+        monkeypatch.setattr(kernels, "kernel_matrix", recording)
+        run_volume_ratio(cfg)
+        domain = DomainSpec(cfg.domain, cfg.d, cfg.half_width)
+        probe = sample_domain(domain, cfg.probe_size, spawn_seeds(cfg.seed, 2)[1]).points
+        assert [rows[y.tobytes()] for y in probe] == [1] * cfg.probe_size
+
+
 class TestOrthogonalityStats:
     def test_two_points_antipodal(self):
         for spec in (LINEAR, polynomial_kernel(2, 1.0), gaussian_kernel(1.0)):
@@ -547,3 +617,9 @@ class TestSweepCsv:
             assert float(row["ratio"]) == est.ratio
             assert int(row["hits"]) == est.hits
             assert int(row["trials"]) == est.trials
+
+    def test_length_mismatch_writes_nothing(self, tmp_path):
+        estimates = [ball_ratio_mc(LINEAR, origin_combo(2), sample_unit_ball(2, 50, seed=41), 1.0, 0.5)] * 2
+        with pytest.raises(ValueError, match="3 sweep values but 2 estimates"):
+            write_ratio_sweep_csv(tmp_path / "sweep.csv", [0.25, 0.5, 0.75], estimates)
+        assert list(tmp_path.iterdir()) == []
