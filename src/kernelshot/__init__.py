@@ -29,6 +29,7 @@ from .kernels import (
     polynomial_kernel,
     gaussian_kernel,
     FeatureCombination,
+    CentredProbe,
     mean_combination,
     singleton_combination,
     eval_kernel,
@@ -59,7 +60,6 @@ from .distributions import (
 )
 from .geometry import (
     VolumeRatioEstimate,
-    CentredProbe,
     OrthogonalityStats,
     MeanNormLimits,
     wilson_interval,
@@ -119,6 +119,7 @@ __all__ = [
     "polynomial_kernel",
     "gaussian_kernel",
     "FeatureCombination",
+    "CentredProbe",
     "mean_combination",
     "singleton_combination",
     "eval_kernel",
@@ -145,7 +146,6 @@ __all__ = [
     "cube_moments",
     "spawn_seeds",
     "VolumeRatioEstimate",
-    "CentredProbe",
     "OrthogonalityStats",
     "MeanNormLimits",
     "wilson_interval",

@@ -35,7 +35,7 @@ from .kernels import (
     _centered_pair_blocks,
     _centered_rows,
     _clamp_sq,
-    as_points,
+    _probe,
     combo_inner,
     inner_with_combo,
 )
@@ -122,22 +122,22 @@ def empirical_probability_functions(
     """Build all five empirical probability functions from class samples.
 
     The projection CDF needs at least two new-class points.  All quantities
-    are inner products with the given centres (see inner_with_combo).
+    are inner products with the given centres (see inner_with_combo); a
+    sample that is its centre's support reuses its column (CentredProbe).
     """
-    X = as_points(new_sample)
-    Z = as_points(old_sample)
+    # each sample's kernel rows against its own centre, evaluated once
+    probe_new = _probe(spec, centre_new, new_sample)
+    probe_old = _probe(spec, centre_old, old_sample)
+    X, Z = probe_new.points, probe_old.points
     if X.shape[0] < 2:
         raise ValueError(f"projection CDF needs at least 2 new-class points, got {X.shape[0]}")
 
-    # each sample's kernel rows against its own centre, evaluated once
-    a_new = inner_with_combo(spec, X, centre_new)
-    a_old = inner_with_combo(spec, Z, centre_old)
     # the pairs i < j in row-major order; ordered pairs duplicate each
     # unordered pair, so the CDF is unchanged
     n = X.shape[0]
     pair_inners = np.empty(n * (n - 1) // 2)
     sq_new = np.empty(n)
-    for lo, hi, C in _centered_pair_blocks(spec, X, centre_new, a=a_new):
+    for lo, hi, C in _centered_pair_blocks(spec, probe_new, centre_new):
         sq_new[lo:hi] = np.diagonal(C)
         pairs = C[np.arange(n - lo) > np.arange(hi - lo)[:, None]]
         start = lo * n - lo * (lo + 1) // 2  # rows before lo hold this many pairs
@@ -147,6 +147,7 @@ def empirical_probability_functions(
     pair_inners.sort()
 
     cross = combo_inner(spec, centre_new, centre_old)
+    a_new, a_old = probe_new.centre_inner, probe_old.centre_inner
     sep_new = inner_with_combo(spec, X, centre_old) - a_new - cross + centre_new.self_inner
     norms_old = np.sqrt(_centered_rows(spec, Z, centre_old, a_old)[0])
     sep_old = inner_with_combo(spec, Z, centre_new) - a_old - cross + centre_old.self_inner
@@ -459,7 +460,7 @@ def mean_concentration_bounds(
     """
     if int(k) != k or k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    if s <= 0:
+    if not s > 0:
         raise ValueError(f"s must be positive, got {s}")
     if k == 1:
         v = float(pf.localisation_new(s))

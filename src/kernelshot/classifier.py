@@ -22,6 +22,7 @@ import numpy as np
 from .kernels import (
     FeatureCombination,
     KernelSpec,
+    _probe,
     as_points,
     combo_pair_stats,
     inner_with_combo,
@@ -79,28 +80,21 @@ def fit_few_shot(spec: KernelSpec, shots, old_centre: FeatureCombination) -> Few
     )
 
 
-def decision_values(model: FewShotModel, X, *, old_inner=None) -> np.ndarray:
+def decision_values(model: FewShotModel, X) -> np.ndarray:
     """(phi(x) - prototype, prototype - old_centre) for every row x of X.
 
     Expanded through the kernel trick as
     (phi(x), mu) - (phi(x), c) - ||mu||^2 + (mu, c); the cross inner product
-    is recovered from the cached distance.  `old_inner` holds (phi(x), c)
-    for the rows of X, as inner_with_combo(model.kernel, X, model.old_centre)
-    returns it; models fitted against the same old centre can share it.
-    By default it is computed here.
+    is recovered from the cached distance.  X may be a CentredProbe on
+    model.old_centre, so models fitted against one old centre share its
+    column (phi(x), c).
     """
     spec = model.kernel
-    Xa = as_points(X)
     mu = model.prototype
     c = model.old_centre
-    if old_inner is None:
-        old_inner = inner_with_combo(spec, Xa, c)
-    else:
-        old_inner = np.asarray(old_inner, dtype=float)
-        if old_inner.shape != (Xa.shape[0],):
-            raise ValueError(f"old_inner has shape {old_inner.shape}, expected ({Xa.shape[0]},)")
+    probe = _probe(spec, c, X)
     cross = (mu.self_inner + c.self_inner - model.dist_sq) / 2.0
-    return inner_with_combo(spec, Xa, mu) - old_inner - mu.self_inner + cross
+    return inner_with_combo(spec, probe.points, mu) - probe.centre_inner - mu.self_inner + cross
 
 
 def decision_value(model: FewShotModel, x) -> float:

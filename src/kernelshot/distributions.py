@@ -78,7 +78,9 @@ def sample_unit_ball(d: int, n: int, seed: int) -> Sample:
     norms = np.linalg.norm(g, axis=1)
     norms[norms == 0.0] = 1.0
     radii = rng.random(n) ** (1.0 / d)
-    return Sample(g * (radii / norms)[:, None], seed)
+    # in place: the draw is not kept beside the points built from it
+    g *= (radii / norms)[:, None]
+    return Sample(g, seed)
 
 
 def sample_cube(d: int, half_width: float, n: int, seed: int) -> Sample:

@@ -33,7 +33,6 @@ from .classifier import auroc, decision_values, fit_few_shot, normalize_feature_
 from .distributions import DomainSpec, sample_domain, sample_unit_ball, spawn_seeds
 from .errors import ConfigError, DataError
 from .geometry import (
-    CentredProbe,
     ball_ratio_sweep,
     cap_ratio_sweep,
     enclosing_radius,
@@ -42,10 +41,10 @@ from .geometry import (
 )
 from .ingest import _atomic_write, ingest_feature_csv
 from .kernels import (
+    CentredProbe,
     KernelSpec,
     centered_sq_norm,
     combo_pair_stats,
-    inner_with_combo,
     mean_combination,
 )
 
@@ -370,9 +369,9 @@ def run_volume_ratio(cfg: VolumeRatioConfig) -> dict:
     support_seed, probe_seed = spawn_seeds(cfg.seed, 2)
     spec = cfg.kernel
     domain = DomainSpec(cfg.domain, cfg.d, cfg.half_width)
-    support = sample_domain(domain, cfg.support_size, support_seed)
-    centre = mean_combination(spec, support)
-    radius = enclosing_radius(spec, centre, support)
+    centre = mean_combination(spec, sample_domain(domain, cfg.support_size, support_seed))
+    # the support's own column, summed when the centre was built (CentredProbe)
+    radius = enclosing_radius(spec, centre, centre.support)
     # one kernel column (phi(y), centre) per probe point, for both sweeps
     probe = CentredProbe(spec, centre, sample_domain(domain, cfg.probe_size, probe_seed))
 
@@ -452,11 +451,10 @@ def two_ball_refits(
     centre_old_vec = np.zeros(d)
     centre_old_vec[0] = centre_distance
 
-    X_ref = ball_cloud(d, centre_new_vec, radius_new, reference_size, ref_new_seed)
-    Z_ref = ball_cloud(d, centre_old_vec, radius_old, reference_size, ref_old_seed)
-    centre_new = mean_combination(spec, X_ref)
-    centre_old = mean_combination(spec, Z_ref)
-    pf = empirical_probability_functions(spec, X_ref, Z_ref, centre_new, centre_old)
+    centre_new = mean_combination(spec, ball_cloud(d, centre_new_vec, radius_new, reference_size, ref_new_seed))
+    centre_old = mean_combination(spec, ball_cloud(d, centre_old_vec, radius_old, reference_size, ref_old_seed))
+    # each reference sample is its centre's support, whose own column is read
+    pf = empirical_probability_functions(spec, centre_new.support, centre_old.support, centre_new, centre_old)
     dist_sq = combo_pair_stats(spec, centre_new, centre_old).sq_distance
 
     mu_dists = np.empty(refits)
@@ -559,7 +557,7 @@ def run_fewshot_roc(cfg: FewShotRocConfig) -> dict:
         old_norm, new_norm, transform = normalize_feature_table(old_train.rows, new_train.rows)
     except ValueError as exc:
         raise DataError(f"{old_train.source}, {new_train.source}: {exc}") from exc
-    neg_rows = transform.apply(old_test.rows) if old_test is not None else old_norm
+    neg_rows = transform.apply(old_test.rows) if old_test is not None else None
     pos_rows = transform.apply(new_test.rows) if new_test is not None else None
     n_new = new_norm.shape[0]
     if pos_rows is None and cfg.shots >= n_new:
@@ -574,13 +572,14 @@ def run_fewshot_roc(cfg: FewShotRocConfig) -> dict:
     kernel_summaries = []
     for kernel_idx, spec in enumerate(cfg.kernels):
         centre_old = mean_combination(spec, old_norm)
-        # (phi(x), old centre) once per kernel for the rows every seed's model
-        # scores.  Without a new_test table the positives are the seed's
+        # one probe per kernel keeps (phi(x), old centre) for the rows every
+        # seed's model scores; without an old_test table they are the centre's
+        # own support.  Without a new_test table the positives are the seed's
         # unused training rows; they keep a per-seed evaluation, because a
         # multi-threaded BLAS can round a row in the last place differently
         # when the rows evaluated with it change.
-        neg_old = inner_with_combo(spec, neg_rows, centre_old)
-        pos_old = None if pos_rows is None else inner_with_combo(spec, pos_rows, centre_old)
+        negatives = CentredProbe(spec, centre_old, centre_old.support if neg_rows is None else neg_rows)
+        positives = None if pos_rows is None else CentredProbe(spec, centre_old, pos_rows)
         aurocs = []
         for seed_idx, seed in enumerate(cfg.seeds):
             rng = np.random.default_rng(seed)
@@ -590,13 +589,8 @@ def run_fewshot_roc(cfg: FewShotRocConfig) -> dict:
                 mask = np.ones(n_new, dtype=bool)
                 mask[idx] = False
                 positives = new_norm[mask]
-            else:
-                positives = pos_rows
             model = fit_few_shot(spec, shots, centre_old)
-            curve = roc_curve(
-                decision_values(model, positives, old_inner=pos_old),
-                decision_values(model, neg_rows, old_inner=neg_old),
-            )
+            curve = roc_curve(decision_values(model, positives), decision_values(model, negatives))
             area = auroc(curve)
             aurocs.append(area)
             rows.append({"kernel": spec.label, "seed": seed, "auroc": area})

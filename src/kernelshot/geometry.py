@@ -14,7 +14,6 @@ deterministic given the probe sample.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -25,12 +24,13 @@ import numpy as np
 from .errors import NumericError
 from .ingest import _atomic_write
 from .kernels import (
+    CentredProbe,
     FeatureCombination,
     KernelSpec,
     _centered_pair_blocks,
     _centered_rows,
-    _check_combo,
     _clamp_sq,
+    _probe,
     as_points,
     inner_with_combo,
     mean_combination,
@@ -105,23 +105,6 @@ def _chunks(n: int, chunk_size: int):
         yield start, min(start + chunk_size, n)
 
 
-@dataclass(frozen=True, eq=False)
-class CentredProbe:
-    """Probe points and their kernel column (phi(y), c), evaluated once."""
-
-    spec: KernelSpec
-    centre: FeatureCombination
-    points: np.ndarray
-
-    def __post_init__(self) -> None:
-        _check_combo(self.spec, self.centre)
-        object.__setattr__(self, "points", as_points(self.points))
-
-    @functools.cached_property
-    def centre_inner(self) -> np.ndarray:
-        return inner_with_combo(self.spec, self.points, self.centre)
-
-
 def _probe_pass(spec: KernelSpec, c: FeatureCombination, probe, chunk_size: int, v=None):
     """Yield (||phi(y) - c||^2, inners) for each chunk of probe rows y.
 
@@ -131,10 +114,7 @@ def _probe_pass(spec: KernelSpec, c: FeatureCombination, probe, chunk_size: int,
     only the elementwise work is chunked; (phi(v), c) is evaluated once per
     pass.
     """
-    if not isinstance(probe, CentredProbe):
-        probe = CentredProbe(spec, c, probe)
-    if probe.spec != spec or probe.centre is not c:
-        raise ValueError("probe is centred on another kernel or combination")
+    probe = _probe(spec, c, probe)
     va = v_c = None
     if v is not None:
         va = np.asarray(v, dtype=float)[None, :]
@@ -283,9 +263,8 @@ def orthogonality_stats(spec: KernelSpec, sample) -> OrthogonalityStats:
     sum_cos_sq = 0.0
     sum_abs = 0.0
     # bottom-up blocks: the norms of rows lo: are known when block lo arrives.
-    # mu's support is the sample itself, so without a primal vector its
-    # construction already summed (phi(x_i), mu) for every row
-    for lo, hi, C in _centered_pair_blocks(spec, pts, mu, a=mu._support_inner):
+    # mu's support is the sample itself, so its own column is read (CentredProbe)
+    for lo, hi, C in _centered_pair_blocks(spec, mu.support, mu):
         norms[lo:hi] = np.sqrt(_clamp_sq(np.diagonal(C), f"{spec.label} centered squared norm"))
         np.divide(1.0, norms[lo:hi], out=inv[lo:hi], where=norms[lo:hi] > 0.0)
         C *= inv[lo:hi, None]
@@ -332,6 +311,8 @@ def quadratic_ball_ratio_bound(eps: float, delta_shift: float, d: int) -> float:
 
     As delta_shift grows this tends to eps^(d/2).
     """
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError(f"eps must be in [0, 1], got {eps}")
     if delta_shift <= 0:
         raise ValueError(f"delta_shift must be positive, got {delta_shift}")
     if int(d) != d or d < 1:

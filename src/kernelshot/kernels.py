@@ -44,6 +44,7 @@ __all__ = [
     "polynomial_kernel",
     "gaussian_kernel",
     "FeatureCombination",
+    "CentredProbe",
     "mean_combination",
     "singleton_combination",
     "as_points",
@@ -258,7 +259,7 @@ class FeatureCombination:
     weighted Gram double sum, so repeated probes against c cost one feature
     row or one kernel row instead of a full Gram evaluation.  Without a
     primal vector, ``_support_inner`` keeps (phi(s_j), c) for every support
-    point s_j, via inner_with_combo; Gaussian kappa(s_j, s_j) is 1 (kernel_matrix).
+    point s_j (inner_with_combo; CentredProbe reads it); Gaussian kappa(s_j, s_j) is 1.
     """
 
     spec: KernelSpec
@@ -350,6 +351,36 @@ def inner_with_combo(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class CentredProbe:
+    """Rows and their kernel column (phi(y), c), evaluated once: a centre's
+    own support column is the one its construction summed."""
+
+    spec: KernelSpec
+    centre: FeatureCombination
+    points: np.ndarray
+
+    def __post_init__(self) -> None:
+        _check_combo(self.spec, self.centre)
+        object.__setattr__(self, "points", as_points(self.points))
+
+    @functools.cached_property
+    def centre_inner(self) -> np.ndarray:
+        c = self.centre
+        if self.points is c.support and c.primal is None:
+            return c._support_inner
+        return inner_with_combo(self.spec, self.points, c)
+
+
+def _probe(spec: KernelSpec, c: FeatureCombination, rows) -> CentredProbe:
+    """rows as a CentredProbe on (spec, c): plain rows or a Sample are wrapped."""
+    if not isinstance(rows, CentredProbe):
+        return CentredProbe(spec, c, rows)
+    if rows.spec != spec or rows.centre is not c:
+        raise ValueError("probe is centred on another kernel or combination")
+    return rows
+
+
 def _centered_rows(spec: KernelSpec, X: np.ndarray, c: FeatureCombination, a, v=None, v_c=None):
     """Clamped ||phi(x) - c||^2 for every row x of X, from a = (phi(x), c),
     and given a (1, d) v and v_c = (phi(v), c), (phi(x) - c, phi(v) - c)."""
@@ -397,7 +428,7 @@ def centered_gram(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
     return K
 
 
-def _centered_pair_blocks(spec: KernelSpec, X, c: FeatureCombination, a=None):
+def _centered_pair_blocks(spec: KernelSpec, X, c: FeatureCombination):
     """Yield (lo, hi, C[lo:hi, lo:]) of C = centered_gram(spec, X, c).
 
     Blocks of ROW_BLOCK rows over the upper block-triangle, from the last
@@ -406,14 +437,10 @@ def _centered_pair_blocks(spec: KernelSpec, X, c: FeatureCombination, a=None):
     in centered_gram's operation order, and the diagonal entries carry the
     centred squared norms, for a Gaussian kernel from kappa(x, x) = 1 exactly
     (kernel_matrix).  Scratch memory is one block, ROW_BLOCK x n.
-    `a` holds (phi(x_i), c) for every row when the caller already has it;
-    by default it is computed with inner_with_combo.
+    X may be a CentredProbe on (spec, c), whose column (phi(x_i), c) is read.
     """
-    _check_combo(spec, c)
-    Xa = as_points(X)
-    _check_dims(Xa, c.support)
-    if a is None:
-        a = inner_with_combo(spec, Xa, c)
+    probe = _probe(spec, c, X)
+    Xa, a = probe.points, probe.centre_inner
     for lo, hi in reversed(list(_row_blocks(Xa.shape[0]))):
         C = kernel_matrix(spec, Xa[lo:hi], Xa[lo:])
         C -= a[lo:hi, None]

@@ -2,6 +2,8 @@
 formulas against hand evaluations, and the three bound evaluators on
 degenerate and synthetic data."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,8 +31,8 @@ from kernelshot import (
     polynomial_kernel,
     singleton_combination,
 )
-from kernelshot import bounds, kernels
-from kernelshot.experiments import ball_cloud
+from kernelshot import bounds, classifier, kernels
+from kernelshot.experiments import ball_cloud, two_ball_refits
 
 LINEAR = linear_kernel(0.0)
 
@@ -223,6 +225,28 @@ class TestProbabilityFunctionPasses:
         assert peak - knots < n * n * 8
 
 
+class TestTwoBallRefitPasses:
+    def test_support_rows_evaluated_once_against_their_own_centre(self, monkeypatch):
+        # a reference sample is its centre's support, so the column its
+        # construction summed is read, not evaluated again
+        calls = Counter()
+        original = kernels.inner_with_combo
+
+        def record(spec, rows, c):
+            calls[np.asarray(rows).tobytes(), c] += 1
+            return original(spec, rows, c)
+
+        for module in (kernels, bounds, classifier):
+            monkeypatch.setattr(module, "inner_with_combo", record)
+        two_ball_refits(
+            gaussian_kernel(0.5), d=4, centre_distance=1.0, radius_new=1.0, radius_old=1.0, reference_size=200,
+            shots=5, thetas=[0.0], refits=2, draws=50, seeds=(1, 2, 3),
+        )
+        own = [count for (rows, c), count in calls.items() if rows == c.support.tobytes()]
+        assert len(own) == 2 + 2  # two reference centres and two prototypes
+        assert own == [1] * len(own)
+
+
 class TestMargins:
     def test_new_class_margin_hand_values(self):
         assert new_class_margin(0.0, 4.0, 0.0, 0.0, 1.0, 1.0) == pytest.approx(-2.0)
@@ -294,6 +318,10 @@ class TestMeanConcentration:
             mean_concentration_bounds(0, 1.0, pf)
         with pytest.raises(ValueError):
             mean_concentration_bounds(3, 0.0, pf)
+        # NaN fails every comparison, so a bare s <= 0 check would pass it on
+        for k in (1, 3):
+            with pytest.raises(ValueError, match="s must be positive"):
+                mean_concentration_bounds(k, float("nan"), pf)
 
 
 class TestGeometricBrackets:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import explicit_combination, explicit_poly_point, random_kernel_case
 from kernelshot import (
+    CentredProbe,
     FeatureTransform,
     auroc,
     centered_sq_norm,
@@ -17,7 +18,6 @@ from kernelshot import (
     decision_values,
     fit_few_shot,
     gaussian_kernel,
-    inner_with_combo,
     linear_kernel,
     mean_combination,
     normalize_feature_table,
@@ -115,24 +115,34 @@ KERNELS = [LINEAR, polynomial_kernel(2, 1.0), gaussian_kernel(0.5)]
 
 
 class TestOldInner:
-    """decision_values with the old-centre column passed in, as fewshot-roc
-    computes it once per kernel for every seed's model."""
+    """decision_values given a CentredProbe on the old centre, whose column
+    (phi(x), old centre) fewshot-roc evaluates once per kernel for every
+    seed's model."""
 
     @pytest.mark.parametrize("spec", KERNELS, ids=lambda s: s.label)
     def test_passed_column_gives_the_same_bits(self, spec):
         rng = np.random.default_rng(44)
         # 300 old rows put the linear and poly2 old centres on the primal path
         centre_old = mean_combination(spec, rng.normal(size=(300, 6)))
-        model = fit_few_shot(spec, rng.normal(size=(5, 6)), centre_old)
         X = rng.normal(size=(1030, 6))
-        column = inner_with_combo(spec, X, centre_old)
-        np.testing.assert_array_equal(decision_values(model, X, old_inner=column), decision_values(model, X))
+        probe = CentredProbe(spec, centre_old, X)
+        # the second model reads the column the first one evaluated
+        for shots in (rng.normal(size=(5, 6)), rng.normal(size=(3, 6))):
+            model = fit_few_shot(spec, shots, centre_old)
+            np.testing.assert_array_equal(decision_values(model, probe), decision_values(model, X))
+        assert "centre_inner" in vars(probe)
 
-    @pytest.mark.parametrize("bad_shape", [(9,), (11,), (10, 1), ()])
-    def test_wrong_shape_rejected(self, bad_shape):
+    def test_probe_centred_elsewhere_is_rejected(self):
         model = two_point_model()
-        with pytest.raises(ValueError, match="old_inner"):
-            decision_values(model, np.ones((10, 2)), old_inner=np.zeros(bad_shape))
+        X = np.ones((10, 2))
+        gaussian = gaussian_kernel(0.5)
+        for probe in (
+            CentredProbe(LINEAR, singleton_combination(LINEAR, np.array([-1.0, 0.0])), X),  # equal, not the same
+            CentredProbe(LINEAR, model.prototype, X),
+            CentredProbe(gaussian, singleton_combination(gaussian, np.array([-1.0, 0.0])), X),
+        ):
+            with pytest.raises(ValueError, match="another kernel or combination"):
+                decision_values(model, probe)
 
 
 class TestClassify:

@@ -3,6 +3,7 @@ report round trips, and analytic spot checks on emitted data."""
 
 import csv
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from kernelshot import (
     roc_curve,
     write_feature_csv,
 )
+from kernelshot import kernels
 from kernelshot.cli import main
 from kernelshot.experiments import ball_cloud, load_config
 
@@ -315,6 +317,26 @@ class TestFewShotRocCommand:
                     written = read_csv(tmp_path / "roc" / f"roc_kernel{kernel_idx}_seed{seed}.csv")
                     assert [float(r["threshold"]) for r in written] == curve.thresholds.tolist()
         assert [r["auroc"] for r in report["results"]["per_seed"]] == want
+
+    def test_old_rows_evaluated_once_against_the_old_centre(self, tmp_path, feature_files, monkeypatch):
+        # without an old_test table the negatives are the old centre's own
+        # support, whose column its construction summed
+        pairs = Counter()
+        original = kernels.kernel_matrix
+
+        def recording(spec, X, Y):
+            y = np.asarray(Y).tobytes()
+            pairs.update((x.tobytes(), y) for x in np.asarray(X))
+            return original(spec, X, Y)
+
+        monkeypatch.setattr(kernels, "kernel_matrix", recording)
+        old_path, new_path = feature_files
+        raw = {"kernels": [{"kind": "gaussian", "sigma": 0.5}], "old_features": str(old_path),
+               "new_features": str(new_path), "shots": 5, "seeds": [3, 1], "out": str(tmp_path / "roc")}
+        assert main(["fewshot-roc", "--config", write_config(tmp_path / "c.json", raw)]) == 0
+        old_norm = normalize_feature_table(ingest_feature_csv(old_path).rows, ingest_feature_csv(new_path).rows)[0]
+        # 200 rows: one block against the support, no padding rows
+        assert [pairs[x.tobytes(), old_norm.tobytes()] for x in old_norm] == [1] * len(old_norm)
 
     def test_missing_feature_file_exits_3(self, tmp_path):
         cfg = write_config(

@@ -558,6 +558,10 @@ class TestAnalyticForms:
         assert quadratic_ball_ratio_bound(0.6, 1e12, 8) == pytest.approx(0.6**4, abs=1e-9)
         with pytest.raises(ValueError):
             quadratic_ball_ratio_bound(0.5, 0.0, 4)
+        # the same eps range as linear_ball_ratio, NaN included
+        for eps in (-0.9, 2.0, math.nan):
+            with pytest.raises(ValueError, match="eps"):
+                quadratic_ball_ratio_bound(eps, 1.0, 4)
 
     def test_gaussian_volume_closed_form(self):
         r = math.sqrt(2.0 * (1.0 - math.exp(-0.5)))

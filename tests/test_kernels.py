@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import explicit_combination, explicit_poly_point, random_kernel_case
 from kernelshot import (
+    CentredProbe,
     FeatureCombination,
     KernelSpec,
     NumericError,
@@ -597,6 +598,37 @@ class TestBlockedComboInner:
         assert shapes
         assert all(min(shape) <= ROW_BLOCK + 1 for shape in shapes), shapes
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+class TestCentredProbeSupportColumn:
+    """A probe on a centre's own support reads the column (phi(s_j), c) its
+    construction summed; any other rows, and a primal centre, evaluate it."""
+
+    @pytest.mark.parametrize(
+        "spec, d",
+        [(gaussian_kernel(0.5), 5), (polynomial_kernel(2, 1.0), 40)],  # dual: 300 points, 861 features
+        ids=lambda v: getattr(v, "label", str(v)),
+    )
+    def test_own_support_read_without_kernel_evaluations(self, monkeypatch, spec, d):
+        c = mean_combination(spec, np.random.default_rng(48).uniform(-1, 1, size=(300, d)))
+        assert c.primal is None
+        shapes = recording(monkeypatch, "kernel_matrix")
+        got = CentredProbe(spec, c, c.support).centre_inner
+        assert shapes == []
+        # an equal copy of the support is other rows: evaluated, to the same bits
+        np.testing.assert_array_equal(got, CentredProbe(spec, c, c.support.copy()).centre_inner)
+        assert shapes
+        np.testing.assert_array_equal(got, inner_with_combo(spec, c.support, c))
+
+    def test_primal_centre_evaluates_the_column(self, monkeypatch):
+        spec = polynomial_kernel(2, 1.0)
+        c = mean_combination(spec, np.random.default_rng(49).uniform(-1, 1, size=(300, 5)))
+        assert c.primal is not None
+        shapes = recording(monkeypatch, "_feature_rows")
+        np.testing.assert_array_equal(
+            CentredProbe(spec, c, c.support).centre_inner, inner_with_combo(spec, c.support, c)
+        )
+        assert sum(rows for rows, _ in shapes) >= c.size
 
 
 class TestRowBlocks:
