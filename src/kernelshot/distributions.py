@@ -17,6 +17,10 @@ __all__ = [
     "spawn_seeds",
 ]
 
+# Rows whose norms sample_unit_ball computes at a time: the squares of the
+# whole draw would be one more n x d temporary.
+_NORM_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class DomainSpec:
@@ -50,6 +54,16 @@ class Sample:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
+    @classmethod
+    def _adopt(cls, points: np.ndarray, seed: int) -> Sample:
+        """A Sample that keeps `points`, a float (n, d) array just drawn by a
+        sampler and held by nothing else, without the copy of a caller's array."""
+        points.setflags(write=False)
+        sample = object.__new__(cls)
+        object.__setattr__(sample, "points", points)
+        object.__setattr__(sample, "seed", seed)
+        return sample
+
     @property
     def n(self) -> int:
         return self.points.shape[0]
@@ -75,12 +89,15 @@ def sample_unit_ball(d: int, n: int, seed: int) -> Sample:
     _check_counts(d, n)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, d))
-    norms = np.linalg.norm(g, axis=1)
+    norms = np.empty(n)
+    for lo in range(0, n, _NORM_ROWS):
+        # each row's norm is reduced on its own, so chunks give the same bits
+        norms[lo : lo + _NORM_ROWS] = np.linalg.norm(g[lo : lo + _NORM_ROWS], axis=1)
     norms[norms == 0.0] = 1.0
     radii = rng.random(n) ** (1.0 / d)
     # in place: the draw is not kept beside the points built from it
     g *= (radii / norms)[:, None]
-    return Sample(g, seed)
+    return Sample._adopt(g, seed)
 
 
 def sample_cube(d: int, half_width: float, n: int, seed: int) -> Sample:
@@ -89,7 +106,7 @@ def sample_cube(d: int, half_width: float, n: int, seed: int) -> Sample:
     if half_width <= 0:
         raise ValueError(f"half_width must be positive, got {half_width}")
     rng = np.random.default_rng(seed)
-    return Sample(rng.uniform(-half_width, half_width, size=(n, d)), seed)
+    return Sample._adopt(rng.uniform(-half_width, half_width, size=(n, d)), seed)
 
 
 def sample_domain(domain: DomainSpec, n: int, seed: int) -> Sample:

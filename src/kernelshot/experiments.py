@@ -333,7 +333,8 @@ def load_config(command: str, raw: dict):
 def ball_cloud(d: int, centre, radius: float, n: int, seed: int) -> np.ndarray:
     """n uniform points in the ball of given radius around centre."""
     pts = sample_unit_ball(d, n, seed).points * radius
-    return pts + np.asarray(centre, dtype=float)
+    pts += np.asarray(centre, dtype=float)
+    return pts
 
 
 def _report(out_dir: Path, config, results: dict, seed) -> dict:

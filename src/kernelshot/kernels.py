@@ -31,6 +31,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -88,6 +90,13 @@ ROW_BLOCK = 512
 # support gets fewer rows per block, so each block's scratch stays in cache
 # instead of costing two fresh multi-MB arrays.
 _BLOCK_ENTRIES = 1 << 16
+
+# Entries (rows x support size) from which one kernel-trick inner_with_combo
+# call splits its row blocks between two threads.  A worker thread leaves
+# about 1 MB of allocator arena resident for the rest of the process, so only
+# calls this large (such as 1e5 Monte-Carlo probes against 1000 support
+# points) gain.  Primal centres never split: feature-row blocks hold the GIL.
+_SPLIT_ENTRIES = 1 << 24
 
 # Rows a BLAS matrix-vector product reduces together (OpenBLAS dgemv on x86).
 _ROW_GROUP = 4
@@ -327,28 +336,63 @@ def _check_combo(spec: KernelSpec, c: FeatureCombination) -> None:
 
 
 def inner_with_combo(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
-    """(phi(x), c) for every row x of X."""
+    """(phi(x), c) for every row x of X.
+
+    For a kernel-trick centre at _SPLIT_ENTRIES entries or more, and with two
+    usable cores, a worker thread fills the second half of the row blocks:
+    numpy releases the GIL in the elementwise passes, and each block makes
+    the same calls either way.
+    """
     _check_combo(spec, c)
     Xa = as_points(X)
     _check_dims(Xa, c.support)
     out = np.empty(Xa.shape[0])
     width = c.size if c.primal is None else c.primal.size
-    for lo, hi in _row_blocks(Xa.shape[0], width):
-        # numpy reduces a lone row with a BLAS dot, and a BLAS matrix-vector
-        # product sums a short last group of rows in another order than its
-        # full groups, so the last row is repeated up to a whole group.  The
-        # product X @ S.T in kernel_matrix still rounds a row by the number of
-        # rows: TestRowBlocks checks block independence for its shapes only
-        block = Xa[lo:hi]
-        pad = -block.shape[0] % _ROW_GROUP
-        if pad:
-            block = np.pad(block, ((0, pad), (0, 0)), mode="edge")
-        if c.primal is None:
-            values = kernel_matrix(spec, block, c.support) @ c.weights
-        else:
-            values = _feature_rows(block, spec.degree, spec.bias) @ c.primal
-        out[lo:hi] = values[: hi - lo]
+
+    def fill(blocks):
+        for lo, hi in blocks:
+            # numpy reduces a lone row with a BLAS dot, and a BLAS matrix-vector
+            # product sums a short last group of rows in another order than its
+            # full groups, so the last row is repeated up to a whole group.  The
+            # product X @ S.T in kernel_matrix still rounds a row by the number of
+            # rows: TestRowBlocks checks block independence for its shapes only
+            block = Xa[lo:hi]
+            pad = -block.shape[0] % _ROW_GROUP
+            if pad:
+                block = np.pad(block, ((0, pad), (0, 0)), mode="edge")
+            if c.primal is None:
+                values = kernel_matrix(spec, block, c.support) @ c.weights
+            else:
+                values = _feature_rows(block, spec.degree, spec.bias) @ c.primal
+            out[lo:hi] = values[: hi - lo]
+
+    blocks = list(_row_blocks(Xa.shape[0], width))
+    if c.primal is not None or Xa.shape[0] * width < _SPLIT_ENTRIES or _usable_cores() < 2:
+        fill(blocks)
+        return out
+    half = len(blocks) // 2
+    failed = []
+
+    def worker():
+        try:
+            fill(blocks[half:])
+        except BaseException as exc:  # re-raised in the caller after join
+            failed.append(exc)
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    try:
+        fill(blocks[:half])
+    finally:
+        thread.join()
+    if failed:
+        raise failed[0]
     return out
+
+
+def _usable_cores() -> int:
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return len(getaffinity(0)) if getaffinity else (os.cpu_count() or 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,12 +7,14 @@ from scipy import stats
 
 from kernelshot import (
     DomainSpec,
+    Sample,
     cube_moments,
     sample_cube,
     sample_domain,
     sample_unit_ball,
     spawn_seeds,
 )
+from kernelshot.distributions import _NORM_ROWS
 
 
 class TestUnitBall:
@@ -87,9 +89,34 @@ class TestDomainSpec:
             DomainSpec("cube", 2, half_width=-1.0)
 
     def test_sample_points_immutable(self):
-        sample = sample_unit_ball(2, 5, seed=0)
-        with pytest.raises(ValueError):
-            sample.points[0, 0] = 2.0
+        for sample in (sample_unit_ball(2, 5, seed=0), sample_cube(2, 0.5, 5, seed=0)):
+            with pytest.raises(ValueError):
+                sample.points[0, 0] = 2.0
+
+    def test_caller_array_neither_aliased_nor_frozen(self):
+        points = np.arange(6.0).reshape(3, 2)
+        sample = Sample(points, seed=0)
+        assert points.flags.writeable
+        assert not np.shares_memory(sample.points, points)
+        assert not sample.points.flags.writeable
+        points[0, 0] = 9.0
+        assert sample.points[0, 0] == 0.0
+
+
+class TestSamplerBits:
+    """Norms in row chunks and no copy into Sample: the points are the bits
+    of the whole-array formula."""
+
+    @pytest.mark.parametrize("d", [1, 5, 20])
+    @pytest.mark.parametrize("n", [1, _NORM_ROWS, 2 * _NORM_ROWS + 17])
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_unit_ball_matches_whole_array_formula(self, d, n, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, d))
+        norms = np.linalg.norm(g, axis=1)
+        norms[norms == 0.0] = 1.0
+        radii = rng.random(n) ** (1.0 / d)
+        np.testing.assert_array_equal(sample_unit_ball(d, n, seed).points, g * (radii / norms)[:, None])
 
 
 class TestCubeMoments:

@@ -2,6 +2,8 @@
 polynomial feature map that serves as their independent oracle."""
 
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -827,3 +829,103 @@ class TestRowBlocksByWidth:
             np.testing.assert_array_equal(c._support_inner, c_old._support_inner)
         else:
             np.testing.assert_array_equal(c.primal, c_old.primal)
+
+
+class TestSplitRows:
+    """At _SPLIT_ENTRIES entries or more, inner_with_combo against a centre
+    without a primal vector fills the second half of its row blocks on a
+    worker thread.  The floor is lowered here so that small inputs split;
+    block-by-block serial evaluation is the reference."""
+
+    @pytest.fixture(autouse=True)
+    def split_small_inputs(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_SPLIT_ENTRIES", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    @staticmethod
+    def threads_of(monkeypatch, name="kernel_matrix"):
+        """Replace kernels.<name> with a wrapper that records the thread of
+        every call."""
+        idents = []
+        original = getattr(kernels, name)
+
+        def record(*args):
+            idents.append(threading.get_ident())
+            return original(*args)
+
+        monkeypatch.setattr(kernels, name, record)
+        return idents
+
+    @pytest.mark.parametrize(
+        "spec, d, n_support",
+        [
+            (gaussian_kernel(0.5), 5, 1000),
+            (polynomial_kernel(2, 1.0), 40, 300),  # dual: below 861 features
+        ],
+        ids=lambda v: getattr(v, "label", str(v)),
+    )
+    def test_same_bits_as_serial_blocks(self, monkeypatch, spec, d, n_support):
+        rng = np.random.default_rng(50)
+        c = mean_combination(spec, rng.uniform(-1, 1, size=(n_support, d)))
+        X = rng.uniform(-1, 1, size=(1089, d))
+        assert c.primal is None and len(list(_row_blocks(X.shape[0], c.size))) >= 2
+        with monkeypatch.context() as serial:
+            serial.setattr(kernels, "_SPLIT_ENTRIES", X.shape[0] * c.size + 1)
+            want = inner_with_combo(spec, X, c)
+        for _ in range(20):
+            np.testing.assert_array_equal(inner_with_combo(spec, X, c), want)
+
+    def test_two_threads_above_the_floor(self, monkeypatch):
+        spec = gaussian_kernel(0.5)
+        rng = np.random.default_rng(51)
+        c = mean_combination(spec, rng.uniform(-1, 1, size=(1000, 5)))
+        idents = self.threads_of(monkeypatch)
+        inner_with_combo(spec, rng.uniform(-1, 1, size=(1089, 5)), c)
+        assert len(set(idents)) == 2
+
+    def test_one_thread_below_the_floor_or_on_one_core(self, monkeypatch):
+        spec = gaussian_kernel(0.5)
+        rng = np.random.default_rng(52)
+        c = mean_combination(spec, rng.uniform(-1, 1, size=(1000, 5)))
+        X = rng.uniform(-1, 1, size=(1089, 5))
+        idents = self.threads_of(monkeypatch)
+        monkeypatch.setattr(kernels, "_SPLIT_ENTRIES", X.shape[0] * c.size + 1)
+        inner_with_combo(spec, X, c)
+        assert set(idents) == {threading.get_ident()}
+        idents.clear()
+        monkeypatch.setattr(kernels, "_SPLIT_ENTRIES", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        inner_with_combo(spec, X, c)
+        assert set(idents) == {threading.get_ident()}
+
+    def test_primal_centre_stays_on_one_thread(self, monkeypatch):
+        spec = polynomial_kernel(2, 1.0)
+        rng = np.random.default_rng(54)
+        c = mean_combination(spec, rng.uniform(-1, 1, size=(1000, 5)))
+        assert c.primal is not None
+        idents = self.threads_of(monkeypatch, "_feature_rows")
+        inner_with_combo(spec, rng.uniform(-1, 1, size=(1089, 5)), c)
+        assert len(idents) >= 2 and set(idents) == {threading.get_ident()}
+
+    def test_worker_failure_reaches_the_caller(self, monkeypatch):
+        class Failed(RuntimeError):
+            pass
+
+        spec = gaussian_kernel(0.5)
+        rng = np.random.default_rng(53)
+        c = mean_combination(spec, rng.uniform(-1, 1, size=(1000, 5)))
+        X = rng.uniform(-1, 1, size=(1089, 5))
+        X[:, 0] = np.arange(X.shape[0])  # each block's first row names it
+        blocks = list(_row_blocks(X.shape[0], c.size))
+        second_half = blocks[len(blocks) // 2][0]
+        original = kernels.kernel_matrix
+
+        def fail_in_second_half(spec, rows, support):
+            if rows[0, 0] >= second_half:
+                raise Failed
+            return original(spec, rows, support)
+
+        monkeypatch.setattr(kernels, "kernel_matrix", fail_in_second_half)
+        with pytest.raises(Failed):
+            inner_with_combo(spec, X, c)
