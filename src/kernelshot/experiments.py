@@ -31,7 +31,7 @@ from .bounds import (
 )
 from .classifier import auroc, decision_values, fit_few_shot, normalize_feature_table, roc_curve
 from .distributions import DomainSpec, sample_domain, sample_unit_ball, spawn_seeds
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericError
 from .geometry import (
     ball_ratio_sweep,
     cap_ratio_sweep,
@@ -373,6 +373,9 @@ def run_volume_ratio(cfg: VolumeRatioConfig) -> dict:
     centre = mean_combination(spec, sample_domain(domain, cfg.support_size, support_seed))
     # the support's own column, summed when the centre was built (CentredProbe)
     radius = enclosing_radius(spec, centre, centre.support)
+    if radius == 0.0:
+        # the sweeps scale every ball and cap by the radius
+        raise NumericError(f"{spec.label} maps the support to one feature point (enclosing radius 0)")
     # one kernel column (phi(y), centre) per probe point, for both sweeps
     probe = CentredProbe(spec, centre, sample_domain(domain, cfg.probe_size, probe_seed))
 

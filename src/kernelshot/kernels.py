@@ -193,6 +193,15 @@ def _clamp_sq(values, context: str):
     return float(out) if out.ndim == 0 else out
 
 
+def _power(base: float, exponent: int) -> float:
+    """float(base) ** exponent, with an overflow giving +-inf as numpy's does,
+    so that an overflowing kernel fails in the not-finite checks that name it."""
+    try:
+        return float(base) ** exponent
+    except OverflowError:
+        return -math.inf if base < 0 and exponent % 2 else math.inf
+
+
 def eval_kernel(spec: KernelSpec, x, y) -> float:
     """Evaluate kappa(x, y) for a single pair of data vectors."""
     xv = np.asarray(x, dtype=float).ravel()
@@ -202,8 +211,7 @@ def eval_kernel(spec: KernelSpec, x, y) -> float:
     if spec.kind == "gaussian":
         diff = xv - yv
         return float(math.exp(-float(diff @ diff) / (2.0 * spec.sigma)))
-    base = spec.bias**2 + float(xv @ yv)
-    return float(base**spec.degree)
+    return _power(_power(spec.bias, 2) + float(xv @ yv), spec.degree)
 
 
 def kernel_matrix(spec: KernelSpec, X, Y) -> np.ndarray:
@@ -232,10 +240,12 @@ def kernel_matrix(spec: KernelSpec, X, Y) -> np.ndarray:
             out.flat[near] = np.einsum("ij,ij->i", diff, diff)
         out *= -1.0 / (2.0 * spec.sigma)
         return np.exp(out, out=out)
-    base = spec.bias**2 + Xa @ Ya.T
-    if spec.degree == 1:
-        return base
-    return base**spec.degree
+    # in place: one buffer for a block of any degree
+    out = Xa @ Ya.T
+    out += _power(spec.bias, 2)
+    if spec.degree > 1:
+        out **= spec.degree
+    return out
 
 
 def kernel_diag(spec: KernelSpec, X) -> np.ndarray:
@@ -243,7 +253,7 @@ def kernel_diag(spec: KernelSpec, X) -> np.ndarray:
     Xa = as_points(X)
     if spec.kind == "gaussian":
         return np.ones(Xa.shape[0])
-    base = spec.bias**2 + np.einsum("ij,ij->i", Xa, Xa)
+    base = _power(spec.bias, 2) + np.einsum("ij,ij->i", Xa, Xa)
     if spec.degree == 1:
         return base
     return base**spec.degree
@@ -568,7 +578,7 @@ def poly_coefficient(m: tuple[int, ...], degree: int, bias: float) -> float:
     total = sum(m)
     if total > degree:
         raise ValueError(f"multi-index total degree {total} exceeds kernel degree {degree}")
-    sq = math.comb(degree, degree - total) * float(bias) ** (2 * (degree - total))
+    sq = math.comb(degree, degree - total) * _power(bias, 2 * (degree - total))
     suffix = total
     for mt in m:
         sq *= math.comb(suffix, mt)
@@ -577,40 +587,40 @@ def poly_coefficient(m: tuple[int, ...], degree: int, bias: float) -> float:
 
 
 @functools.lru_cache(maxsize=16)
-def _feature_plan(d: int, degree: int, bias: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _feature_plan(
+    d: int, degree: int, bias: float
+) -> tuple[tuple[tuple[int, int, int], ...], np.ndarray]:
     """How to build every monomial of the graded-lex basis from a lower one.
 
-    Monomial i >= 1 is monomial parent[i - 1] times variable var[i - 1], the
-    last variable with a non-zero exponent, so each degree's monomials come
-    from the previous degree's.  coef[i] is alpha(m_i).  Read-only, since
-    the cache hands the same arrays to every caller.
+    A monomial p whose last non-zero exponent is at variable k (k = 0 for the
+    constant) has the children p * x_j, j = d - 1 down to k, at the d - k
+    consecutive indices from `start`, and each non-constant monomial is the
+    child of one p: itself less one power of its last variable.  So each run
+    (parent, start, k) is one product of column p with x_{d-1}, ..., x_k.
+    Runs are in parent order, so a parent is filled before its run.  coef[i]
+    is alpha(m_i), read-only since the cache hands it to every caller.
     """
     basis = multi_index_basis(d, degree)
     index = {m: i for i, m in enumerate(basis)}
-    parent = np.empty(len(basis) - 1, dtype=np.intp)
-    var = np.empty(len(basis) - 1, dtype=np.intp)
-    for i, m in enumerate(basis[1:]):
-        j = max(t for t, mt in enumerate(m) if mt)
-        parent[i] = index[m[:j] + (m[j] - 1,) + m[j + 1 :]]
-        var[i] = j
+    runs = tuple(
+        (p, index[m[:-1] + (m[-1] + 1,)], max((t for t, mt in enumerate(m) if mt), default=0))
+        for p, m in enumerate(basis)
+        if sum(m) < degree
+    )
     coef = np.array([poly_coefficient(m, degree, bias) for m in basis])
-    for arr in (parent, var, coef):
-        arr.setflags(write=False)
-    return parent, var, coef
+    coef.setflags(write=False)
+    return runs, coef
 
 
 def _feature_rows(X: np.ndarray, degree: int, bias: float) -> np.ndarray:
     """phi of every row of a 2-d array, without the dimension cap."""
     n, d = X.shape
-    parent, var, coef = _feature_plan(d, degree, float(bias))
+    runs, coef = _feature_plan(d, degree, float(bias))
     mono = np.empty((n, coef.size))
     mono[:, 0] = 1.0
-    start = 1
-    for total in range(1, degree + 1):
-        stop = start + math.comb(d - 1 + total, total)
-        step = slice(start - 1, stop - 1)
-        np.multiply(mono[:, parent[step]], X[:, var[step]], out=mono[:, start:stop])
-        start = stop
+    reversed_x = X[:, ::-1]
+    for parent, start, k in runs:
+        np.multiply(mono[:, parent, None], reversed_x[:, : d - k], out=mono[:, start : start + d - k])
     mono *= coef
     return mono
 

@@ -420,18 +420,51 @@ def test_bad_input_exits_with_documented_code(tmp_path, monkeypatch, capsys, com
     assert not (tmp_path / "out" / "report.json").exists()
 
 
-@pytest.mark.parametrize("command", ["volume-ratio", "orthogonality", "bounds"])
-def test_kernel_overflow_exits_4(tmp_path, capsys, command):
-    # (100 + x.y)^200 overflows a double
-    kernel = {"kind": "polynomial", "degree": 200, "bias": 10.0}
-    patch = {"kernels": [kernel]} if command == "orthogonality" else {"kernel": kernel}
+OVERFLOWING_KERNELS = {
+    # (100 + x.y)^200 overflows a double; its cases keep the bare command as id
+    "": ({"kind": "polynomial", "degree": 200, "bias": 10.0}, "poly200(b=10)"),
+    # bias^2 itself overflows, as a Python float power
+    "-poly2-huge-bias": ({"kind": "polynomial", "degree": 2, "bias": 1e200}, "poly2(b=1e+200)"),
+    "-linear-huge-bias": ({"kind": "linear", "bias": 1e200}, "linear(b=1e+200)"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, kernel, label",
+    [
+        pytest.param(command, kernel, label, id=command + suffix)
+        for command in ("volume-ratio", "orthogonality", "bounds", "fewshot-roc")
+        for suffix, (kernel, label) in OVERFLOWING_KERNELS.items()
+    ],
+)
+def test_kernel_overflow_exits_4(tmp_path, monkeypatch, capsys, command, kernel, label):
+    monkeypatch.chdir(tmp_path)
+    rows = ball_cloud(3, np.zeros(3), 1.0, 6, seed=0)
+    write_feature_csv("old.csv", rows, ["old"] * 6)
+    write_feature_csv("new.csv", rows + 2.0, ["new"] * 6)
+    patch = {"kernels": [kernel]} if command in ("orthogonality", "fewshot-roc") else {"kernel": kernel}
     cfg = write_config(tmp_path / "c.json", {**SMALL_CONFIGS[command], **patch, "out": str(tmp_path / "out")})
     with np.errstate(over="ignore", invalid="ignore"):
         assert main([command, "--config", cfg]) == 4
     err = capsys.readouterr().err
     assert err.startswith("numeric failure")
     assert "not finite" in err
-    assert "poly200(b=10)" in err
+    assert label in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_single_feature_point_support_exits_4(tmp_path, capsys):
+    # at sigma 1e30 every kernel value is exactly 1, so the support has one
+    # image and the sweeps would have no radius to scale by
+    kernel = {"kind": "gaussian", "sigma": 1e30}
+    patch = {"kernel": kernel, "support_size": 16, "out": str(tmp_path / "out")}
+    cfg = write_config(tmp_path / "c.json", {**SMALL_CONFIGS["volume-ratio"], **patch})
+    assert main(["volume-ratio", "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure")
+    assert "gaussian(sigma=1e+30)" in err
+    assert "enclosing radius 0" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "report.json").exists()
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import explicit_combination, explicit_poly_point, random_kernel_case
+from conftest import explicit_combination, explicit_poly_point, random_kernel_case, traced_peak
 from kernelshot import (
     CentredProbe,
     FeatureCombination,
@@ -283,6 +283,72 @@ class TestPolyFeatureMap:
         assert poly_coefficient((2, 0), 2, 0.0) == 1.0
 
 
+def feature_rows_oracle(X, degree, bias):
+    """phi of every row, one column at a time: a monomial is its parent's
+    column (one power less of its last non-zero variable j) times x_j, and
+    is scaled by alpha(m) once all columns are built."""
+    basis = multi_index_basis(X.shape[1], degree)
+    cols = {basis[0]: np.ones(X.shape[0])}
+    for m in basis[1:]:
+        j = max(t for t, mt in enumerate(m) if mt)
+        cols[m] = cols[m[:j] + (m[j] - 1,) + m[j + 1 :]] * X[:, j]
+    return np.column_stack([cols[m] * poly_coefficient(m, degree, bias) for m in basis])
+
+
+FEATURE_ROW_CASES = [(d, degree) for d in range(1, 8) for degree in range(1, 5)] + [(20, 2), (32, 2), (50, 2)]
+
+
+class TestFeatureRows:
+    """_feature_rows fills runs of consecutive columns with one broadcast
+    product each; the products, and so the bits, are the oracle's."""
+
+    @pytest.mark.parametrize("bias", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("d, degree", FEATURE_ROW_CASES)
+    def test_bits_match_column_oracle(self, d, degree, bias):
+        X = np.random.default_rng(10 * d + degree).standard_normal((9, d))
+        X[0] = 0.0
+        X[1] = -0.0  # the bits must match, signs of zeros included
+        X[2, ::2] = -0.0
+        got = kernels._feature_rows(X, degree, bias)
+        want = feature_rows_oracle(X, degree, bias)
+        assert got.shape == want.shape == (9, poly_feature_dim(d, degree))
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("d, degree", FEATURE_ROW_CASES)
+    def test_runs_tile_columns_once(self, d, degree):
+        runs, coef = kernels._feature_plan(d, degree, 1.0)
+        covered = np.zeros(coef.size, dtype=int)
+        for parent, start, k in runs:
+            assert parent < start  # a parent is built before its run
+            covered[start : start + d - k] += 1
+        assert covered[0] == 0
+        assert (covered[1:] == 1).all()
+
+
+class TestPolynomialBuffers:
+    """Polynomial feature rows and kernel blocks are built in their output
+    buffer: no block-sized temporary."""
+
+    def test_feature_rows_peak(self):
+        X = np.random.default_rng(0).standard_normal((512, 32))
+        rows, peak = traced_peak(lambda: kernels._feature_rows(X, 2, 1.0))
+        assert peak < 1.25 * rows.nbytes
+
+    def test_kernel_block_peak(self):
+        rng = np.random.default_rng(1)
+        X, Y = rng.standard_normal((512, 50)), rng.standard_normal((3000, 50))
+        block, peak = traced_peak(lambda: kernel_matrix(polynomial_kernel(2, 1.0), X, Y))
+        assert peak < 1.25 * block.nbytes
+
+    @pytest.mark.parametrize("spec", [linear_kernel(0.0), linear_kernel(0.7), polynomial_kernel(2, 1.0),
+                                      polynomial_kernel(3, 0.5), polynomial_kernel(4, 0.3)])
+    def test_block_bits_match_textbook_expression(self, spec):
+        rng = np.random.default_rng(2)
+        X, Y = rng.standard_normal((40, 6)), rng.standard_normal((70, 6))
+        want = (spec.bias**2 + X @ Y.T) ** spec.degree
+        np.testing.assert_array_equal(kernel_matrix(spec, X, Y).view(np.uint64), want.view(np.uint64))
+
+
 class TestCenteredOps:
     def test_identity_point_zero(self):
         for spec in ALL_SPECS:
@@ -401,6 +467,15 @@ class TestClampSq:
             NumericError, match="combination self inner product is not finite"
         ):
             mean_combination(spec, np.ones((3, 2)))
+
+    def test_overflowing_bias_gives_inf(self):
+        spec = polynomial_kernel(2, 1e200)
+        assert eval_kernel(spec, [1.0], [1.0]) == math.inf
+        assert poly_coefficient((0,), 2, 1e200) == math.inf
+        with np.errstate(over="ignore"):
+            assert np.isinf(kernel_matrix(spec, [[1.0]], [[1.0]])).all()
+            assert np.isinf(kernel_diag(spec, [[1.0]])).all()
+        assert eval_kernel(polynomial_kernel(3, 0.0), [-1e110], [1e110]) == -math.inf
 
 
 class TestKernelTrickOracle:
