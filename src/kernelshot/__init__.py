@@ -90,7 +90,6 @@ from .bounds import (
     few_shot_success_bounds,
     mean_concentration_bounds,
     GeometricBrackets,
-    geometric_probability_brackets,
     combined_success_bounds,
 )
 from .classifier import (
@@ -174,7 +173,6 @@ __all__ = [
     "few_shot_success_bounds",
     "mean_concentration_bounds",
     "GeometricBrackets",
-    "geometric_probability_brackets",
     "combined_success_bounds",
     "NEW_LABEL",
     "FewShotModel",

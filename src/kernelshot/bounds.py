@@ -11,9 +11,9 @@ functions estimated from data:
 * ``mean_concentration_bounds``: a bracket on P(||mu - c|| <= s) for the
   empirical feature mean of k samples, trading localisation of single
   points against quasi-orthogonality of pairs.
-* ``geometric_probability_brackets``: brackets on the probability functions
-  themselves in terms of ball/cap pre-image volume ratios, for
-  distributions with density bounded by a constant over the uniform level.
+* ``GeometricBrackets``: brackets on the probability functions themselves
+  in terms of ball/cap pre-image volume ratios, for distributions with
+  density bounded by a constant over the uniform level.
 
 Every bound is valid for any finite parameter grid (each grid point is a
 feasible choice in the underlying supremum/infimum), so richer grids only
@@ -54,7 +54,6 @@ __all__ = [
     "few_shot_success_bounds",
     "mean_concentration_bounds",
     "GeometricBrackets",
-    "geometric_probability_brackets",
     "combined_success_bounds",
 ]
 
@@ -161,17 +160,20 @@ def empirical_probability_functions(
     )
 
 
+def _tradeoff_arrays(a, b, gamma, epsilon):
+    """The margin arguments as float arrays; gamma and epsilon must be positive."""
+    a, b, gamma, epsilon = (np.asarray(v, dtype=float) for v in (a, b, gamma, epsilon))
+    if np.any(gamma <= 0) or np.any(epsilon <= 0):
+        raise ValueError("gamma and epsilon must be positive")
+    return a, b, gamma, epsilon
+
+
 def new_class_margin(theta: float, dist_sq: float, a, b, gamma, epsilon):
     """Projection level below which new-class points are certainly accepted:
 
     -theta - dist_sq/(2 gamma) - (epsilon + gamma + 2)/2 * a^2 - b^2/(2 epsilon)
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    epsilon = np.asarray(epsilon, dtype=float)
-    if np.any(gamma <= 0) or np.any(epsilon <= 0):
-        raise ValueError("gamma and epsilon must be positive")
+    a, b, gamma, epsilon = _tradeoff_arrays(a, b, gamma, epsilon)
     out = -theta - dist_sq / (2.0 * gamma) - (epsilon + gamma + 2.0) / 2.0 * a**2 - b**2 / (2.0 * epsilon)
     return float(out) if np.ndim(out) == 0 else out
 
@@ -181,12 +183,7 @@ def old_class_margin(theta: float, dist_sq: float, a, beta, gamma, epsilon):
 
     theta + (1 - 1/gamma) dist_sq - (epsilon + gamma - 2)/2 * a^2 - beta^2/(2 epsilon)
     """
-    a = np.asarray(a, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    epsilon = np.asarray(epsilon, dtype=float)
-    if np.any(gamma <= 0) or np.any(epsilon <= 0):
-        raise ValueError("gamma and epsilon must be positive")
+    a, beta, gamma, epsilon = _tradeoff_arrays(a, beta, gamma, epsilon)
     out = (
         theta
         + (1.0 - 1.0 / gamma) * dist_sq
@@ -244,6 +241,17 @@ class ClassBounds(NamedTuple):
 class ProbabilityBracket(NamedTuple):
     lower: float
     upper: float
+
+
+def _bracket(lower: float, upper: float, context: str) -> ProbabilityBracket:
+    """The reported bracket for a raw lower and upper probability: both ends
+    clamped to [0, 1], then a crossing of at most 1e-12 closed as round-off
+    (e.g. 1 - A(1 - v) against A v at A = 1) and a wider one raised."""
+    lower = min(max(lower, 0.0), 1.0)
+    upper = min(max(upper, 0.0), 1.0)
+    if lower > upper + 1e-12:
+        raise NumericError(f"{context}: inverted bracket [{lower}, {upper}], an inconsistent probability model")
+    return ProbabilityBracket(min(lower, upper), upper)
 
 
 def _positive_sorted(values) -> tuple[float, ...]:
@@ -343,15 +351,7 @@ def _one_side(
     loss = np.maximum(1.0 - loc - sep, 0.0)
     upper_field = (1.0 - mc_high)[:, None, None, None] * loss
     upper = 1.0 - float(upper_field.max())
-
-    lower = min(max(lower, 0.0), 1.0)
-    upper = min(max(upper, 0.0), 1.0)
-    if lower > upper + 1e-12:
-        raise NumericError(
-            f"success bound inverted: lower {lower} > upper {upper} "
-            f"(theta={theta}, dist_sq={dist_sq}); inputs are not a consistent probability model"
-        )
-    lower = min(lower, upper)
+    lower, upper = _bracket(lower, upper, f"success bound (theta={theta}, dist_sq={dist_sq})")
 
     ai, ri, gi, ei = np.unravel_index(best, A.shape)
     argbest = TradeoffParams(
@@ -480,13 +480,7 @@ def mean_concentration_bounds(
 
     lower_vals = 1.0 - (k * (1.0 - loc) + pair_count * (1.0 - proj))
     upper_vals = k * loc + pair_count * proj
-    lower = min(max(float(lower_vals.max()), 0.0), 1.0)
-    upper = min(max(float(upper_vals.min()), 0.0), 1.0)
-    if lower > upper + 1e-12:
-        raise NumericError(
-            f"mean concentration bracket inverted at k={k}, s={s}: [{lower}, {upper}]"
-        )
-    return ProbabilityBracket(min(lower, upper), upper)
+    return _bracket(float(lower_vals.max()), float(upper_vals.min()), f"mean concentration (k={k}, s={s})")
 
 
 @dataclass(frozen=True)
@@ -518,22 +512,16 @@ class GeometricBrackets:
             raise NumericError(f"{context} returned ratio {ratio} outside [0, 1]")
         return ratio
 
-    def _clamped(self, low: float, high: float, context: str) -> ProbabilityBracket:
-        if low > high + 1e-12:
-            raise NumericError(f"{context}: inverted bracket [{low}, {high}] before clamping")
-        low = min(low, high)  # absorb 1-ulp crossings such as 1 - A(1 - v) vs A v at A = 1
-        return ProbabilityBracket(min(max(low, 0.0), 1.0), min(max(high, 0.0), 1.0))
-
     def localisation(self, r: float) -> ProbabilityBracket:
         """Bracket on P(||phi(x) - c|| <= r)."""
         A = self.density_bound
         v = self._checked(self.ball_ratio(r), f"ball_ratio({r})")
-        return self._clamped(1.0 - A * (1.0 - v), A * v, f"localisation(r={r}, A={A}, ratio={v})")
+        return _bracket(1.0 - A * (1.0 - v), A * v, f"localisation(r={r}, A={A}, ratio={v})")
 
     def _cap_bracket(self, delta: float, name: str) -> ProbabilityBracket:
         A = self.density_bound
         c = self._checked(self.cap_ratio(delta), f"cap_ratio({delta})")
-        return self._clamped(1.0 - A * c, A * (1.0 - c), f"{name}(delta={delta}, A={A}, ratio={c})")
+        return _bracket(1.0 - A * c, A * (1.0 - c), f"{name}(delta={delta}, A={A}, ratio={c})")
 
     def projection(self, delta: float) -> ProbabilityBracket:
         """Bracket on P((phi(x) - c, phi(y) - c) <= delta)."""
@@ -542,15 +530,6 @@ class GeometricBrackets:
     def separation(self, delta: float) -> ProbabilityBracket:
         """Bracket on P((phi(x) - c, c_other - c) <= delta)."""
         return self._cap_bracket(delta, "separation")
-
-
-def geometric_probability_brackets(
-    density_bound: float,
-    ball_ratio: Callable[[float], float],
-    cap_ratio: Callable[[float], float],
-) -> GeometricBrackets:
-    """Build bracket evaluators for the probability functions from volume ratios."""
-    return GeometricBrackets(density_bound=density_bound, ball_ratio=ball_ratio, cap_ratio=cap_ratio)
 
 
 def combined_success_bounds(

@@ -14,6 +14,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError, DataError, NumericError
 from .experiments import COMMANDS, load_config, run_experiment
 from .ingest import ingest_feature_csv
@@ -61,6 +63,8 @@ def _load_raw_config(path: str) -> dict:
     return raw
 
 
+# an overflowed or invalid value is reported by the check that names it, not by numpy
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "ingest-check":
         table = ingest_feature_csv(args.path)

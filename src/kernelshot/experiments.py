@@ -45,6 +45,7 @@ from .kernels import (
     KernelSpec,
     centered_sq_norm,
     combo_pair_stats,
+    kernel_diag,
     mean_combination,
 )
 
@@ -80,7 +81,7 @@ def write_csv_atomic(path, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
     _atomic_write(path, _write)
 
@@ -373,9 +374,16 @@ def run_volume_ratio(cfg: VolumeRatioConfig) -> dict:
     centre = mean_combination(spec, sample_domain(domain, cfg.support_size, support_seed))
     # the support's own column, summed when the centre was built (CentredProbe)
     radius = enclosing_radius(spec, centre, centre.support)
-    if radius == 0.0:
-        # the sweeps scale every ball and cap by the radius
-        raise NumericError(f"{spec.label} maps the support to one feature point (enclosing radius 0)")
+    # The sweeps scale every ball and cap by the radius.  In its square
+    # kappa(x, x) - 2a + self_inner, a sums n kernel values against mean
+    # weights (off by up to about n ulp of the largest kappa(x, x)) and
+    # self_inner sums n such sums (2n ulp), so 4n ulp is 0 within round-off.
+    # A support of one feature point measured up to 50 ulp at n = 4131.
+    diag = kernel_diag(spec, centre.support)
+    if radius**2 <= 4 * diag.size * np.spacing(diag.max()):
+        raise NumericError(
+            f"{spec.label} maps the support to one feature point (enclosing radius 0 within round-off)"
+        )
     # one kernel column (phi(y), centre) per probe point, for both sweeps
     probe = CentredProbe(spec, centre, sample_domain(domain, cfg.probe_size, probe_seed))
 
@@ -478,6 +486,11 @@ def two_ball_refits(
     return TwoBallRefits(pf, BoundGrid.default(pf), dist_sq, mu_dists, success_new, success_old)
 
 
+def _contained(bracket, estimate: float, sigma: float) -> bool:
+    """Whether a Monte-Carlo estimate lies in the bracket widened by 3 sigma."""
+    return bool(bracket.lower - 3 * sigma <= estimate <= bracket.upper + 3 * sigma)
+
+
 def run_bounds(cfg: BoundsConfig) -> dict:
     out_dir = Path(cfg.out)
     fit = two_ball_refits(
@@ -507,7 +520,7 @@ def run_bounds(cfg: BoundsConfig) -> dict:
             sigma = between + 1e-12
             entry[side] = bracket.to_dict()
             entry["mc"][side] = {"estimate": estimate, "sigma": sigma}
-            entry["sandwich"][side] = bool(bracket.lower - 3 * sigma <= estimate <= bracket.upper + 3 * sigma)
+            entry["sandwich"][side] = _contained(bracket, estimate, sigma)
         theta_results.append(entry)
 
     mu_dists = fit.mu_dists
@@ -526,7 +539,7 @@ def run_bounds(cfg: BoundsConfig) -> dict:
                 "upper": bracket.upper,
                 "mc_estimate": estimate,
                 "mc_sigma": sigma,
-                "contained": bool(bracket.lower - 3 * sigma <= estimate <= bracket.upper + 3 * sigma),
+                "contained": _contained(bracket, estimate, sigma),
             }
         )
     header = list(conc_rows[0].keys())

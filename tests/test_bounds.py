@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import traced_peak
 from kernelshot import (
     BoundGrid,
+    GeometricBrackets,
     NumericError,
     StepCdf,
     combined_success_bounds,
@@ -21,7 +22,6 @@ from kernelshot import (
     eval_kernel,
     few_shot_success_bounds,
     gaussian_kernel,
-    geometric_probability_brackets,
     linear_ball_ratio,
     linear_kernel,
     mean_combination,
@@ -326,20 +326,20 @@ class TestMeanConcentration:
 
 class TestGeometricBrackets:
     def test_exact_for_uniform_density(self):
-        brackets = geometric_probability_brackets(1.0, lambda r: 0.37, lambda delta: 0.21)
+        brackets = GeometricBrackets(1.0, lambda r: 0.37, lambda delta: 0.21)
         loc = brackets.localisation(0.5)
         assert loc.lower == pytest.approx(0.37) and loc.upper == pytest.approx(0.37)
         proj = brackets.projection(0.1)
         assert proj.lower == pytest.approx(0.79) and proj.upper == pytest.approx(0.79)
 
     def test_clamped_bracket(self):
-        brackets = geometric_probability_brackets(2.0, lambda r: 0.9, lambda delta: 0.9)
+        brackets = GeometricBrackets(2.0, lambda r: 0.9, lambda delta: 0.9)
         loc = brackets.localisation(1.0)
         assert loc == pytest.approx((0.8, 1.0))
 
     def test_linear_kernel_power_law_composition(self):
         d, r_support = 6, 1.0
-        brackets = geometric_probability_brackets(
+        brackets = GeometricBrackets(
             1.0,
             lambda r: linear_ball_ratio(min(r, r_support) / r_support, d),
             lambda delta: 0.5,
@@ -350,17 +350,55 @@ class TestGeometricBrackets:
             assert loc.upper == pytest.approx(eps**d)
 
     def test_separation_same_form_as_projection(self):
-        brackets = geometric_probability_brackets(1.5, lambda r: 0.5, lambda delta: 0.3)
+        brackets = GeometricBrackets(1.5, lambda r: 0.5, lambda delta: 0.3)
         assert brackets.separation(0.0) == brackets.projection(0.0)
 
     def test_density_bound_below_one_rejected(self):
         with pytest.raises(ValueError):
-            geometric_probability_brackets(0.5, lambda r: 0.5, lambda delta: 0.5)
+            GeometricBrackets(0.5, lambda r: 0.5, lambda delta: 0.5)
 
     def test_ratio_out_of_range_flagged(self):
-        brackets = geometric_probability_brackets(1.0, lambda r: 1.2, lambda delta: 0.5)
+        brackets = GeometricBrackets(1.0, lambda r: 1.2, lambda delta: 0.5)
         with pytest.raises(NumericError, match="outside"):
             brackets.localisation(1.0)
+
+
+class TestBracketRule:
+    """bounds._bracket, the one rule that turns a raw lower and upper
+    probability into a reported bracket."""
+
+    def test_clamps_to_unit_interval(self):
+        assert bounds._bracket(-0.5, 1.5, "ctx") == (0.0, 1.0)
+        assert bounds._bracket(0.2, 0.7, "ctx") == (0.2, 0.7)
+        # an inversion is judged after clamping
+        assert bounds._bracket(1.5, 1.2, "ctx") == (1.0, 1.0)
+
+    @pytest.mark.parametrize("crossing", [2.0**-40, 1e-12])
+    def test_round_off_crossing_is_absorbed(self, crossing):
+        bracket = bounds._bracket(0.5 + crossing, 0.5, "ctx")
+        assert bracket.lower == bracket.upper == 0.5
+
+    def test_wider_inversion_raises_naming_its_context(self):
+        with pytest.raises(NumericError, match="inverted") as err:
+            bounds._bracket(0.5 + 2.0**-39, 0.5, "localisation(r=0.25)")
+        assert "localisation(r=0.25)" in str(err.value)
+
+    def test_geometric_brackets_unchanged(self):
+        # GeometricBrackets' rule before the shared one: the inversion check
+        # on the raw values, then the clamp
+        def check_then_clamp(low, high):
+            assert low <= high + 1e-12
+            low = min(low, high)
+            return (min(max(low, 0.0), 1.0), min(max(high, 0.0), 1.0))
+
+        for A in (1.0, 1.5, 2.0, 10.0):
+            for v in [*np.linspace(0.0, 1.0, 11), 0.37, 0.9]:
+                brackets = GeometricBrackets(A, lambda r: v, lambda delta: v)
+                assert brackets.localisation(0.5) == check_then_clamp(1.0 - A * (1.0 - v), A * v)
+                expected = check_then_clamp(1.0 - A * v, A * (1.0 - v))
+                assert brackets.projection(0.1) == brackets.separation(0.1) == expected
+        loc = GeometricBrackets(2.0, lambda r: 0.9, lambda delta: 0.9).localisation(1.0)
+        assert loc == pytest.approx((0.8, 1.0))
 
 
 def certain_mean(a):

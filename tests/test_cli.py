@@ -22,7 +22,7 @@ from kernelshot import (
 )
 from kernelshot import kernels
 from kernelshot.cli import main
-from kernelshot.experiments import ball_cloud, load_config
+from kernelshot.experiments import ball_cloud, load_config, write_csv_atomic
 
 
 def write_config(path, payload):
@@ -437,6 +437,7 @@ OVERFLOWING_KERNELS = {
         for suffix, (kernel, label) in OVERFLOWING_KERNELS.items()
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_kernel_overflow_exits_4(tmp_path, monkeypatch, capsys, command, kernel, label):
     monkeypatch.chdir(tmp_path)
     rows = ball_cloud(3, np.zeros(3), 1.0, 6, seed=0)
@@ -444,8 +445,7 @@ def test_kernel_overflow_exits_4(tmp_path, monkeypatch, capsys, command, kernel,
     write_feature_csv("new.csv", rows + 2.0, ["new"] * 6)
     patch = {"kernels": [kernel]} if command in ("orthogonality", "fewshot-roc") else {"kernel": kernel}
     cfg = write_config(tmp_path / "c.json", {**SMALL_CONFIGS[command], **patch, "out": str(tmp_path / "out")})
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main([command, "--config", cfg]) == 4
+    assert main([command, "--config", cfg]) == 4
     err = capsys.readouterr().err
     assert err.startswith("numeric failure")
     assert "not finite" in err
@@ -454,11 +454,13 @@ def test_kernel_overflow_exits_4(tmp_path, monkeypatch, capsys, command, kernel,
     assert not (tmp_path / "out" / "report.json").exists()
 
 
-def test_single_feature_point_support_exits_4(tmp_path, capsys):
+@pytest.mark.parametrize("support_size", [10, 16, 20, 32])
+def test_single_feature_point_support_exits_4(tmp_path, capsys, support_size):
     # at sigma 1e30 every kernel value is exactly 1, so the support has one
-    # image and the sweeps would have no radius to scale by
+    # image and the sweeps would have no radius to scale by; the computed
+    # radius is 0 or round-off (1.49e-8 at 20 points)
     kernel = {"kind": "gaussian", "sigma": 1e30}
-    patch = {"kernel": kernel, "support_size": 16, "out": str(tmp_path / "out")}
+    patch = {"kernel": kernel, "support_size": support_size, "out": str(tmp_path / "out")}
     cfg = write_config(tmp_path / "c.json", {**SMALL_CONFIGS["volume-ratio"], **patch})
     assert main(["volume-ratio", "--config", cfg]) == 4
     err = capsys.readouterr().err
@@ -473,3 +475,9 @@ def test_single_feature_point_support_exits_4(tmp_path, capsys):
 def test_config_round_trips_through_its_echo(command):
     config = load_config(command, {**SMALL_CONFIGS[command], "out": "out"})
     assert load_config(command, config.to_dict()) == config
+
+
+def test_csv_writer_writes_numpy_floats_as_numbers(tmp_path):
+    # np.float64 is a float, but its repr under numpy 2 is np.float64(0.1)
+    write_csv_atomic(tmp_path / "t.csv", ["a", "b"], [[np.float64(0.1), 3]])
+    assert read_csv(tmp_path / "t.csv") == [{"a": "0.1", "b": "3"}]
