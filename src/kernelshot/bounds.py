@@ -88,8 +88,26 @@ class StepCdf:
         quantiles plus the 64 largest knots; computed once per CDF."""
         if self.knots.size <= 1024:
             return self.knots
-        qs = np.quantile(self.knots, np.linspace(0.0, 1.0, 513))
-        return np.concatenate([qs, self.knots[-64:]])
+        return np.concatenate([_sorted_quantiles(self.knots, np.linspace(0.0, 1.0, 513)), self.knots[-64:]])
+
+
+def _sorted_quantiles(knots: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """np.quantile(knots, q) of sorted knots, read in place instead of from
+    np.quantile's copy: numpy 2.4's 'linear' method, index (n - 1) q and a
+    lerp that switches form at a fraction of 0.5."""
+    n = knots.size
+    index = (n - 1) * q
+    lo = np.floor(index)
+    lo[index >= n - 1] = -1
+    lo = lo.astype(np.intp)
+    hi = np.where(lo < 0, -1, lo + 1)
+    t = index - lo
+    a, b = knots[lo], knots[hi]
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    # a NaN knot sorts last and makes every quantile NaN
+    return np.full_like(out, np.nan) if np.isnan(knots[-1]) else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,9 +156,10 @@ def empirical_probability_functions(
     sq_new = np.empty(n)
     for lo, hi, C in _centered_pair_blocks(spec, probe_new, centre_new):
         sq_new[lo:hi] = np.diagonal(C)
-        pairs = C[np.arange(n - lo) > np.arange(hi - lo)[:, None]]
         start = lo * n - lo * (lo + 1) // 2  # rows before lo hold this many pairs
-        pair_inners[start : start + pairs.size] = pairs
+        for r in range(hi - lo):
+            pair_inners[start : start + n - lo - r - 1] = C[r, r + 1 :]
+            start += n - lo - r - 1
     norms_new = np.sqrt(_clamp_sq(sq_new, f"{spec.label} centered squared norm"))
     # in place, so the n(n-1)/2 knots exist once
     pair_inners.sort()
@@ -501,7 +520,7 @@ class GeometricBrackets:
     cap_ratio: Callable[[float], float]
 
     def __post_init__(self) -> None:
-        if self.density_bound < 1.0:
+        if not self.density_bound >= 1.0:
             raise ValueError(
                 f"density_bound must be >= 1 (a density bounded by A/V with A < 1 cannot "
                 f"integrate to 1), got {self.density_bound}"

@@ -24,6 +24,10 @@ vector v = sum_i w_i phi(x_i) (``FeatureCombination.primal``).  Every inner
 product against it is then phi(y) . v, one feature row instead of a kernel
 row against the whole support, and (c, c) is v . v.  Gaussian kernels, and
 supports no larger than the feature dimension, stay on the kernel trick.
+
+A Gaussian combination keeps its support mean m and beta_j = w_j exp(-r_j),
+r_j = |s_j - m|^2 / 2 sigma, for (phi(x), c) = exp(-e) sum_j exp(u . s_j) beta_j
+with u = (x - m) / sigma and e = u . (x + m) / 2: one product and one exp.
 """
 
 from __future__ import annotations
@@ -100,6 +104,11 @@ _SPLIT_ENTRIES = 1 << 24
 
 # Rows a BLAS matrix-vector product reduces together (OpenBLAS dgemv on x86).
 _ROW_GROUP = 4
+
+# Largest |e| and r of the factorised Gaussian row (module docstring), so no
+# exponent exceeds 600 < log(DBL_MAX); beyond it a block uses kernel_matrix.
+# A term flushes to 0 only when its kernel value is below exp(-445).
+_EXP_RANGE = 300.0
 
 _KINDS = ("linear", "polynomial", "gaussian")
 
@@ -279,6 +288,8 @@ class FeatureCombination:
     row or one kernel row instead of a full Gram evaluation.  Without a
     primal vector, ``_support_inner`` keeps (phi(s_j), c) for every support
     point s_j (inner_with_combo; CentredProbe reads it); Gaussian kappa(s_j, s_j) is 1.
+    ``_factor`` is (m, beta) of a Gaussian combination (module docstring), or
+    None, as when some r_j exceeds _EXP_RANGE.
     """
 
     spec: KernelSpec
@@ -287,6 +298,7 @@ class FeatureCombination:
     primal: np.ndarray | None = field(init=False)
     self_inner: float = field(init=False)
     _support_inner: np.ndarray | None = field(init=False, repr=False)
+    _factor: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         support = as_points(self.support).copy()
@@ -299,7 +311,9 @@ class FeatureCombination:
         weights.setflags(write=False)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "weights", weights)
-        if self.spec.kind == "gaussian" or poly_feature_dim(self.dim, self.spec.degree) >= self.size:
+        gaussian = self.spec.kind == "gaussian"
+        object.__setattr__(self, "_factor", _gaussian_factor(self.spec, support, weights) if gaussian else None)
+        if gaussian or poly_feature_dim(self.dim, self.spec.degree) >= self.size:
             object.__setattr__(self, "primal", None)
             wK = inner_with_combo(self.spec, support, self)
             wK.setflags(write=False)
@@ -328,6 +342,14 @@ class FeatureCombination:
         return self.support.shape[0]
 
 
+def _gaussian_factor(spec: KernelSpec, support: np.ndarray, weights: np.ndarray):
+    """FeatureCombination._factor of a Gaussian combination."""
+    m = support.mean(axis=0)
+    centred = support - m
+    r = np.einsum("ij,ij->i", centred, centred) / (2.0 * spec.sigma)
+    return (m, weights * np.exp(-r)) if r.max() <= _EXP_RANGE else None
+
+
 def mean_combination(spec: KernelSpec, points) -> FeatureCombination:
     """Uniform-weight combination: the empirical feature mean of the points."""
     pts = as_points(points)
@@ -349,9 +371,9 @@ def inner_with_combo(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
     """(phi(x), c) for every row x of X.
 
     For a kernel-trick centre at _SPLIT_ENTRIES entries or more, and with two
-    usable cores, a worker thread fills the second half of the row blocks:
-    numpy releases the GIL in the elementwise passes, and each block makes
-    the same calls either way.
+    usable cores, a worker thread fills the second half of the row blocks
+    under the caller's np.errstate: numpy releases the GIL in the elementwise
+    passes, and each block makes the same calls either way.
     """
     _check_combo(spec, c)
     Xa = as_points(X)
@@ -360,20 +382,26 @@ def inner_with_combo(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
     width = c.size if c.primal is None else c.primal.size
 
     def fill(blocks):
+        # one buffer per thread for the factorised Gaussian blocks
+        rows = max((hi - lo for lo, hi in blocks), default=0)
+        scratch = None if c._factor is None else np.empty((rows + -rows % _ROW_GROUP, c.size))
         for lo, hi in blocks:
             # numpy reduces a lone row with a BLAS dot, and a BLAS matrix-vector
             # product sums a short last group of rows in another order than its
             # full groups, so the last row is repeated up to a whole group.  The
-            # product X @ S.T in kernel_matrix still rounds a row by the number of
+            # product X @ S.T (u @ S.T) still rounds a row by the number of
             # rows: TestRowBlocks checks block independence for its shapes only
             block = Xa[lo:hi]
             pad = -block.shape[0] % _ROW_GROUP
             if pad:
                 block = np.pad(block, ((0, pad), (0, 0)), mode="edge")
-            if c.primal is None:
-                values = kernel_matrix(spec, block, c.support) @ c.weights
-            else:
+            if c.primal is not None:
                 values = _feature_rows(block, spec.degree, spec.bias) @ c.primal
+            elif c._factor is not None and np.abs(e := _gaussian_exponent(spec, block, c)).max() <= _EXP_RANGE:
+                values = _gaussian_rows(spec, block, c, scratch[: block.shape[0]]) @ c._factor[1]
+                values *= np.exp(-e)
+            else:
+                values = kernel_matrix(spec, block, c.support) @ c.weights
             out[lo:hi] = values[: hi - lo]
 
     blocks = list(_row_blocks(Xa.shape[0], width))
@@ -382,10 +410,12 @@ def inner_with_combo(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
         return out
     half = len(blocks) // 2
     failed = []
+    saved = np.geterr()
 
     def worker():
         try:
-            fill(blocks[half:])
+            with np.errstate(**saved):
+                fill(blocks[half:])
         except BaseException as exc:  # re-raised in the caller after join
             failed.append(exc)
 
@@ -398,6 +428,18 @@ def inner_with_combo(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
     if failed:
         raise failed[0]
     return out
+
+
+def _gaussian_exponent(spec: KernelSpec, X: np.ndarray, c: FeatureCombination) -> np.ndarray:
+    """e = u . (x + m) / 2 = (x - m) . (x + m) / 2 sigma for every row x of X."""
+    m = c._factor[0]
+    return np.einsum("ij,ij->i", X - m, X + m) / (2.0 * spec.sigma)
+
+
+def _gaussian_rows(spec: KernelSpec, X: np.ndarray, c: FeatureCombination, out: np.ndarray) -> np.ndarray:
+    """exp(u . s_j) for every row x of X and support point s_j of c, into out."""
+    np.matmul((X - c._factor[0]) / spec.sigma, c.support.T, out=out)
+    return np.exp(out, out=out)
 
 
 def _usable_cores() -> int:

@@ -63,6 +63,34 @@ class TestStepCdf:
         assert not cdf.knots.flags.writeable
         assert knots.flags.writeable
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        knots=st.lists(
+            st.one_of(
+                st.sampled_from([-0.0, 0.0, 1.0, -1.0]),
+                st.floats(-1e300, 1e300),
+                st.floats(-1e-300, 1e-300),
+            ),
+            min_size=1,
+            max_size=3000,
+        ),
+        count=st.integers(2, 600),
+    )
+    def test_sorted_quantiles_match_numpy(self, knots, count):
+        # np.quantile partitions a copy, which may swap -0 and +0, so values
+        # are compared, not signs of zero
+        x = np.sort(np.asarray(knots))
+        q = np.linspace(0.0, 1.0, count)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.testing.assert_array_equal(bounds._sorted_quantiles(x, q), np.quantile(x, q))
+
+    def test_thinned_knots_are_quantiles_and_the_upper_tail(self):
+        knots = np.random.default_rng(3).normal(size=5000)
+        thinned = StepCdf(knots)._thinned_knots
+        knots.sort()
+        np.testing.assert_array_equal(thinned[:513], np.quantile(knots, np.linspace(0.0, 1.0, 513)))
+        np.testing.assert_array_equal(thinned[513:], knots[-64:])
+
     def test_unsorted_knots_are_sorted_in_a_copy(self):
         knots = np.array([5.0, np.nan, 1.0, 2.0])
         cdf = StepCdf(knots)
@@ -356,6 +384,10 @@ class TestGeometricBrackets:
     def test_density_bound_below_one_rejected(self):
         with pytest.raises(ValueError):
             GeometricBrackets(0.5, lambda r: 0.5, lambda delta: 0.5)
+
+    def test_nan_density_bound_rejected(self):
+        with pytest.raises(ValueError):
+            GeometricBrackets(float("nan"), lambda r: 0.5, lambda delta: 0.5)
 
     def test_ratio_out_of_range_flagged(self):
         brackets = GeometricBrackets(1.0, lambda r: 1.2, lambda delta: 0.5)

@@ -357,14 +357,14 @@ class TestCentredProbe:
         }
         cfg = load_config("volume-ratio", config)
         rows = Counter()
-        original = kernels.kernel_matrix
+        original = kernels._gaussian_rows
 
-        def recording(spec, X, Y):
-            if len(Y) == cfg.support_size:
+        def recording(spec, X, c, out):
+            if c.size == cfg.support_size:
                 rows.update(x.tobytes() for x in X)
-            return original(spec, X, Y)
+            return original(spec, X, c, out)
 
-        monkeypatch.setattr(kernels, "kernel_matrix", recording)
+        monkeypatch.setattr(kernels, "_gaussian_rows", recording)
         run_volume_ratio(cfg)
         domain = DomainSpec(cfg.domain, cfg.d, cfg.half_width)
         probe = sample_domain(domain, cfg.probe_size, spawn_seeds(cfg.seed, 2)[1]).points
@@ -516,14 +516,18 @@ class TestBlockedOrthogonality:
         n = 1025
         sample = sample_unit_ball(4, n, seed=9).points
         evals = []
-        original = kernels.kernel_matrix
 
-        def counting(spec, X, Y):
-            K = original(spec, X, Y)
-            evals.append(K.size)
-            return K
+        def counting(original):
+            def count(*args):
+                K = original(*args)
+                evals.append(K.size)
+                return K
 
-        monkeypatch.setattr(kernels, "kernel_matrix", counting)
+            return count
+
+        # the mean's rows are factorised Gaussian rows, the pair blocks kernel_matrix
+        for name in ("_gaussian_rows", "kernel_matrix"):
+            monkeypatch.setattr(kernels, name, counting(getattr(kernels, name)))
         orthogonality_stats(gaussian_kernel(0.5), sample)
         pad = sum(-(hi - lo) % kernels._ROW_GROUP for lo, hi in kernels._row_blocks(n, n))
         assert 0 < pad < kernels._ROW_GROUP

@@ -4,6 +4,7 @@ polynomial feature map that serves as their independent oracle."""
 import math
 import os
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -670,7 +671,7 @@ class TestBlockedComboInner:
         A, B = (FeatureCombination(spec, rng.uniform(-1, 1, size=(m, d)), rng.normal(size=m)) for m in sizes)
         assert A.primal is None and B.primal is None
         want = float(A.weights @ kernel_matrix(spec, A.support, B.support) @ B.weights)
-        shapes = recording(monkeypatch, "kernel_matrix")
+        shapes = recording(monkeypatch, row_seam(spec))
         got = combo_inner(spec, A, B)
         assert shapes
         assert all(min(shape) <= ROW_BLOCK + 1 for shape in shapes), shapes
@@ -689,7 +690,7 @@ class TestCentredProbeSupportColumn:
     def test_own_support_read_without_kernel_evaluations(self, monkeypatch, spec, d):
         c = mean_combination(spec, np.random.default_rng(48).uniform(-1, 1, size=(300, d)))
         assert c.primal is None
-        shapes = recording(monkeypatch, "kernel_matrix")
+        shapes = recording(monkeypatch, row_seam(spec))
         got = CentredProbe(spec, c, c.support).centre_inner
         assert shapes == []
         # an equal copy of the support is other rows: evaluated, to the same bits
@@ -791,6 +792,13 @@ def block_rows(width):
     return min(ROW_BLOCK, max(group, kernels._BLOCK_ENTRIES // width // group * group))
 
 
+def row_seam(spec):
+    """The kernels function that evaluates each block of kernel rows against a
+    combination without a primal vector: for a Gaussian kernel within
+    _EXP_RANGE, the factorised rows exp(u . s_j)."""
+    return "_gaussian_rows" if spec.kind == "gaussian" else "kernel_matrix"
+
+
 def recording(monkeypatch, name):
     """Replace kernels.<name> with a wrapper that records each result's shape."""
     shapes = []
@@ -834,7 +842,7 @@ class TestRowBlocksByWidth:
         spec = gaussian_kernel(0.5)
         rng = np.random.default_rng(40)
         c = mean_combination(spec, rng.uniform(-1, 1, size=(n_support, 5)))
-        shapes = recording(monkeypatch, "kernel_matrix")
+        shapes = recording(monkeypatch, "_gaussian_rows")
         rows = block_rows(n_support)
         for n in self.N_ROWS:
             shapes.clear()
@@ -867,7 +875,7 @@ class TestRowBlocksByWidth:
         # blocks of support rows against the whole support, as inner_with_combo
         # evaluates them: no support x support matrix
         S = np.random.default_rng(42).uniform(-1, 1, size=(n_support, 5))
-        shapes = recording(monkeypatch, "kernel_matrix")
+        shapes = recording(monkeypatch, "_gaussian_rows")
         mean_combination(gaussian_kernel(0.5), S)
         assert shapes[0] == (min(block_rows(n_support), n_support + -n_support % kernels._ROW_GROUP), n_support)
         assert {cols for _, cols in shapes} == {n_support}
@@ -918,7 +926,7 @@ class TestSplitRows:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
     @staticmethod
-    def threads_of(monkeypatch, name="kernel_matrix"):
+    def threads_of(monkeypatch, name="_gaussian_rows"):
         """Replace kernels.<name> with a wrapper that records the thread of
         every call."""
         idents = []
@@ -1004,3 +1012,91 @@ class TestSplitRows:
         monkeypatch.setattr(kernels, "kernel_matrix", fail_in_second_half)
         with pytest.raises(Failed):
             inner_with_combo(spec, X, c)
+
+    def test_worker_keeps_the_callers_errstate(self):
+        # the overflowing rows are the worker's: numpy's error state is per
+        # thread, and a warning there would reach the caller as an error
+        spec = polynomial_kernel(2, 1.0)
+        rng = np.random.default_rng(55)
+        c = mean_combination(spec, rng.uniform(-1, 1, size=(300, 40)))
+        assert c.primal is None
+        X = rng.uniform(-1, 1, size=(90_000, 40))
+        X[-5:] *= 1e200
+        with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = inner_with_combo(spec, X, c)
+        assert np.isinf(got[-5:]).all() and np.isfinite(got[:-5]).all()
+
+
+class TestGaussianRowFactor:
+    """Rows against a Gaussian combination are exp(-e) exp(u . s_j) beta_j
+    (kernels module docstring) within _EXP_RANGE, and kernel_matrix rows
+    beyond it; the dense kernel_matrix(X, S) @ w is the reference."""
+
+    @pytest.mark.parametrize("offset", [0.0, 10.0])
+    @pytest.mark.parametrize("d", [3, 32])
+    @pytest.mark.parametrize("sigma", [0.1, 0.5, 4.0])
+    def test_matches_kernel_matrix(self, sigma, d, offset):
+        # data far from the origin leave u . s_j to cancel against e, or fall
+        # beyond the guard
+        rng = np.random.default_rng(60)
+        S = offset + rng.uniform(-1, 1, size=(300, d))
+        w = rng.uniform(0.5, 1.0, size=300)
+        X = offset + rng.uniform(-1.5, 1.5, size=(201, d))
+        c = FeatureCombination(gaussian_kernel(sigma), S, w)
+        want = kernel_matrix(c.spec, X, S) @ w
+        np.testing.assert_allclose(inner_with_combo(c.spec, X, c), want, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(c._support_inner, kernel_matrix(c.spec, S, S) @ w, rtol=1e-12, atol=0.0)
+
+    def test_rows_beyond_the_guard_keep_kernel_matrix_bits(self, monkeypatch):
+        spec = gaussian_kernel(0.5)
+        rng = np.random.default_rng(61)
+        S = rng.uniform(-1, 1, size=(1000, 5))
+        c = mean_combination(spec, S)
+        X = rng.uniform(-1, 1, size=(64, 5))  # one block of whole groups
+        e = kernels._gaussian_exponent(spec, X, c)
+        assert np.abs(e).max() <= kernels._EXP_RANGE
+        X[-1] *= 30.0  # one far row moves its whole block
+        assert np.abs(kernels._gaussian_exponent(spec, X, c)).max() > kernels._EXP_RANGE
+        calls = recording(monkeypatch, "_gaussian_rows")
+        np.testing.assert_array_equal(inner_with_combo(spec, X, c), kernel_matrix(spec, X, S) @ c.weights)
+        assert calls == []
+
+    @pytest.mark.parametrize("sigma", [1e-3, 1e-300])
+    def test_wide_support_keeps_kernel_matrix_bits(self, monkeypatch, sigma):
+        spec = gaussian_kernel(sigma)
+        rng = np.random.default_rng(62)
+        S = rng.uniform(-1, 1, size=(40, 3))
+        c = FeatureCombination(spec, S, rng.normal(size=40))
+        assert c._factor is None
+        X = np.vstack([S[:20], rng.uniform(-1, 1, size=(44, 3))])
+        calls = recording(monkeypatch, "_gaussian_rows")
+        np.testing.assert_array_equal(inner_with_combo(spec, X, c), kernel_matrix(spec, X, S) @ c.weights)
+        assert c.self_inner == float(c.weights @ kernel_matrix(spec, S, S) @ c.weights)
+        assert calls == []
+
+    @pytest.mark.parametrize("d", [3, 32])
+    def test_split_matches_serial_bits(self, monkeypatch, d):
+        # factorised blocks first, then blocks beyond the guard, on both threads
+        spec = gaussian_kernel(0.5)
+        rng = np.random.default_rng(63)
+        c = mean_combination(spec, rng.uniform(-1, 1, size=(1000, d)))
+        X = rng.uniform(-1, 1, size=(1089, d))
+        X[700:] *= 40.0
+        with monkeypatch.context() as serial:
+            serial.setattr(kernels, "_SPLIT_ENTRIES", X.shape[0] * c.size + 1)
+            want = inner_with_combo(spec, X, c)
+        monkeypatch.setattr(kernels, "_SPLIT_ENTRIES", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        idents = TestSplitRows.threads_of(monkeypatch)
+        np.testing.assert_array_equal(inner_with_combo(spec, X, c), want)
+        assert len(set(idents)) == 2
+        for _ in range(10):
+            np.testing.assert_array_equal(inner_with_combo(spec, X, c), want)
+
+    def test_singleton_is_exact(self):
+        rng = np.random.default_rng(64)
+        for x in rng.uniform(-3, 3, size=(20, 6)):
+            c = singleton_combination(gaussian_kernel(0.3), x)
+            assert c._factor is not None
+            assert inner_with_combo(c.spec, np.vstack([x, x + 1.0]), c)[0] == 1.0
