@@ -557,46 +557,6 @@ def run_bounds(cfg: BoundsConfig) -> dict:
     return _report(out_dir, cfg, results, cfg.seed)
 
 
-def _kernel_aurocs(
-    cfg: FewShotRocConfig, kernel_idx: int, spec: KernelSpec, old_norm, new_norm, neg_rows, pos_rows
-) -> list[float]:
-    """Every seed's AUROC for one kernel, and the first seed's ROC curve
-    written; its centre, probes and models are freed on return, before the
-    next kernel's centre is built."""
-    centre_old = mean_combination(spec, old_norm)
-    # one probe per kernel keeps (phi(x), old centre) for the rows every
-    # seed's model scores; without an old_test table they are the centre's
-    # own support.  Without a new_test table the positives are the seed's
-    # unused training rows; they keep a per-seed evaluation, because a
-    # multi-threaded BLAS can round a row in the last place differently
-    # when the rows evaluated with it change.
-    negatives = CentredProbe(spec, centre_old, centre_old.support if neg_rows is None else neg_rows)
-    positives = None if pos_rows is None else CentredProbe(spec, centre_old, pos_rows)
-    n_new = new_norm.shape[0]
-    aurocs = []
-    for seed_idx, seed in enumerate(cfg.seeds):
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(n_new, size=cfg.shots, replace=False)
-        shots = new_norm[idx]
-        if pos_rows is None:
-            mask = np.ones(n_new, dtype=bool)
-            mask[idx] = False
-            positives = new_norm[mask]
-        model = fit_few_shot(spec, shots, centre_old)
-        curve = roc_curve(decision_values(model, positives), decision_values(model, negatives))
-        aurocs.append(auroc(curve))
-        if seed_idx == 0:
-            write_csv_atomic(
-                Path(cfg.out) / f"roc_kernel{kernel_idx}_seed{seed}.csv",
-                ["threshold", "fpr", "tpr"],
-                [
-                    [float(t), float(f), float(tp)]
-                    for t, f, tp in zip(curve.thresholds, curve.fpr, curve.tpr)
-                ],
-            )
-    return aurocs
-
-
 def run_fewshot_roc(cfg: FewShotRocConfig) -> dict:
     out_dir = Path(cfg.out)
     old_train = ingest_feature_csv(cfg.old_features)
@@ -628,8 +588,38 @@ def run_fewshot_roc(cfg: FewShotRocConfig) -> dict:
     rows = []
     kernel_summaries = []
     for kernel_idx, spec in enumerate(cfg.kernels):
-        aurocs = _kernel_aurocs(cfg, kernel_idx, spec, old_norm, new_norm, neg_rows, pos_rows)
-        rows.extend({"kernel": spec.label, "seed": seed, "auroc": area} for seed, area in zip(cfg.seeds, aurocs))
+        centre_old = mean_combination(spec, old_norm)
+        # one probe per kernel keeps (phi(x), old centre) for the rows every
+        # seed's model scores; without an old_test table they are the centre's
+        # own support.  Without a new_test table the positives are the seed's
+        # unused training rows; they keep a per-seed evaluation, because a
+        # multi-threaded BLAS can round a row in the last place differently
+        # when the rows evaluated with it change.
+        negatives = CentredProbe(spec, centre_old, centre_old.support if neg_rows is None else neg_rows)
+        positives = None if pos_rows is None else CentredProbe(spec, centre_old, pos_rows)
+        aurocs = []
+        for seed_idx, seed in enumerate(cfg.seeds):
+            rng = np.random.default_rng(seed)
+            idx = rng.choice(n_new, size=cfg.shots, replace=False)
+            shots = new_norm[idx]
+            if pos_rows is None:
+                mask = np.ones(n_new, dtype=bool)
+                mask[idx] = False
+                positives = new_norm[mask]
+            model = fit_few_shot(spec, shots, centre_old)
+            curve = roc_curve(decision_values(model, positives), decision_values(model, negatives))
+            area = auroc(curve)
+            aurocs.append(area)
+            rows.append({"kernel": spec.label, "seed": seed, "auroc": area})
+            if seed_idx == 0:
+                write_csv_atomic(
+                    out_dir / f"roc_kernel{kernel_idx}_seed{seed}.csv",
+                    ["threshold", "fpr", "tpr"],
+                    [
+                        [float(t), float(f), float(tp)]
+                        for t, f, tp in zip(curve.thresholds, curve.fpr, curve.tpr)
+                    ],
+                )
         arr = np.asarray(aurocs)
         kernel_summaries.append(
             {
@@ -640,6 +630,8 @@ def run_fewshot_roc(cfg: FewShotRocConfig) -> dict:
                 "n_seeds": len(cfg.seeds),
             }
         )
+        # free this kernel's centre, probes and models before the next centre
+        del centre_old, negatives, positives, model, curve
 
     write_csv_atomic(
         out_dir / "auroc.csv",

@@ -25,9 +25,11 @@ product against it is then phi(y) . v, one feature row instead of a kernel
 row against the whole support, and (c, c) is v . v.  Gaussian kernels, and
 supports no larger than the feature dimension, stay on the kernel trick.
 
-A Gaussian combination keeps its support mean m and beta_j = w_j exp(-r_j),
-r_j = |s_j - m|^2 / 2 sigma, for (phi(x), c) = exp(-e) sum_j exp(u . s_j) beta_j
-with u = (x - m) / sigma and e = u . (x + m) / 2: one product and one exp.
+A Gaussian combination keeps its support mean m and, beside each support
+point s_j, r_j = |s_j - m|^2 / 2 sigma.  With u = (x - m) / sigma and
+e = u . (x + m) / 2, kappa(x, s_j) = exp(u . s_j - e - r_j), an exact identity
+with other round-off, so a block of rows against its support is one product
+[u, -e, -1] [S, 1, r]^T and one exp.
 """
 
 from __future__ import annotations
@@ -105,9 +107,9 @@ _SPLIT_ENTRIES = 1 << 24
 # Rows a BLAS matrix-vector product reduces together (OpenBLAS dgemv on x86).
 _ROW_GROUP = 4
 
-# Largest |e| and r of the factorised Gaussian row (module docstring), so no
-# exponent exceeds 600 < log(DBL_MAX); beyond it a block uses kernel_matrix.
-# A term flushes to 0 only when its kernel value is below exp(-445).
+# Largest |e| and r_j of the factorised Gaussian rows (module docstring): the
+# exponent u . s_j - e - r_j cancels terms this large, and its round-off grows
+# with them.  Beyond it a block uses the squared distances below.
 _EXP_RANGE = 300.0
 
 _KINDS = ("linear", "polynomial", "gaussian")
@@ -226,10 +228,28 @@ def eval_kernel(spec: KernelSpec, x, y) -> float:
 def kernel_matrix(spec: KernelSpec, X, Y) -> np.ndarray:
     """Evaluate kappa on all pairs: entry [i, j] = kappa(X[i], Y[j]).
 
-    For a Gaussian kernel kappa(x, x) = 1 exactly (see the bound below)."""
+    Y may be a FeatureCombination, for its support points; a Gaussian one
+    evaluates X from its factor when every |e| is within _EXP_RANGE (module
+    docstring).  Otherwise a Gaussian kappa(x, x) = 1 exactly (see the bound
+    below)."""
     Xa = as_points(X)
+    factor = None
+    if isinstance(Y, FeatureCombination):
+        _check_combo(spec, Y)
+        Y, factor = Y.support, Y._factor
     Ya = as_points(Y)
     _check_dims(Xa, Ya)
+    if factor is not None:
+        m, table = factor
+        u = Xa - m
+        e = np.einsum("ij,ij->i", u, Xa + m) / (2.0 * spec.sigma)
+        if np.abs(e).max() <= _EXP_RANGE:
+            rows = np.empty((Xa.shape[0], table.shape[1]))
+            np.divide(u, spec.sigma, out=rows[:, :-2])
+            rows[:, -2] = -e
+            rows[:, -1] = -1.0
+            out = rows @ table.T
+            return np.exp(out, out=out)
     if spec.kind == "gaussian":
         xs = np.einsum("ij,ij->i", Xa, Xa)
         ys = np.einsum("ij,ij->i", Ya, Ya)
@@ -288,8 +308,9 @@ class FeatureCombination:
     row or one kernel row instead of a full Gram evaluation.  Without a
     primal vector, ``_support_inner`` keeps (phi(s_j), c) for every support
     point s_j (inner_with_combo; CentredProbe reads it); Gaussian kappa(s_j, s_j) is 1.
-    ``_factor`` is (m, beta) of a Gaussian combination (module docstring), or
-    None, as when some r_j exceeds _EXP_RANGE.
+    ``_factor`` is (m, [S, 1, r]) of a Gaussian combination (module
+    docstring), whose first d columns are ``support``, or None, as when some
+    r_j exceeds _EXP_RANGE.
     """
 
     spec: KernelSpec
@@ -301,7 +322,9 @@ class FeatureCombination:
     _factor: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        support = as_points(self.support).copy()
+        points = as_points(self.support)
+        factor = _gaussian_factor(self.spec, points) if self.spec.kind == "gaussian" else None
+        support = points.copy() if factor is None else factor[1][:, : points.shape[1]]
         weights = np.asarray(self.weights, dtype=float).ravel().copy()
         if weights.size != support.shape[0]:
             raise ValueError(
@@ -311,9 +334,8 @@ class FeatureCombination:
         weights.setflags(write=False)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "weights", weights)
-        gaussian = self.spec.kind == "gaussian"
-        object.__setattr__(self, "_factor", _gaussian_factor(self.spec, support, weights) if gaussian else None)
-        if gaussian or poly_feature_dim(self.dim, self.spec.degree) >= self.size:
+        object.__setattr__(self, "_factor", factor)
+        if self.spec.kind == "gaussian" or poly_feature_dim(self.dim, self.spec.degree) >= self.size:
             object.__setattr__(self, "primal", None)
             wK = inner_with_combo(self.spec, support, self)
             wK.setflags(write=False)
@@ -342,12 +364,20 @@ class FeatureCombination:
         return self.support.shape[0]
 
 
-def _gaussian_factor(spec: KernelSpec, support: np.ndarray, weights: np.ndarray):
-    """FeatureCombination._factor of a Gaussian combination."""
-    m = support.mean(axis=0)
-    centred = support - m
+def _gaussian_factor(spec: KernelSpec, points: np.ndarray):
+    """FeatureCombination._factor of a Gaussian combination of the points."""
+    m = points.mean(axis=0)
+    table = np.empty((points.shape[0], points.shape[1] + 2))
+    # centred in the table's first columns: no second n x d temporary
+    centred = np.subtract(points, m, out=table[:, :-2])
     r = np.einsum("ij,ij->i", centred, centred) / (2.0 * spec.sigma)
-    return (m, weights * np.exp(-r)) if r.max() <= _EXP_RANGE else None
+    if not r.max() <= _EXP_RANGE:
+        return None
+    table[:, :-2] = points
+    table[:, -2] = 1.0
+    table[:, -1] = r
+    table.setflags(write=False)
+    return m, table
 
 
 def mean_combination(spec: KernelSpec, points) -> FeatureCombination:
@@ -382,26 +412,20 @@ def inner_with_combo(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
     width = c.size if c.primal is None else c.primal.size
 
     def fill(blocks):
-        # one buffer per thread for the factorised Gaussian blocks
-        rows = max((hi - lo for lo, hi in blocks), default=0)
-        scratch = None if c._factor is None else np.empty((rows + -rows % _ROW_GROUP, c.size))
         for lo, hi in blocks:
             # numpy reduces a lone row with a BLAS dot, and a BLAS matrix-vector
             # product sums a short last group of rows in another order than its
             # full groups, so the last row is repeated up to a whole group.  The
-            # product X @ S.T (u @ S.T) still rounds a row by the number of
+            # product X @ S.T in kernel_matrix still rounds a row by the number of
             # rows: TestRowBlocks checks block independence for its shapes only
             block = Xa[lo:hi]
             pad = -block.shape[0] % _ROW_GROUP
             if pad:
                 block = np.pad(block, ((0, pad), (0, 0)), mode="edge")
-            if c.primal is not None:
-                values = _feature_rows(block, spec.degree, spec.bias) @ c.primal
-            elif c._factor is not None and np.abs(e := _gaussian_exponent(spec, block, c)).max() <= _EXP_RANGE:
-                values = _gaussian_rows(spec, block, c, scratch[: block.shape[0]]) @ c._factor[1]
-                values *= np.exp(-e)
+            if c.primal is None:
+                values = kernel_matrix(spec, block, c) @ c.weights
             else:
-                values = kernel_matrix(spec, block, c.support) @ c.weights
+                values = _feature_rows(block, spec.degree, spec.bias) @ c.primal
             out[lo:hi] = values[: hi - lo]
 
     blocks = list(_row_blocks(Xa.shape[0], width))
@@ -428,18 +452,6 @@ def inner_with_combo(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
     if failed:
         raise failed[0]
     return out
-
-
-def _gaussian_exponent(spec: KernelSpec, X: np.ndarray, c: FeatureCombination) -> np.ndarray:
-    """e = u . (x + m) / 2 = (x - m) . (x + m) / 2 sigma for every row x of X."""
-    m = c._factor[0]
-    return np.einsum("ij,ij->i", X - m, X + m) / (2.0 * spec.sigma)
-
-
-def _gaussian_rows(spec: KernelSpec, X: np.ndarray, c: FeatureCombination, out: np.ndarray) -> np.ndarray:
-    """exp(u . s_j) for every row x of X and support point s_j of c, into out."""
-    np.matmul((X - c._factor[0]) / spec.sigma, c.support.T, out=out)
-    return np.exp(out, out=out)
 
 
 def _usable_cores() -> int:

@@ -322,14 +322,14 @@ class TestFewShotRocCommand:
         # without an old_test table the negatives are the old centre's own
         # support, whose column its construction summed
         pairs = Counter()
-        original = kernels._gaussian_rows
+        original = kernels.kernel_matrix
 
-        def recording(spec, X, c, out):
-            y = c.support.tobytes()
-            pairs.update((x.tobytes(), y) for x in X)
-            return original(spec, X, c, out)
+        def recording(spec, X, Y):
+            y = np.asarray(getattr(Y, "support", Y)).tobytes()
+            pairs.update((x.tobytes(), y) for x in np.asarray(X))
+            return original(spec, X, Y)
 
-        monkeypatch.setattr(kernels, "_gaussian_rows", recording)
+        monkeypatch.setattr(kernels, "kernel_matrix", recording)
         old_path, new_path = feature_files
         raw = {"kernels": [{"kind": "gaussian", "sigma": 0.5}], "old_features": str(old_path),
                "new_features": str(new_path), "shots": 5, "seeds": [3, 1], "out": str(tmp_path / "roc")}

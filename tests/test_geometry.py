@@ -357,14 +357,14 @@ class TestCentredProbe:
         }
         cfg = load_config("volume-ratio", config)
         rows = Counter()
-        original = kernels._gaussian_rows
+        original = kernels.kernel_matrix
 
-        def recording(spec, X, c, out):
-            if c.size == cfg.support_size:
+        def recording(spec, X, Y):
+            if len(getattr(Y, "support", Y)) == cfg.support_size:
                 rows.update(x.tobytes() for x in X)
-            return original(spec, X, c, out)
+            return original(spec, X, Y)
 
-        monkeypatch.setattr(kernels, "_gaussian_rows", recording)
+        monkeypatch.setattr(kernels, "kernel_matrix", recording)
         run_volume_ratio(cfg)
         domain = DomainSpec(cfg.domain, cfg.d, cfg.half_width)
         probe = sample_domain(domain, cfg.probe_size, spawn_seeds(cfg.seed, 2)[1]).points
@@ -516,18 +516,14 @@ class TestBlockedOrthogonality:
         n = 1025
         sample = sample_unit_ball(4, n, seed=9).points
         evals = []
+        original = kernels.kernel_matrix
 
-        def counting(original):
-            def count(*args):
-                K = original(*args)
-                evals.append(K.size)
-                return K
+        def counting(spec, X, Y):
+            K = original(spec, X, Y)
+            evals.append(K.size)
+            return K
 
-            return count
-
-        # the mean's rows are factorised Gaussian rows, the pair blocks kernel_matrix
-        for name in ("_gaussian_rows", "kernel_matrix"):
-            monkeypatch.setattr(kernels, name, counting(getattr(kernels, name)))
+        monkeypatch.setattr(kernels, "kernel_matrix", counting)
         orthogonality_stats(gaussian_kernel(0.5), sample)
         pad = sum(-(hi - lo) % kernels._ROW_GROUP for lo, hi in kernels._row_blocks(n, n))
         assert 0 < pad < kernels._ROW_GROUP

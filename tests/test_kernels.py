@@ -671,7 +671,7 @@ class TestBlockedComboInner:
         A, B = (FeatureCombination(spec, rng.uniform(-1, 1, size=(m, d)), rng.normal(size=m)) for m in sizes)
         assert A.primal is None and B.primal is None
         want = float(A.weights @ kernel_matrix(spec, A.support, B.support) @ B.weights)
-        shapes = recording(monkeypatch, row_seam(spec))
+        shapes = recording(monkeypatch, "kernel_matrix")
         got = combo_inner(spec, A, B)
         assert shapes
         assert all(min(shape) <= ROW_BLOCK + 1 for shape in shapes), shapes
@@ -690,7 +690,7 @@ class TestCentredProbeSupportColumn:
     def test_own_support_read_without_kernel_evaluations(self, monkeypatch, spec, d):
         c = mean_combination(spec, np.random.default_rng(48).uniform(-1, 1, size=(300, d)))
         assert c.primal is None
-        shapes = recording(monkeypatch, row_seam(spec))
+        shapes = recording(monkeypatch, "kernel_matrix")
         got = CentredProbe(spec, c, c.support).centre_inner
         assert shapes == []
         # an equal copy of the support is other rows: evaluated, to the same bits
@@ -792,13 +792,6 @@ def block_rows(width):
     return min(ROW_BLOCK, max(group, kernels._BLOCK_ENTRIES // width // group * group))
 
 
-def row_seam(spec):
-    """The kernels function that evaluates each block of kernel rows against a
-    combination without a primal vector: for a Gaussian kernel within
-    _EXP_RANGE, the factorised rows exp(u . s_j)."""
-    return "_gaussian_rows" if spec.kind == "gaussian" else "kernel_matrix"
-
-
 def recording(monkeypatch, name):
     """Replace kernels.<name> with a wrapper that records each result's shape."""
     shapes = []
@@ -842,7 +835,7 @@ class TestRowBlocksByWidth:
         spec = gaussian_kernel(0.5)
         rng = np.random.default_rng(40)
         c = mean_combination(spec, rng.uniform(-1, 1, size=(n_support, 5)))
-        shapes = recording(monkeypatch, "_gaussian_rows")
+        shapes = recording(monkeypatch, "kernel_matrix")
         rows = block_rows(n_support)
         for n in self.N_ROWS:
             shapes.clear()
@@ -875,7 +868,7 @@ class TestRowBlocksByWidth:
         # blocks of support rows against the whole support, as inner_with_combo
         # evaluates them: no support x support matrix
         S = np.random.default_rng(42).uniform(-1, 1, size=(n_support, 5))
-        shapes = recording(monkeypatch, "_gaussian_rows")
+        shapes = recording(monkeypatch, "kernel_matrix")
         mean_combination(gaussian_kernel(0.5), S)
         assert shapes[0] == (min(block_rows(n_support), n_support + -n_support % kernels._ROW_GROUP), n_support)
         assert {cols for _, cols in shapes} == {n_support}
@@ -926,7 +919,7 @@ class TestSplitRows:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
     @staticmethod
-    def threads_of(monkeypatch, name="_gaussian_rows"):
+    def threads_of(monkeypatch, name="kernel_matrix"):
         """Replace kernels.<name> with a wrapper that records the thread of
         every call."""
         idents = []
@@ -1028,10 +1021,17 @@ class TestSplitRows:
         assert np.isinf(got[-5:]).all() and np.isfinite(got[:-5]).all()
 
 
+def exponents(c, X):
+    """e = (x - m) . (x + m) / 2 sigma of every row x against the combination
+    c, whose factorised rows are taken only within _EXP_RANGE."""
+    m = c._factor[0]
+    return np.einsum("ij,ij->i", X - m, X + m) / (2.0 * c.spec.sigma)
+
+
 class TestGaussianRowFactor:
-    """Rows against a Gaussian combination are exp(-e) exp(u . s_j) beta_j
-    (kernels module docstring) within _EXP_RANGE, and kernel_matrix rows
-    beyond it; the dense kernel_matrix(X, S) @ w is the reference."""
+    """kernel_matrix(spec, X, c) against a Gaussian combination is
+    exp(u . s_j - e - r_j) (kernels module docstring) within _EXP_RANGE, and
+    the squared-distance rows of kernel_matrix(spec, X, c.support) beyond it."""
 
     @pytest.mark.parametrize("offset", [0.0, 10.0])
     @pytest.mark.parametrize("d", [3, 32])
@@ -1044,36 +1044,36 @@ class TestGaussianRowFactor:
         w = rng.uniform(0.5, 1.0, size=300)
         X = offset + rng.uniform(-1.5, 1.5, size=(201, d))
         c = FeatureCombination(gaussian_kernel(sigma), S, w)
-        want = kernel_matrix(c.spec, X, S) @ w
-        np.testing.assert_allclose(inner_with_combo(c.spec, X, c), want, rtol=1e-12, atol=0.0)
+        assert np.array_equal(c.support, S) and not c.support.flags.writeable
+        want = kernel_matrix(c.spec, X, S)
+        np.testing.assert_allclose(kernel_matrix(c.spec, X, c), want, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(inner_with_combo(c.spec, X, c), want @ w, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(c._support_inner, kernel_matrix(c.spec, S, S) @ w, rtol=1e-12, atol=0.0)
+        with pytest.raises(ValueError, match="spec mismatch"):
+            kernel_matrix(gaussian_kernel(2 * sigma), X, c)
 
-    def test_rows_beyond_the_guard_keep_kernel_matrix_bits(self, monkeypatch):
+    def test_rows_beyond_the_guard_keep_kernel_matrix_bits(self):
         spec = gaussian_kernel(0.5)
         rng = np.random.default_rng(61)
         S = rng.uniform(-1, 1, size=(1000, 5))
         c = mean_combination(spec, S)
         X = rng.uniform(-1, 1, size=(64, 5))  # one block of whole groups
-        e = kernels._gaussian_exponent(spec, X, c)
-        assert np.abs(e).max() <= kernels._EXP_RANGE
+        assert np.abs(exponents(c, X)).max() <= kernels._EXP_RANGE
         X[-1] *= 30.0  # one far row moves its whole block
-        assert np.abs(kernels._gaussian_exponent(spec, X, c)).max() > kernels._EXP_RANGE
-        calls = recording(monkeypatch, "_gaussian_rows")
+        assert np.abs(exponents(c, X)).max() > kernels._EXP_RANGE
+        np.testing.assert_array_equal(kernel_matrix(spec, X, c), kernel_matrix(spec, X, S))
         np.testing.assert_array_equal(inner_with_combo(spec, X, c), kernel_matrix(spec, X, S) @ c.weights)
-        assert calls == []
 
     @pytest.mark.parametrize("sigma", [1e-3, 1e-300])
-    def test_wide_support_keeps_kernel_matrix_bits(self, monkeypatch, sigma):
+    def test_wide_support_keeps_kernel_matrix_bits(self, sigma):
         spec = gaussian_kernel(sigma)
         rng = np.random.default_rng(62)
         S = rng.uniform(-1, 1, size=(40, 3))
         c = FeatureCombination(spec, S, rng.normal(size=40))
         assert c._factor is None
         X = np.vstack([S[:20], rng.uniform(-1, 1, size=(44, 3))])
-        calls = recording(monkeypatch, "_gaussian_rows")
         np.testing.assert_array_equal(inner_with_combo(spec, X, c), kernel_matrix(spec, X, S) @ c.weights)
         assert c.self_inner == float(c.weights @ kernel_matrix(spec, S, S) @ c.weights)
-        assert calls == []
 
     @pytest.mark.parametrize("d", [3, 32])
     def test_split_matches_serial_bits(self, monkeypatch, d):
@@ -1099,4 +1099,5 @@ class TestGaussianRowFactor:
         for x in rng.uniform(-3, 3, size=(20, 6)):
             c = singleton_combination(gaussian_kernel(0.3), x)
             assert c._factor is not None
+            assert kernel_matrix(c.spec, x, c)[0, 0] == 1.0
             assert inner_with_combo(c.spec, np.vstack([x, x + 1.0]), c)[0] == 1.0
