@@ -160,6 +160,7 @@ def empirical_probability_functions(
         for r in range(hi - lo):
             pair_inners[start : start + n - lo - r - 1] = C[r, r + 1 :]
             start += n - lo - r - 1
+        del C
     norms_new = np.sqrt(_clamp_sq(sq_new, f"{spec.label} centered squared norm"))
     # in place, so the n(n-1)/2 knots exist once
     pair_inners.sort()
@@ -200,13 +201,16 @@ def new_class_margin(theta: float, dist_sq: float, a, b, gamma, epsilon):
 def old_class_margin(theta: float, dist_sq: float, a, beta, gamma, epsilon):
     """Projection level below which old-class points are certainly passed on:
 
-    theta + (1 - 1/gamma) dist_sq - (epsilon + gamma - 2)/2 * a^2 - beta^2/(2 epsilon)
+    theta + (1 - 1/gamma) dist_sq - (epsilon + 2 gamma - 2)_+/2 * a^2 - beta^2/(2 epsilon)
+
+    by new_class_margin's Young steps on the decision value sep_old(z) - dist_sq
+    + (phi(z) - c_old, e) - 2 (c_new - c_old, e) - |e|^2, e = mu - c_new.
     """
     a, beta, gamma, epsilon = _tradeoff_arrays(a, beta, gamma, epsilon)
     out = (
         theta
         + (1.0 - 1.0 / gamma) * dist_sq
-        - (epsilon + gamma - 2.0) / 2.0 * a**2
+        - np.maximum(epsilon + 2.0 * gamma - 2.0, 0.0) / 2.0 * a**2
         - beta**2 / (2.0 * epsilon)
     )
     return float(out) if np.ndim(out) == 0 else out

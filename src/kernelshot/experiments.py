@@ -576,6 +576,10 @@ def run_fewshot_roc(cfg: FewShotRocConfig) -> dict:
         raise DataError(f"{old_train.source}, {new_train.source}: {exc}") from exc
     neg_rows = transform.apply(old_test.rows) if old_test is not None else None
     pos_rows = transform.apply(new_test.rows) if new_test is not None else None
+    tables = {"old_features": old_train, "new_features": new_train, "old_test": old_test, "new_test": new_test}
+    sources = {k: {"path": t.source, "checksum": t.checksum} if t else None for k, t in tables.items()}
+    # only the normalised rows are used below: free the ingested ones
+    del old_train, new_train, old_test, new_test, tables
     n_new = new_norm.shape[0]
     if pos_rows is None and cfg.shots >= n_new:
         raise ConfigError(
@@ -642,12 +646,7 @@ def run_fewshot_roc(cfg: FewShotRocConfig) -> dict:
         "normalisation": {"scale": transform.scale, "max_norm_rule": "union-of-training-tables"},
         "per_seed": rows,
         "summary": kernel_summaries,
-        "sources": {
-            "old_features": {"path": old_train.source, "checksum": old_train.checksum},
-            "new_features": {"path": new_train.source, "checksum": new_train.checksum},
-            "old_test": {"path": old_test.source, "checksum": old_test.checksum} if old_test else None,
-            "new_test": {"path": new_test.source, "checksum": new_test.checksum} if new_test else None,
-        },
+        "sources": sources,
     }
     return _report(out_dir, cfg, results, list(cfg.seeds))
 

@@ -263,18 +263,20 @@ def orthogonality_stats(spec: KernelSpec, sample) -> OrthogonalityStats:
     sum_cos_sq = 0.0
     sum_abs = 0.0
     # bottom-up blocks: the norms of rows lo: are known when block lo arrives.
-    # mu's support is the sample itself, so its own column is read (CentredProbe)
+    # mu's support is the sample itself, so its column and factor are read
     for lo, hi, C in _centered_pair_blocks(spec, mu.support, mu):
         norms[lo:hi] = np.sqrt(_clamp_sq(np.diagonal(C), f"{spec.label} centered squared norm"))
         np.divide(1.0, norms[lo:hi], out=inv[lo:hi], where=norms[lo:hi] > 0.0)
         C *= inv[lo:hi, None]
         C *= inv[None, lo:]
         # keep the pairs i < j: the strict upper triangle of the block
-        C[:, : hi - lo] = np.triu(C[:, : hi - lo], 1)
+        for r in range(hi - lo):
+            C[r, : r + 1] = 0.0
         sum_cos += float(C.sum())
         flat = C.ravel()
         sum_cos_sq += float(flat @ flat)
         sum_abs += float(np.abs(flat, out=flat).sum())
+        del C, flat
     valid = int(np.count_nonzero(norms > 0.0))
     count = valid * (valid - 1) // 2
     if count == 0:

@@ -28,8 +28,8 @@ supports no larger than the feature dimension, stay on the kernel trick.
 A Gaussian combination keeps its support mean m and, beside each support
 point s_j, r_j = |s_j - m|^2 / 2 sigma.  With u = (x - m) / sigma and
 e = u . (x + m) / 2, kappa(x, s_j) = exp(u . s_j - e - r_j), an exact identity
-with other round-off, so a block of rows against its support is one product
-[u, -e, -1] [S, 1, r]^T and one exp.
+with other round-off, so a block of rows against its support (or its rows lo:)
+is one product [u, -e, -1] [S, 1, r]^T and one exp.
 """
 
 from __future__ import annotations
@@ -85,11 +85,9 @@ SQ_NORM_TOL = 1e-9
 
 DEFAULT_FEATURE_DIM_CAP = 10**6
 
-# Most rows evaluated at a time on every blocked path (feature rows, kernel
-# rows against a support, centred pair blocks), so scratch memory is at most
-# ROW_BLOCK x the feature dimension, the support size or n, whatever the
-# number of rows.  Rows against a combination's support are further bounded
-# by _BLOCK_ENTRIES (see _row_blocks).
+# Most rows evaluated at a time on every blocked path, so scratch memory is
+# at most ROW_BLOCK x the feature dimension, the support size or n.  Rows
+# against a support are further bounded by _BLOCK_ENTRIES (_row_blocks).
 ROW_BLOCK = 512
 
 # Entries (float64, 512 KB) in one block of rows against a support: a wide
@@ -228,16 +226,16 @@ def eval_kernel(spec: KernelSpec, x, y) -> float:
 def kernel_matrix(spec: KernelSpec, X, Y) -> np.ndarray:
     """Evaluate kappa on all pairs: entry [i, j] = kappa(X[i], Y[j]).
 
-    Y may be a FeatureCombination, for its support points; a Gaussian one
-    evaluates X from its factor when every |e| is within _EXP_RANGE (module
-    docstring).  Otherwise a Gaussian kappa(x, x) = 1 exactly (see the bound
-    below)."""
+    Y may be a FeatureCombination or its _Factor (cut to rows lo:), for the
+    support points; a factor evaluates X when every |e| is within
+    _EXP_RANGE (module docstring).  Otherwise a Gaussian kappa(x, x) = 1
+    exactly (see the bound below)."""
     Xa = as_points(X)
-    factor = None
     if isinstance(Y, FeatureCombination):
         _check_combo(spec, Y)
-        Y, factor = Y.support, Y._factor
-    Ya = as_points(Y)
+        Y = Y._factor or Y.support
+    factor = Y if isinstance(Y, _Factor) else None
+    Ya = as_points(Y if factor is None else factor.table[:, :-2])
     _check_dims(Xa, Ya)
     if factor is not None:
         m, table = factor
@@ -305,12 +303,11 @@ class FeatureCombination:
     dimension is below the support size, else None.  ``self_inner`` caches
     (c, c): primal . primal when there is a primal vector, otherwise the
     weighted Gram double sum, so repeated probes against c cost one feature
-    row or one kernel row instead of a full Gram evaluation.  Without a
-    primal vector, ``_support_inner`` keeps (phi(s_j), c) for every support
-    point s_j (inner_with_combo; CentredProbe reads it); Gaussian kappa(s_j, s_j) is 1.
-    ``_factor`` is (m, [S, 1, r]) of a Gaussian combination (module
-    docstring), whose first d columns are ``support``, or None, as when some
-    r_j exceeds _EXP_RANGE.
+    row or one kernel row.  Without a primal vector, ``_support_inner`` keeps
+    (phi(s_j), c) for every support point s_j (inner_with_combo; CentredProbe
+    reads it); Gaussian kappa(s_j, s_j) is 1.  ``_factor`` is the _Factor
+    (m, [S, 1, r]) of a Gaussian combination, its first d columns
+    ``support``, or None if some r_j exceeds _EXP_RANGE.
     """
 
     spec: KernelSpec
@@ -319,7 +316,7 @@ class FeatureCombination:
     primal: np.ndarray | None = field(init=False)
     self_inner: float = field(init=False)
     _support_inner: np.ndarray | None = field(init=False, repr=False)
-    _factor: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False)
+    _factor: _Factor | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         points = as_points(self.support)
@@ -364,6 +361,11 @@ class FeatureCombination:
         return self.support.shape[0]
 
 
+class _Factor(NamedTuple):
+    m: np.ndarray
+    table: np.ndarray
+
+
 def _gaussian_factor(spec: KernelSpec, points: np.ndarray):
     """FeatureCombination._factor of a Gaussian combination of the points."""
     m = points.mean(axis=0)
@@ -377,7 +379,7 @@ def _gaussian_factor(spec: KernelSpec, points: np.ndarray):
     table[:, -2] = 1.0
     table[:, -1] = r
     table.setflags(write=False)
-    return m, table
+    return _Factor(m, table)
 
 
 def mean_combination(spec: KernelSpec, points) -> FeatureCombination:
@@ -413,11 +415,10 @@ def inner_with_combo(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
 
     def fill(blocks):
         for lo, hi in blocks:
-            # numpy reduces a lone row with a BLAS dot, and a BLAS matrix-vector
-            # product sums a short last group of rows in another order than its
-            # full groups, so the last row is repeated up to a whole group.  The
-            # product X @ S.T in kernel_matrix still rounds a row by the number of
-            # rows: TestRowBlocks checks block independence for its shapes only
+            # numpy reduces a lone row with a BLAS dot, and BLAS dgemv sums a
+            # short last group of rows in another order, so the last row is
+            # repeated up to a whole group.  dgemm still rounds a row by the
+            # block's row count: TestRowBlocks checks its shapes only
             block = Xa[lo:hi]
             pad = -block.shape[0] % _ROW_GROUP
             if pad:
@@ -537,24 +538,24 @@ def centered_gram(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
 
 
 def _centered_pair_blocks(spec: KernelSpec, X, c: FeatureCombination):
-    """Yield (lo, hi, C[lo:hi, lo:]) of C = centered_gram(spec, X, c).
-
-    Blocks of ROW_BLOCK rows over the upper block-triangle, from the last
-    block to the first, so that the diagonal of every row after hi has been
-    yielded before block lo.  Entry [i, j - lo] is (phi(x_i) - c, phi(x_j) - c)
-    in centered_gram's operation order, and the diagonal entries carry the
-    centred squared norms, for a Gaussian kernel from kappa(x, x) = 1 exactly
-    (kernel_matrix).  Scratch memory is one block, ROW_BLOCK x n.
-    X may be a CentredProbe on (spec, c), whose column (phi(x_i), c) is read.
+    """Yield (lo, hi, C), C[i - lo, j - lo] = (phi(x_i) - c, phi(x_j) - c) for
+    rows i in lo:hi and j in lo:, in blocks of ROW_BLOCK rows from the last,
+    so rows after hi have been yielded before block lo.  X may be a
+    CentredProbe on (spec, c); rows that are c's support are read from
+    c._factor.  A Gaussian kappa(x_i, x_i) is 1 exactly.
     """
     probe = _probe(spec, c, X)
     Xa, a = probe.points, probe.centre_inner
+    own = c._factor if Xa is c.support else None
     for lo, hi in reversed(list(_row_blocks(Xa.shape[0]))):
-        C = kernel_matrix(spec, Xa[lo:hi], Xa[lo:])
+        C = kernel_matrix(spec, Xa[lo:hi], _Factor(own.m, own.table[lo:]) if own else Xa[lo:])
+        if own:
+            np.fill_diagonal(C, 1.0)
         C -= a[lo:hi, None]
         C -= a[None, lo:]
         C += c.self_inner
         yield lo, hi, C
+        del C  # before the next block is built
 
 
 def combo_inner(spec: KernelSpec, A: FeatureCombination, B: FeatureCombination) -> float:
@@ -689,7 +690,7 @@ def _row_blocks(n: int, width: int = 1):
     ROW_BLOCK.  With the default width, blocks have ROW_BLOCK rows.
     A last block of a single row is folded into the one before it: numpy
     evaluates a one-row product with another BLAS routine, which rounds
-    differently, so several rows never leave a lone row behind.
+    differently.
     """
     rows = min(ROW_BLOCK, max(_ROW_GROUP, _BLOCK_ENTRIES // width // _ROW_GROUP * _ROW_GROUP))
     starts = list(range(0, n, rows))

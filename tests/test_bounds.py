@@ -290,6 +290,25 @@ class TestMargins:
             0.5 + 4.0 - 0.25, abs=1e-6
         )
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        theta=st.floats(-10.0, 10.0),
+        dist_sq=st.floats(0.0, 100.0),
+        a=st.floats(0.0, 1e3),
+        da=st.floats(0.0, 1e3),
+        r=st.floats(0.0, 1e3),
+        gamma=st.floats(1e-3, 1e3),
+        epsilon=st.floats(1e-3, 1e3),
+    )
+    def test_margins_below_the_zero_error_threshold(self, theta, dist_sq, a, da, r, gamma, epsilon):
+        # with mu = c_new (e = 0) a new point is accepted iff sep_new(x) <= -theta
+        # and an old one passed on iff sep_old(z) < theta + dist_sq; a larger
+        # bound a on |e| can only make the certain region smaller
+        new = [new_class_margin(theta, dist_sq, v, r, gamma, epsilon) for v in (a, a + da)]
+        old = [old_class_margin(theta, dist_sq, v, r, gamma, epsilon) for v in (a, a + da)]
+        assert new[0] <= -theta and old[0] <= theta + dist_sq
+        assert new[1] <= new[0] and old[1] <= old[0]
+
     def test_positivity_validation(self):
         with pytest.raises(ValueError):
             new_class_margin(0.0, 1.0, 0.0, 0.0, 0.0, 1.0)

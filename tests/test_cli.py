@@ -233,6 +233,27 @@ class TestBoundsCommand:
         second = json.loads((tmp_path / "b2" / "report.json").read_text())
         assert second["results"] == report["results"]
 
+    def test_old_class_bound_holds_for_close_classes(self, tmp_path):
+        # at distance 1 and theta -1 about 40% of old points are misclassified,
+        # so the old-class bracket must not be [1, 1]
+        config = {
+            "kernel": {"kind": "linear", "bias": 0.0},
+            "d": 20,
+            "centre_distance": 1.0,
+            "reference_size": 1000,
+            "refits": 20,
+            "draws": 2000,
+            "theta_grid": [-1.0, 0.0],
+            "seed": 1,
+            "out": str(tmp_path / "b"),
+        }
+        assert main(["bounds", "--config", write_config(tmp_path / "c.json", config)]) == 0
+        report = json.loads((tmp_path / "b" / "report.json").read_text())
+        results = report["results"]["theta_results"]
+        assert results[0]["mc"]["old_class"]["estimate"] < 0.9
+        for entry in results:
+            assert entry["sandwich"] == {"new_class": True, "old_class": True}
+
     def test_genuine_bound_inversion_exits_4(self, tmp_path, capsys):
         # two shots on tight well-separated data expose the inconsistent
         # symmetric upper bound; the CLI must surface it as a numeric failure
@@ -317,6 +338,16 @@ class TestFewShotRocCommand:
                     written = read_csv(tmp_path / "roc" / f"roc_kernel{kernel_idx}_seed{seed}.csv")
                     assert [float(r["threshold"]) for r in written] == curve.thresholds.tolist()
         assert [r["auroc"] for r in report["results"]["per_seed"]] == want
+        # the ingested tables are freed before the kernels run; their sources stay
+        old_source = (str(old_path), ingest_feature_csv(old_path).checksum)
+        new_source = (str(new_path), ingest_feature_csv(new_path).checksum)
+        sources = {k: v and (v["path"], v["checksum"]) for k, v in report["results"]["sources"].items()}
+        assert sources == {
+            "old_features": old_source,
+            "new_features": new_source,
+            "old_test": old_source if test_tables else None,
+            "new_test": new_source if test_tables else None,
+        }
 
     def test_old_rows_evaluated_once_against_the_old_centre(self, tmp_path, feature_files, monkeypatch):
         # without an old_test table the negatives are the old centre's own

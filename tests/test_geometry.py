@@ -542,6 +542,15 @@ class TestOrthogonalityMemory:
         _, peak = traced_peak(lambda: orthogonality_stats(spec, sample))
         assert peak < n * n * 8
 
+    @pytest.mark.parametrize("spec", [gaussian_kernel(0.5), polynomial_kernel(2, 1.0), LINEAR], ids=lambda s: s.label)
+    def test_one_pair_block_alive_at_a_time(self, spec):
+        # each block is freed before the next kernel_matrix call, and a
+        # Gaussian block on the sample's own mean is one product buffer
+        n = 3000
+        sample = np.random.default_rng(45).uniform(-1, 1, size=(n, 20))
+        _, peak = traced_peak(lambda: orthogonality_stats(spec, sample))
+        assert peak < 1.5 * kernels.ROW_BLOCK * n * 8
+
 
 class TestAnalyticForms:
     def test_linear_ball_ratio(self):

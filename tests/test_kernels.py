@@ -1101,3 +1101,77 @@ class TestGaussianRowFactor:
             assert c._factor is not None
             assert kernel_matrix(c.spec, x, c)[0, 0] == 1.0
             assert inner_with_combo(c.spec, np.vstack([x, x + 1.0]), c)[0] == 1.0
+
+
+def dense_pair_blocks(spec, X, c):
+    """(lo, hi, C) of _centered_pair_blocks from kernel_matrix on the rows as
+    plain arrays: the squared-distance entries, centred in the same order."""
+    a = inner_with_combo(spec, X, c)
+    for lo, hi in reversed(list(_row_blocks(X.shape[0]))):
+        C = kernel_matrix(spec, X[lo:hi], X[lo:])
+        C -= a[lo:hi, None]
+        C -= a[None, lo:]
+        C += c.self_inner
+        yield lo, hi, C
+
+
+class TestGaussianPairFactor:
+    """Pair blocks on a Gaussian combination's own support are read from its
+    factor (kernels module docstring) with kappa(x_i, x_i) = 1 set exactly;
+    other rows, and factors beyond _EXP_RANGE, keep the squared distances."""
+
+    @pytest.mark.parametrize("offset", [0.0, 10.0])
+    @pytest.mark.parametrize("d", [3, 32])
+    @pytest.mark.parametrize("sigma", [0.1, 0.5, 4.0])
+    def test_matches_centered_gram(self, monkeypatch, sigma, d, offset):
+        monkeypatch.setattr(kernels, "ROW_BLOCK", 64)
+        rng = np.random.default_rng(70)
+        S = offset + rng.uniform(-1, 1, size=(201, d))
+        c = FeatureCombination(gaussian_kernel(sigma), S, rng.uniform(0.5, 1.0, size=201))
+        want = centered_gram(c.spec, S, c)
+        a = c._support_inner
+        for lo, hi, C in _centered_pair_blocks(c.spec, c.support, c):
+            np.testing.assert_allclose(C, want[lo:hi, lo:], rtol=1e-12, atol=0.0)
+            np.testing.assert_array_equal(np.diagonal(C), (1.0 - a[lo:hi]) - a[lo:hi] + c.self_inner)
+
+    def test_block_beyond_the_guard_keeps_its_bits(self, monkeypatch):
+        monkeypatch.setattr(kernels, "ROW_BLOCK", 64)
+        spec = gaussian_kernel(0.5)
+        rng = np.random.default_rng(71)
+        S = rng.uniform(-0.1, 0.1, size=(300, 5))
+        S[:, 0] += 100.0
+        S[-5:, 0] += 2.0  # |e| about 400 in the last block only
+        c = mean_combination(spec, S)
+        beyond = [np.abs(exponents(c, S[lo:hi])).max() > kernels._EXP_RANGE for lo, hi in _row_blocks(300)]
+        assert c._factor is not None and beyond == [False] * 4 + [True]
+        (lo, _, C), (_, _, want) = next(zip(_centered_pair_blocks(spec, c.support, c), dense_pair_blocks(spec, c.support, c)))
+        assert lo == 256
+        np.testing.assert_array_equal(C, want)
+
+    @pytest.mark.parametrize("rows", ["wide support", "not the support"])
+    def test_squared_distance_blocks_keep_their_bits(self, rows):
+        rng = np.random.default_rng(72)
+        S = rng.uniform(-1, 1, size=(600, 4))
+        c = mean_combination(gaussian_kernel(1e-3 if rows == "wide support" else 0.5), S)
+        assert (c._factor is None) == (rows == "wide support")
+        X = c.support if rows == "wide support" else c.support.copy()
+        for (lo, hi, C), (_, _, want) in zip(_centered_pair_blocks(c.spec, X, c), dense_pair_blocks(c.spec, X, c)):
+            np.testing.assert_array_equal(C, want)
+
+    def test_kernel_matrix_counts_the_upper_block_triangle(self, monkeypatch):
+        spec = gaussian_kernel(0.5)
+        n = 1025
+        c = mean_combination(spec, np.random.default_rng(73).uniform(-1, 1, size=(n, 6)))
+        evals = []
+        original = kernels.kernel_matrix
+
+        def counting(spec, X, Y):
+            assert isinstance(Y, kernels._Factor)
+            K = original(spec, X, Y)
+            evals.append(K.size)
+            return K
+
+        monkeypatch.setattr(kernels, "kernel_matrix", counting)
+        blocks = [(lo, hi) for lo, hi, _ in _centered_pair_blocks(spec, c.support, c)]
+        assert blocks == [(512, 1025), (0, 512)]
+        assert sum(evals) == sum((hi - lo) * (n - lo) for lo, hi in blocks)
