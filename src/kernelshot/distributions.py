@@ -35,8 +35,7 @@ class DomainSpec:
             raise ValueError(f"unknown domain kind {self.kind!r}")
         if int(self.dim) != self.dim or self.dim < 1:
             raise ValueError(f"dim must be a positive integer, got {self.dim}")
-        if self.half_width <= 0:
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
+        _check_half_width(self.half_width)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,6 +79,11 @@ def _check_counts(d: int, n: int) -> None:
         raise ValueError(f"n must be a positive integer, got {n}")
 
 
+def _check_half_width(half_width: float) -> None:
+    if not (half_width > 0 and math.isfinite(half_width)):
+        raise ValueError(f"half_width must be positive and finite, got {half_width}")
+
+
 def sample_unit_ball(d: int, n: int, seed: int) -> Sample:
     """n i.i.d. points uniform in the closed unit ball of R^d.
 
@@ -103,8 +107,7 @@ def sample_unit_ball(d: int, n: int, seed: int) -> Sample:
 def sample_cube(d: int, half_width: float, n: int, seed: int) -> Sample:
     """n i.i.d. points uniform in the cube [-half_width, half_width]^d."""
     _check_counts(d, n)
-    if half_width <= 0:
-        raise ValueError(f"half_width must be positive, got {half_width}")
+    _check_half_width(half_width)
     rng = np.random.default_rng(seed)
     return Sample._adopt(rng.uniform(-half_width, half_width, size=(n, d)), seed)
 
@@ -123,8 +126,7 @@ def cube_moments(m, half_width: float) -> float:
     exponents = tuple(int(v) for v in m)
     if any(v < 0 for v in exponents):
         raise ValueError(f"multi-index components must be non-negative, got {exponents}")
-    if half_width <= 0:
-        raise ValueError(f"half_width must be positive, got {half_width}")
+    _check_half_width(half_width)
     if any(v % 2 for v in exponents):
         return 0.0
     denom = math.prod(v + 1 for v in exponents)

@@ -96,11 +96,19 @@ ROW_BLOCK = 512
 _BLOCK_ENTRIES = 1 << 16
 
 # Entries (rows x support size) from which one kernel-trick inner_with_combo
-# call splits its row blocks between two threads.  A worker thread leaves
-# about 1 MB of allocator arena resident for the rest of the process, so only
-# calls this large (such as 1e5 Monte-Carlo probes against 1000 support
-# points) gain.  Primal centres never split: feature-row blocks hold the GIL.
+# call splits its row blocks between two threads.  The split pays off because
+# a block's work releases the GIL: a product, an exp and a matrix-vector
+# product, with a Gaussian factor's rows formed once per chunk of blocks
+# (_CHUNK_ENTRIES).  A worker thread leaves about 1 MB of allocator arena
+# resident for the rest of the process, so only calls this large (such as 1e5
+# Monte-Carlo probes against 1000 support points) gain.  Primal centres never
+# split: feature-row blocks hold the GIL.
 _SPLIT_ENTRIES = 1 << 24
+
+# Entries (float64, 128 KB) of the factorised Gaussian rows [u, -e, -1] that
+# inner_with_combo forms at a time, in whole row blocks (at least one): the
+# small numpy calls that form them hold the GIL, and run once per chunk.
+_CHUNK_ENTRIES = 1 << 14
 
 # Rows a BLAS matrix-vector product reduces together (OpenBLAS dgemv on x86).
 _ROW_GROUP = 4
@@ -228,25 +236,19 @@ def kernel_matrix(spec: KernelSpec, X, Y) -> np.ndarray:
 
     Y may be a FeatureCombination or its _Factor (cut to rows lo:), for the
     support points; a factor evaluates X when every |e| is within
-    _EXP_RANGE (module docstring).  Otherwise a Gaussian kappa(x, x) = 1
-    exactly (see the bound below)."""
+    _EXP_RANGE (module docstring), or from the rows it carries.  Otherwise
+    a Gaussian kappa(x, x) = 1 exactly (see the bound below)."""
     Xa = as_points(X)
     if isinstance(Y, FeatureCombination):
         _check_combo(spec, Y)
         Y = Y._factor or Y.support
     factor = Y if isinstance(Y, _Factor) else None
-    Ya = as_points(Y if factor is None else factor.table[:, :-2])
+    Ya = as_points(Y if factor is None else factor.support)
     _check_dims(Xa, Ya)
     if factor is not None:
-        m, table = factor
-        u = Xa - m
-        e = np.einsum("ij,ij->i", u, Xa + m) / (2.0 * spec.sigma)
-        if np.abs(e).max() <= _EXP_RANGE:
-            rows = np.empty((Xa.shape[0], table.shape[1]))
-            np.divide(u, spec.sigma, out=rows[:, :-2])
-            rows[:, -2] = -e
-            rows[:, -1] = -1.0
-            out = rows @ table.T
+        rows = _factor_rows(spec, factor.m, Xa) if factor.rows is None else factor.rows
+        if factor.rows is not None or np.abs(rows[:, -2]).max() <= _EXP_RANGE:
+            out = rows @ factor.table.T
             return np.exp(out, out=out)
     if spec.kind == "gaussian":
         xs = np.einsum("ij,ij->i", Xa, Xa)
@@ -321,7 +323,7 @@ class FeatureCombination:
     def __post_init__(self) -> None:
         points = as_points(self.support)
         factor = _gaussian_factor(self.spec, points) if self.spec.kind == "gaussian" else None
-        support = points.copy() if factor is None else factor[1][:, : points.shape[1]]
+        support = points.copy() if factor is None else factor.support
         weights = np.asarray(self.weights, dtype=float).ravel().copy()
         if weights.size != support.shape[0]:
             raise ValueError(
@@ -362,8 +364,34 @@ class FeatureCombination:
 
 
 class _Factor(NamedTuple):
+    """Support mean m and table [S, 1, r] of a Gaussian combination (module
+    docstring).  ``rows``, when given, are the left factor [u, -e, -1] of the
+    rows X that kernel_matrix evaluates, every |e| within _EXP_RANGE, formed
+    by _factor_rows over a chunk of row blocks (inner_with_combo)."""
+
     m: np.ndarray
     table: np.ndarray
+    rows: np.ndarray | None = None
+
+    @property
+    def support(self) -> np.ndarray:
+        return self.table[:, :-2]
+
+
+def _factor_rows(spec: KernelSpec, m: np.ndarray, X: np.ndarray, rows=None) -> np.ndarray:
+    """The left factor [u, -e, -1] of every row x of X against a Gaussian
+    factor with support mean m, written into `rows` (n x (d + 2)) if given;
+    -e in column -2 decides the _EXP_RANGE guard.  Each row is reduced on
+    its own, so any run of rows gives the same bits."""
+    if rows is None:
+        rows = np.empty((X.shape[0], X.shape[1] + 2))
+    # x - m in the rows' own columns: no second n x d temporary
+    u = np.subtract(X, m, out=rows[:, :-2])
+    e = np.einsum("ij,ij->i", u, X + m) / (2.0 * spec.sigma)
+    u /= spec.sigma
+    np.negative(e, out=rows[:, -2])
+    rows[:, -1] = -1.0
+    return rows
 
 
 def _gaussian_factor(spec: KernelSpec, points: np.ndarray):
@@ -404,32 +432,43 @@ def inner_with_combo(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
 
     For a kernel-trick centre at _SPLIT_ENTRIES entries or more, and with two
     usable cores, a worker thread fills the second half of the row blocks
-    under the caller's np.errstate: numpy releases the GIL in the elementwise
-    passes, and each block makes the same calls either way.
+    under the caller's np.errstate.  A Gaussian factor's rows are formed once
+    per chunk of blocks (_factor_rows), each block's _EXP_RANGE guard decided
+    on its own rows, so a block is one kernel_matrix call that releases the
+    GIL in its product and exp, with the same calls on either thread.
     """
     _check_combo(spec, c)
     Xa = as_points(X)
     _check_dims(Xa, c.support)
     out = np.empty(Xa.shape[0])
     width = c.size if c.primal is None else c.primal.size
+    factor = c._factor
+    blocks = list(_row_blocks(Xa.shape[0], width))
+    step = max(1, _CHUNK_ENTRIES // ((Xa.shape[1] + 2) * (blocks[0][1] - blocks[0][0])))
 
     def fill(blocks):
-        for lo, hi in blocks:
-            # numpy reduces a lone row with a BLAS dot, and BLAS dgemv sums a
-            # short last group of rows in another order, so the last row is
-            # repeated up to a whole group.  dgemm still rounds a row by the
-            # block's row count: TestRowBlocks checks its shapes only
-            block = Xa[lo:hi]
-            pad = -block.shape[0] % _ROW_GROUP
-            if pad:
-                block = np.pad(block, ((0, pad), (0, 0)), mode="edge")
-            if c.primal is None:
-                values = kernel_matrix(spec, block, c) @ c.weights
-            else:
-                values = _feature_rows(block, spec.degree, spec.bias) @ c.primal
-            out[lo:hi] = values[: hi - lo]
+        chunks = [blocks[i : i + step] for i in range(0, len(blocks), step)]
+        if factor is not None:
+            # one buffer for every chunk's rows, allocated before any block's
+            # product: rows allocated per chunk would split the heap space a
+            # freed product leaves, and the next product would grow the heap
+            buf = np.empty((max((ch[-1][1] - ch[0][0] for ch in chunks), default=0), Xa.shape[1] + 2))
+        for chunk in chunks:
+            first, last = chunk[0][0], chunk[-1][1]
+            if factor is not None:
+                rows = _factor_rows(spec, factor.m, Xa[first:last], buf[: last - first])
+                within = np.maximum.reduceat(np.abs(rows[:, -2]), [lo - first for lo, _ in chunk]) <= _EXP_RANGE
+            for k, (lo, hi) in enumerate(chunk):
+                block = _whole_groups(Xa[lo:hi])
+                if c.primal is not None:
+                    values = _feature_rows(block, spec.degree, spec.bias) @ c.primal
+                elif factor is not None and within[k]:
+                    block_rows = _whole_groups(rows[lo - first : hi - first])
+                    values = kernel_matrix(spec, block, _Factor(factor.m, factor.table, block_rows)) @ c.weights
+                else:
+                    values = kernel_matrix(spec, block, c.support) @ c.weights
+                out[lo:hi] = values[: hi - lo]
 
-    blocks = list(_row_blocks(Xa.shape[0], width))
     if c.primal is not None or Xa.shape[0] * width < _SPLIT_ENTRIES or _usable_cores() < 2:
         fill(blocks)
         return out
@@ -453,6 +492,17 @@ def inner_with_combo(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
     if failed:
         raise failed[0]
     return out
+
+
+def _whole_groups(rows: np.ndarray) -> np.ndarray:
+    """rows with the last one repeated up to a whole _ROW_GROUP of rows.
+
+    numpy reduces a lone row with a BLAS dot, and BLAS dgemv sums a short
+    last group of rows in another order, so a block is padded this way.
+    dgemm still rounds a row by the block's row count: TestRowBlocks checks
+    its shapes only."""
+    pad = -rows.shape[0] % _ROW_GROUP
+    return np.pad(rows, ((0, pad), (0, 0)), mode="edge") if pad else rows
 
 
 def _usable_cores() -> int:

@@ -88,6 +88,15 @@ class TestDomainSpec:
         with pytest.raises(ValueError):
             DomainSpec("cube", 2, half_width=-1.0)
 
+    @pytest.mark.parametrize("half_width", [np.nan, np.inf])
+    def test_half_width_not_finite_is_rejected(self, half_width):
+        with pytest.raises(ValueError, match="positive and finite"):
+            DomainSpec("cube", 3, half_width)
+        with pytest.raises(ValueError, match="positive and finite"):
+            sample_cube(3, half_width, 4, seed=1)
+        with pytest.raises(ValueError, match="positive and finite"):
+            cube_moments((2, 0), half_width)
+
     def test_sample_points_immutable(self):
         for sample in (sample_unit_ball(2, 5, seed=0), sample_cube(2, 0.5, 5, seed=0)):
             with pytest.raises(ValueError):

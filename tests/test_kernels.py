@@ -1094,6 +1094,85 @@ class TestGaussianRowFactor:
         for _ in range(10):
             np.testing.assert_array_equal(inner_with_combo(spec, X, c), want)
 
+    @pytest.mark.parametrize("d", [3, 5, 32, 50])
+    def test_chunk_rows_equal_block_rows(self, d):
+        # each block's rows as kernel_matrix formed them alone, from a
+        # separate u = x - m
+        spec = gaussian_kernel(0.5)
+        rng = np.random.default_rng(65)
+        c = mean_combination(spec, rng.uniform(-1, 1, size=(1000, d)))
+        m = c._factor.m
+        X = rng.uniform(-1.5, 1.5, size=(2049, d))
+        chunk = kernels._factor_rows(spec, m, X)
+        for lo, hi in _row_blocks(X.shape[0], c.size):
+            u = X[lo:hi] - m
+            e = np.einsum("ij,ij->i", u, X[lo:hi] + m) / (2.0 * spec.sigma)
+            want = np.column_stack([u / spec.sigma, -e, -np.ones(hi - lo)])
+            np.testing.assert_array_equal(chunk[lo:hi], want)
+            np.testing.assert_array_equal(kernels._factor_rows(spec, m, X[lo:hi]), want)
+
+    @staticmethod
+    def block_by_block(spec, X, c):
+        """inner_with_combo's blocks, each one kernel_matrix call against c
+        that forms its own rows."""
+        out = np.empty(X.shape[0])
+        for lo, hi in _row_blocks(X.shape[0], c.size):
+            block = np.pad(X[lo:hi], ((0, -(hi - lo) % kernels._ROW_GROUP), (0, 0)), mode="edge")
+            out[lo:hi] = (kernel_matrix(spec, block, c) @ c.weights)[: hi - lo]
+        return out
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_chunks_give_block_by_block_bits(self, monkeypatch, split):
+        spec = gaussian_kernel(0.5)
+        rng = np.random.default_rng(66)
+        c = FeatureCombination(spec, rng.uniform(-1, 1, size=(1000, 5)), rng.uniform(0.5, 1.0, size=1000))
+        monkeypatch.setattr(kernels, "_SPLIT_ENTRIES", 1)
+        monkeypatch.setattr(kernels, "_usable_cores", lambda: 2 if split else 1)
+        idents = TestSplitRows.threads_of(monkeypatch)
+        for n in (1, 2, 63, 64, 65, 511, 513, 2047, 2049, 1089):
+            X = rng.uniform(-1, 1, size=(n, 5))
+            got = inner_with_combo(spec, X, c)
+            np.testing.assert_array_equal(got, self.block_by_block(spec, X, c))
+        assert bool(set(idents) - {threading.get_ident()}) == split
+
+    def test_only_blocks_beyond_the_guard_take_squared_distances(self, monkeypatch):
+        # six blocks of 64 rows in one chunk: block 1 has an |e| beyond the
+        # guard, block 3 a NaN row
+        spec = gaussian_kernel(0.5)
+        rng = np.random.default_rng(67)
+        c = mean_combination(spec, rng.uniform(-1, 1, size=(1000, 5)))
+        X = rng.uniform(-1, 1, size=(384, 5))
+        X[100] *= 30.0
+        X[200, 2] = np.nan
+        blocks = list(_row_blocks(X.shape[0], c.size))
+        assert len(blocks) == 6 and blocks[1] == (64, 128) and blocks[3] == (192, 256)
+        e = exponents(c, X)
+        assert np.abs(e[64:128]).max() > kernels._EXP_RANGE and np.isnan(e[200])
+        factorised = []
+        original = kernels.kernel_matrix
+
+        def recording(spec, X, Y):
+            factorised.append(isinstance(Y, kernels._Factor) and Y.rows is not None)
+            return original(spec, X, Y)
+
+        monkeypatch.setattr(kernels, "kernel_matrix", recording)
+        got = inner_with_combo(spec, X, c)
+        assert factorised == [True, False, True, False, True, True]
+        monkeypatch.setattr(kernels, "kernel_matrix", original)
+        np.testing.assert_array_equal(got, self.block_by_block(spec, X, c))
+        for lo, hi in (blocks[1], blocks[3]):
+            np.testing.assert_array_equal(got[lo:hi], kernel_matrix(spec, X[lo:hi], c.support) @ c.weights)
+        assert np.isnan(got[200]) and np.isfinite(np.delete(got, 200)).all()
+
+    def test_scratch_memory_does_not_grow_with_the_rows(self):
+        # rows formed for all 1e5 probes at once would take 5.6 MB
+        spec = gaussian_kernel(0.5)
+        rng = np.random.default_rng(68)
+        c = mean_combination(spec, rng.uniform(-1, 1, size=(1000, 5)))
+        X = rng.uniform(-1, 1, size=(100_000, 5))
+        out, peak = traced_peak(lambda: inner_with_combo(spec, X, c))
+        assert peak - out.nbytes < 2e6
+
     def test_singleton_is_exact(self):
         rng = np.random.default_rng(64)
         for x in rng.uniform(-3, 3, size=(20, 6)):
