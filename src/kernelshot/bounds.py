@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, _count_arg, _real_arg
 from .kernels import (
     FeatureCombination,
     KernelSpec,
@@ -181,11 +181,14 @@ def empirical_probability_functions(
 
 
 def _tradeoff_arrays(a, b, gamma, epsilon):
-    """The margin arguments as float arrays; gamma and epsilon must be positive."""
-    a, b, gamma, epsilon = (np.asarray(v, dtype=float) for v in (a, b, gamma, epsilon))
-    if np.any(gamma <= 0) or np.any(epsilon <= 0):
-        raise ValueError("gamma and epsilon must be positive")
-    return a, b, gamma, epsilon
+    """The margin arguments as float arrays: a and b finite, gamma and
+    epsilon positive and finite."""
+    return (
+        _real_arg("a", a, array=True),
+        _real_arg("b", b, array=True),
+        _real_arg("gamma", gamma, above=0, array=True),
+        _real_arg("epsilon", epsilon, above=0, array=True),
+    )
 
 
 def new_class_margin(theta: float, dist_sq: float, a, b, gamma, epsilon):
@@ -277,11 +280,6 @@ def _bracket(lower: float, upper: float, context: str) -> ProbabilityBracket:
     return ProbabilityBracket(min(lower, upper), upper)
 
 
-def _positive_sorted(values) -> tuple[float, ...]:
-    arr = np.unique(np.asarray(values, dtype=float).ravel())
-    return tuple(float(v) for v in arr)
-
-
 @dataclass(frozen=True)
 class BoundGrid:
     """Parameter grids for the success-bound suprema.
@@ -300,13 +298,10 @@ class BoundGrid:
 
     def __post_init__(self) -> None:
         for name in ("a_values", "b_values", "beta_values", "gamma_values", "epsilon_values"):
-            vals = _positive_sorted(getattr(self, name))
+            low = {"above": 0} if name in ("gamma_values", "epsilon_values") else {"at_least": 0}
+            vals = tuple(float(v) for v in np.unique(_real_arg(name, getattr(self, name), **low, array=True)))
             if len(vals) == 0:
                 raise ValueError(f"{name} must be non-empty")
-            if name in ("gamma_values", "epsilon_values") and vals[0] <= 0:
-                raise ValueError(f"{name} must be positive")
-            if name in ("a_values", "b_values", "beta_values") and vals[0] < 0:
-                raise ValueError(f"{name} must be non-negative")
             object.__setattr__(self, name, vals)
 
     @classmethod
@@ -318,6 +313,9 @@ class BoundGrid:
         high: float = 1e3,
         norm_quantiles: Sequence[float] = (0.25, 0.5, 0.75, 0.9, 0.99, 1.0),
     ) -> "BoundGrid":
+        points_per_axis = _count_arg("points_per_axis", points_per_axis, 1)
+        low, high = _real_arg("low", low, above=0), _real_arg("high", high, above=0)
+        norm_quantiles = _real_arg("norm_quantiles", norm_quantiles, at_least=0, at_most=1, array=True)
         base = np.geomspace(low, high, points_per_axis)
         a = list(base)
         b = list(base)
@@ -404,8 +402,7 @@ def few_shot_success_bounds(
     with the new-class margin decreasing in theta and the old-class margin
     increasing in it.
     """
-    if dist_sq < 0:
-        raise ValueError(f"dist_sq must be non-negative, got {dist_sq}")
+    dist_sq, theta = _real_arg("dist_sq", dist_sq, at_least=0), _real_arg("theta", theta)
     mc_low = np.empty(len(grid.a_values))
     mc_high = np.empty(len(grid.a_values))
     for i, a in enumerate(grid.a_values):
@@ -481,10 +478,9 @@ def mean_concentration_bounds(
     derived from the CDF knots (and always include delta = s^2, which makes
     r = s exactly).
     """
-    if int(k) != k or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
-    if not s > 0:
-        raise ValueError(f"s must be positive, got {s}")
+    k, s = _count_arg("k", k, 1), _real_arg("s", s, above=0)
+    if delta_grid is not None:
+        delta_grid = _real_arg("delta_grid", delta_grid, array=True).ravel()
     if k == 1:
         v = float(pf.localisation_new(s))
         return ProbabilityBracket(v, v)
@@ -492,8 +488,7 @@ def mean_concentration_bounds(
     if delta_grid is None:
         deltas, radii = _mean_candidates(k, s, pf)
     else:
-        deltas = np.asarray(delta_grid, dtype=float).ravel()
-        deltas = np.concatenate([deltas, [s * s]])
+        deltas = np.concatenate([delta_grid, [s * s]])
         radii = np.sqrt(np.maximum(k * s * s - (k - 1) * deltas, 0.0))
         radii[-1] = s  # exact at the delta = s^2 simplification
 
@@ -524,11 +519,8 @@ class GeometricBrackets:
     cap_ratio: Callable[[float], float]
 
     def __post_init__(self) -> None:
-        if not self.density_bound >= 1.0:
-            raise ValueError(
-                f"density_bound must be >= 1 (a density bounded by A/V with A < 1 cannot "
-                f"integrate to 1), got {self.density_bound}"
-            )
+        # a density bounded by A/V with A < 1 cannot integrate to 1
+        object.__setattr__(self, "density_bound", _real_arg("density_bound", self.density_bound, at_least=1))
 
     def _checked(self, ratio: float, context: str) -> float:
         if not 0.0 <= ratio <= 1.0:

@@ -19,6 +19,7 @@ from typing import Hashable
 
 import numpy as np
 
+from .errors import _real_arg
 from .kernels import (
     FeatureCombination,
     KernelSpec,
@@ -109,6 +110,7 @@ def classify(
     new_label: Hashable = NEW_LABEL,
 ) -> Hashable:
     """New label iff the decision value reaches theta (boundary inclusive)."""
+    theta = _real_arg("theta", theta)
     return new_label if decision_value(model, x) >= theta else fallback_label
 
 
@@ -139,12 +141,10 @@ def roc_curve(pos_scores, neg_scores) -> RocCurve:
     same for negatives; thresholds are the score values themselves, so the
     step curve is exact.
     """
-    pos = np.asarray(pos_scores, dtype=float).ravel()
-    neg = np.asarray(neg_scores, dtype=float).ravel()
+    pos = _real_arg("pos_scores", pos_scores, array=True).ravel()
+    neg = _real_arg("neg_scores", neg_scores, array=True).ravel()
     if pos.size == 0 or neg.size == 0:
         raise ValueError("both score lists must be non-empty")
-    if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(neg))):
-        raise ValueError("scores must be finite")
     values = np.unique(np.concatenate([pos, neg]))[::-1]
     thresholds = np.concatenate([[np.inf], values, [-np.inf]])
     sorted_pos = np.sort(pos)

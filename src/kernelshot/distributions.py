@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _count_arg, _real_arg
+
 __all__ = [
     "DomainSpec",
     "Sample",
@@ -33,9 +35,8 @@ class DomainSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("unit_ball", "cube"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
-        if int(self.dim) != self.dim or self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim}")
-        _check_half_width(self.half_width)
+        object.__setattr__(self, "dim", _count_arg("dim", self.dim, 1))
+        object.__setattr__(self, "half_width", _real_arg("half_width", self.half_width, above=0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,25 +73,13 @@ class Sample:
         return self.points.shape[1]
 
 
-def _check_counts(d: int, n: int) -> None:
-    if int(d) != d or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
-    if int(n) != n or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-
-
-def _check_half_width(half_width: float) -> None:
-    if not (half_width > 0 and math.isfinite(half_width)):
-        raise ValueError(f"half_width must be positive and finite, got {half_width}")
-
-
 def sample_unit_ball(d: int, n: int, seed: int) -> Sample:
     """n i.i.d. points uniform in the closed unit ball of R^d.
 
     Direction from a normalised Gaussian vector, radius U^(1/d): exact
     uniformity in any dimension, no rejection.
     """
-    _check_counts(d, n)
+    d, n, seed = _count_arg("d", d, 1), _count_arg("n", n, 1), _count_arg("seed", seed, 0)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, d))
     norms = np.empty(n)
@@ -106,8 +95,8 @@ def sample_unit_ball(d: int, n: int, seed: int) -> Sample:
 
 def sample_cube(d: int, half_width: float, n: int, seed: int) -> Sample:
     """n i.i.d. points uniform in the cube [-half_width, half_width]^d."""
-    _check_counts(d, n)
-    _check_half_width(half_width)
+    d, n, seed = _count_arg("d", d, 1), _count_arg("n", n, 1), _count_arg("seed", seed, 0)
+    half_width = _real_arg("half_width", half_width, above=0)
     rng = np.random.default_rng(seed)
     return Sample._adopt(rng.uniform(-half_width, half_width, size=(n, d)), seed)
 
@@ -123,19 +112,16 @@ def cube_moments(m, half_width: float) -> float:
 
     Zero when any exponent is odd; otherwise L^|m| / prod_i (m_i + 1).
     """
-    exponents = tuple(int(v) for v in m)
-    if any(v < 0 for v in exponents):
-        raise ValueError(f"multi-index components must be non-negative, got {exponents}")
-    _check_half_width(half_width)
+    exponents = tuple(_count_arg("m", v, 0) for v in m)
+    half_width = _real_arg("half_width", half_width, above=0)
     if any(v % 2 for v in exponents):
         return 0.0
     denom = math.prod(v + 1 for v in exponents)
-    return float(half_width) ** sum(exponents) / denom
+    return half_width ** sum(exponents) / denom
 
 
 def spawn_seeds(seed: int, n: int) -> list[int]:
     """n reproducible 64-bit child seeds for independent parallel substreams."""
-    if int(n) != n or n < 0:
-        raise ValueError(f"n must be a non-negative integer, got {n}")
+    seed, n = _count_arg("seed", seed, 0), _count_arg("n", n, 0)
     children = np.random.SeedSequence(seed).spawn(n)
     return [int(child.generate_state(2, np.uint32).view(np.uint64)[0]) for child in children]

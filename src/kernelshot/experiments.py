@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import datetime
 import json
-import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import ClassVar
@@ -31,7 +30,7 @@ from .bounds import (
 )
 from .classifier import auroc, decision_values, fit_few_shot, normalize_feature_table, roc_curve
 from .distributions import DomainSpec, sample_domain, sample_unit_ball, spawn_seeds
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, _count_arg, _real_arg
 from .geometry import (
     ball_ratio_sweep,
     cap_ratio_sweep,
@@ -109,41 +108,14 @@ def _parse_field(name: str, value, parse, default=MISSING):
         raise ConfigError(f"config field {name!r}: {exc}") from exc
 
 
-def _number(value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return value
-
-
-def _real(low: float = -math.inf, high: float = math.inf):
-    def parse(value) -> float:
-        x = float(_number(value))
-        if not low <= x <= high:
-            raise ValueError(f"{x!r} outside [{low}, {high}]")
-        return x
-
-    return parse
-
-
-def _positive(value) -> float:
-    x = float(_number(value))
-    if x <= 0:
-        raise ValueError(f"must be positive, got {x!r}")
-    return x
+def _real(**bounds):
+    """A number within _real_arg's bounds, as a float."""
+    return lambda value: _real_arg("value", value, **bounds)
 
 
 def _count(low: int):
-    def parse(value) -> int:
-        n = int(_number(value))
-        if n != value:
-            raise ValueError(f"expected an integer, got {value!r}")
-        if n < low:
-            raise ValueError(f"must be at least {low}, got {n}")
-        return n
-
-    return parse
+    """A whole number at least low, as an int."""
+    return lambda value: _count_arg("value", value, low)
 
 
 def _list(item, allow_empty: bool = False):
@@ -177,9 +149,9 @@ _seed = _count(0)
 # kernel kind -> parameter -> (parser, default); a parameter without a
 # default is required
 _KERNEL_PARAMS = {
-    "linear": {"bias": (_real(0.0), 0.0)},
-    "polynomial": {"degree": (_count(1), MISSING), "bias": (_real(0.0), 1.0)},
-    "gaussian": {"sigma": (_positive, MISSING)},
+    "linear": {"bias": (_real(at_least=0), 0.0)},
+    "polynomial": {"degree": (_count(1), MISSING), "bias": (_real(at_least=0), 1.0)},
+    "gaussian": {"sigma": (_real(above=0), MISSING)},
 }
 
 
@@ -259,10 +231,10 @@ class VolumeRatioConfig(_Config):
     kernel: KernelSpec = _param(_kernel)
     domain: str = _param(_choice("unit_ball", "cube"), "unit_ball")
     d: int = _param(_count(1))
-    half_width: float = _param(_positive, 1.0)
+    half_width: float = _param(_real(above=0), 1.0)
     support_size: int = _param(_count(2), 1000)
     probe_size: int = _param(_count(1), 100_000)
-    eps_grid: tuple[float, ...] = _param(_list(_real(0.0, 1.0), allow_empty=True), ())
+    eps_grid: tuple[float, ...] = _param(_list(_real(at_least=0, at_most=1), allow_empty=True), ())
     delta_grid: tuple[float, ...] = _param(_list(_real(), allow_empty=True), ())
     # "cosine": delta = t * r * ||phi(v) - c||; "raw": delta = t
     delta_scale: str = _param(_choice("cosine", "raw"), "cosine")
@@ -272,6 +244,10 @@ class VolumeRatioConfig(_Config):
     def __post_init__(self) -> None:
         if not self.eps_grid and not self.delta_grid:
             raise ConfigError("at least one of eps_grid / delta_grid must be provided")
+        if self.domain == "unit_ball" and self.half_width != 1.0:
+            raise ConfigError(
+                f"config field 'half_width': applies to domain 'cube' only, got {self.half_width} for 'unit_ball'"
+            )
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -280,9 +256,9 @@ class BoundsConfig(_Config):
 
     kernel: KernelSpec = _param(_kernel)
     d: int = _param(_count(1), 20)
-    centre_distance: float = _param(_real(0.0), 4.0)
-    radius_new: float = _param(_positive, 0.5)
-    radius_old: float = _param(_positive, 0.5)
+    centre_distance: float = _param(_real(at_least=0), 4.0)
+    radius_new: float = _param(_real(above=0), 0.5)
+    radius_old: float = _param(_real(above=0), 0.5)
     reference_size: int = _param(_count(2), 1000)
     shots: int = _param(_count(1), 10)
     theta_grid: tuple[float, ...] = _param(_list(_real()), (-1.0, 0.0))
@@ -333,8 +309,9 @@ def load_config(command: str, raw: dict):
 
 def ball_cloud(d: int, centre, radius: float, n: int, seed: int) -> np.ndarray:
     """n uniform points in the ball of given radius around centre."""
+    radius, centre = _real_arg("radius", radius, above=0), _real_arg("centre", centre, array=True)
     pts = sample_unit_ball(d, n, seed).points * radius
-    pts += np.asarray(centre, dtype=float)
+    pts += centre
     return pts
 
 

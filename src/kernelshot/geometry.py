@@ -21,10 +21,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, _count_arg, _real_arg
 from .ingest import _atomic_write
 from .kernels import (
-    CentredProbe,
     FeatureCombination,
     KernelSpec,
     _centered_pair_blocks,
@@ -38,7 +37,6 @@ from .kernels import (
 
 __all__ = [
     "VolumeRatioEstimate",
-    "CentredProbe",
     "OrthogonalityStats",
     "MeanNormLimits",
     "wilson_interval",
@@ -65,12 +63,9 @@ RATIO_SWEEP_COLUMNS = ("eps_or_delta", "ratio", "ci_low", "ci_high", "hits", "tr
 
 def wilson_interval(hits: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
     """Wilson score confidence interval for a binomial proportion."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if not 0 <= hits <= trials:
-        raise ValueError(f"hits {hits} outside [0, {trials}]")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    trials = _count_arg("trials", trials, 1)
+    hits = _count_arg("hits", hits, 0, trials)
+    confidence = _real_arg("confidence", confidence, above=0, below=1)
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     n = float(trials)
     phat = hits / n
@@ -98,13 +93,6 @@ class VolumeRatioEstimate:
         return cls(hits=hits, trials=trials, ratio=hits / trials, ci_low=low, ci_high=high)
 
 
-def _chunks(n: int, chunk_size: int):
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be at least 1")
-    for start in range(0, n, chunk_size):
-        yield start, min(start + chunk_size, n)
-
-
 def _probe_pass(spec: KernelSpec, c: FeatureCombination, probe, chunk_size: int, v=None):
     """Yield (||phi(y) - c||^2, inners) for each chunk of probe rows y.
 
@@ -114,6 +102,7 @@ def _probe_pass(spec: KernelSpec, c: FeatureCombination, probe, chunk_size: int,
     only the elementwise work is chunked; (phi(v), c) is evaluated once per
     pass.
     """
+    chunk_size = _count_arg("chunk_size", chunk_size, 1)
     probe = _probe(spec, c, probe)
     va = v_c = None
     if v is not None:
@@ -121,25 +110,13 @@ def _probe_pass(spec: KernelSpec, c: FeatureCombination, probe, chunk_size: int,
         v_c = float(inner_with_combo(spec, va, c)[0])
     pts, a = probe.points, probe.centre_inner
     try:
-        for lo, hi in _chunks(pts.shape[0], chunk_size):
+        for lo in range(0, pts.shape[0], chunk_size):
+            hi = lo + chunk_size
             yield _centered_rows(spec, pts[lo:hi], c, a[lo:hi], va, v_c)
     except NumericError:
         # a failed pass leaves the probe as it found it
         vars(probe).pop("centre_inner", None)
         raise
-
-
-def _check_grid(r: float, values, name: str, unit_interval: bool) -> list[float]:
-    """Validate a sweep's radius and grid; the grid as floats."""
-    if not (math.isfinite(r) and r > 0):
-        raise ValueError(f"r must be positive and finite, got {r}")
-    grid = [float(t) for t in values]
-    for t in grid:
-        if not math.isfinite(t):
-            raise ValueError(f"{name} must be finite, got {t}")
-        if unit_interval and not 0.0 <= t <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], got {t}")
-    return grid
 
 
 def _estimates(hits: np.ndarray, trials: int) -> list[VolumeRatioEstimate]:
@@ -206,7 +183,8 @@ def ball_ratio_sweep(
     Counts are identical to calling ball_ratio_mc per value: the same probe
     distances are thresholded per eps.
     """
-    thresholds = np.array([e * r for e in _check_grid(r, eps_values, "eps", unit_interval=True)])
+    r = _real_arg("r", r, above=0)
+    thresholds = _real_arg("eps_values", eps_values, at_least=0, at_most=1, array=True) * r
     hits = np.zeros(thresholds.size, dtype=np.int64)
     for sq, _ in _probe_pass(spec, c, probe, chunk_size):
         # number of distances d <= threshold; NaN sorts last and never counts
@@ -224,7 +202,8 @@ def cap_ratio_sweep(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> list[VolumeRatioEstimate]:
     """cap_ratio_mc over many delta values with a single pass over the probe."""
-    neg_deltas = -np.array(_check_grid(r, delta_values, "delta", unit_interval=False))
+    r = _real_arg("r", r, above=0)
+    neg_deltas = -_real_arg("delta_values", delta_values, array=True)
     hits = np.zeros(neg_deltas.size, dtype=np.int64)
     for sq, inner in _probe_pass(spec, c, probe, chunk_size, v):
         inside = np.sqrt(sq) <= r
@@ -296,11 +275,8 @@ def orthogonality_stats(spec: KernelSpec, sample) -> OrthogonalityStats:
 
 def linear_ball_ratio(eps: float, d: int) -> float:
     """Ball pre-image volume ratio eps^d of the linear kernel on a uniform ball."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps must be in [0, 1], got {eps}")
-    if int(d) != d or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
-    return float(eps) ** d
+    eps, d = _real_arg("eps", eps, at_least=0, at_most=1), _count_arg("d", d, 1)
+    return eps**d
 
 
 def quadratic_ball_ratio_bound(eps: float, delta_shift: float, d: int) -> float:
@@ -313,12 +289,8 @@ def quadratic_ball_ratio_bound(eps: float, delta_shift: float, d: int) -> float:
 
     As delta_shift grows this tends to eps^(d/2).
     """
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps must be in [0, 1], got {eps}")
-    if delta_shift <= 0:
-        raise ValueError(f"delta_shift must be positive, got {delta_shift}")
-    if int(d) != d or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
+    eps, d = _real_arg("eps", eps, at_least=0, at_most=1), _count_arg("d", d, 1)
+    delta_shift = _real_arg("delta_shift", delta_shift, above=0)
     inv = 1.0 / delta_shift
     base = eps * eps * (1.0 + inv) - inv
     if base <= 0.0:
@@ -333,10 +305,7 @@ def gaussian_preimage_radius_sq(r: float, sigma: float) -> float:
 
     valid for r^2 <= 2; for r^2 >= 2 every pair of points qualifies.
     """
-    if r < 0:
-        raise ValueError(f"r must be non-negative, got {r}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    r, sigma = _real_arg("r", r, at_least=0), _real_arg("sigma", sigma, above=0)
     if r * r >= 2.0:
         return math.inf
     return -2.0 * sigma * math.log1p(-r * r / 2.0)
@@ -350,8 +319,7 @@ def gaussian_ball_preimage_volume(r: float, sigma: float, d: int) -> float:
     on the unit sphere, so such a ball swallows it entirely).  Evaluated in
     log space to stay finite in high dimension.
     """
-    if int(d) != d or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
+    d = _count_arg("d", d, 1)
     t = gaussian_preimage_radius_sq(r, sigma)
     if math.isinf(t):
         return math.inf
@@ -376,10 +344,7 @@ def gaussian_mean_norm_limits(k: int, sigma: float) -> MeanNormLimits:
     pairwise squared distances concentrate at 2, giving
     1/k + (1 - 1/k) exp(-1/sigma).
     """
-    if int(k) != k or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    k, sigma = _count_arg("k", k, 1), _real_arg("sigma", sigma, above=0)
     inv_k = 1.0 / k
     return MeanNormLimits(
         sigma_to_zero=inv_k,
@@ -390,8 +355,9 @@ def gaussian_mean_norm_limits(k: int, sigma: float) -> MeanNormLimits:
 def transition_width(sweep_values, ratios, high: float = 0.9, low: float = 0.1) -> float:
     """Width of the interval over which a non-increasing ratio sweep falls
     from `high` to `low`, located by linear interpolation between grid points."""
-    xs = np.asarray(sweep_values, dtype=float)
-    ys = np.asarray(ratios, dtype=float)
+    xs = _real_arg("sweep_values", sweep_values, array=True)
+    ys = _real_arg("ratios", ratios, array=True)
+    high, low = _real_arg("high", high), _real_arg("low", low)
     if xs.size != ys.size or xs.size < 2:
         raise ValueError("need matching sweeps with at least 2 points")
     if np.any(np.diff(xs) <= 0):

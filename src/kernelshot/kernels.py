@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, _count_arg, _real_arg
 
 __all__ = [
     "KernelSpec",
@@ -138,18 +138,11 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}; expected one of {_KINDS}")
-        if not all(math.isfinite(v) for v in (self.degree, self.bias, self.sigma)):
-            raise ValueError(
-                f"degree, bias and sigma must be finite, got {self.degree}, {self.bias}, {self.sigma}"
-            )
-        if int(self.degree) != self.degree or self.degree < 1:
-            raise ValueError(f"degree must be a positive integer, got {self.degree}")
+        object.__setattr__(self, "degree", _count_arg("degree", self.degree, 1))
+        object.__setattr__(self, "bias", _real_arg("bias", self.bias, at_least=0))
+        object.__setattr__(self, "sigma", _real_arg("sigma", self.sigma, above=0))
         if self.kind == "linear" and self.degree != 1:
             raise ValueError("linear kernel has degree 1 by definition")
-        if self.bias < 0:
-            raise ValueError(f"bias must be non-negative, got {self.bias}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
 
     @property
     def label(self) -> str:
@@ -234,22 +227,17 @@ def eval_kernel(spec: KernelSpec, x, y) -> float:
 def kernel_matrix(spec: KernelSpec, X, Y) -> np.ndarray:
     """Evaluate kappa on all pairs: entry [i, j] = kappa(X[i], Y[j]).
 
-    Y may be a FeatureCombination or its _Factor (cut to rows lo:), for the
-    support points; a factor evaluates X when every |e| is within
-    _EXP_RANGE (module docstring), or from the rows it carries.  Otherwise
-    a Gaussian kappa(x, x) = 1 exactly (see the bound below)."""
+    Y may be a Gaussian combination's _Factor (cut to support rows lo:)
+    carrying the rows [u, -e, -1] of X within _EXP_RANGE (_factor_rows): one
+    product and one exp (module docstring).  Otherwise a Gaussian
+    kappa(x, x) = 1 exactly (see the bound below)."""
     Xa = as_points(X)
-    if isinstance(Y, FeatureCombination):
-        _check_combo(spec, Y)
-        Y = Y._factor or Y.support
     factor = Y if isinstance(Y, _Factor) else None
     Ya = as_points(Y if factor is None else factor.support)
     _check_dims(Xa, Ya)
     if factor is not None:
-        rows = _factor_rows(spec, factor.m, Xa) if factor.rows is None else factor.rows
-        if factor.rows is not None or np.abs(rows[:, -2]).max() <= _EXP_RANGE:
-            out = rows @ factor.table.T
-            return np.exp(out, out=out)
+        out = factor.rows @ factor.table.T
+        return np.exp(out, out=out)
     if spec.kind == "gaussian":
         xs = np.einsum("ij,ij->i", Xa, Xa)
         ys = np.einsum("ij,ij->i", Ya, Ya)
@@ -365,9 +353,9 @@ class FeatureCombination:
 
 class _Factor(NamedTuple):
     """Support mean m and table [S, 1, r] of a Gaussian combination (module
-    docstring).  ``rows``, when given, are the left factor [u, -e, -1] of the
-    rows X that kernel_matrix evaluates, every |e| within _EXP_RANGE, formed
-    by _factor_rows over a chunk of row blocks (inner_with_combo)."""
+    docstring).  ``rows``, in the factor handed to kernel_matrix, are the
+    left factor [u, -e, -1] of the rows X it evaluates, every |e| within
+    _EXP_RANGE (_factor_rows)."""
 
     m: np.ndarray
     table: np.ndarray
@@ -378,11 +366,12 @@ class _Factor(NamedTuple):
         return self.table[:, :-2]
 
 
-def _factor_rows(spec: KernelSpec, m: np.ndarray, X: np.ndarray, rows=None) -> np.ndarray:
+def _factor_rows(spec: KernelSpec, m: np.ndarray, X: np.ndarray, starts=(0,), rows=None):
     """The left factor [u, -e, -1] of every row x of X against a Gaussian
-    factor with support mean m, written into `rows` (n x (d + 2)) if given;
-    -e in column -2 decides the _EXP_RANGE guard.  Each row is reduced on
-    its own, so any run of rows gives the same bits."""
+    factor with support mean m, written into `rows` (n x (d + 2)) if given,
+    and for the blocks of X beginning at `starts` whether every |e| is
+    within _EXP_RANGE, the guard that lets a block use them.  Each row is
+    reduced on its own, so any run of rows gives the same bits."""
     if rows is None:
         rows = np.empty((X.shape[0], X.shape[1] + 2))
     # x - m in the rows' own columns: no second n x d temporary
@@ -391,7 +380,7 @@ def _factor_rows(spec: KernelSpec, m: np.ndarray, X: np.ndarray, rows=None) -> n
     u /= spec.sigma
     np.negative(e, out=rows[:, -2])
     rows[:, -1] = -1.0
-    return rows
+    return rows, np.maximum.reduceat(np.abs(rows[:, -2]), starts) <= _EXP_RANGE
 
 
 def _gaussian_factor(spec: KernelSpec, points: np.ndarray):
@@ -456,8 +445,8 @@ def inner_with_combo(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
         for chunk in chunks:
             first, last = chunk[0][0], chunk[-1][1]
             if factor is not None:
-                rows = _factor_rows(spec, factor.m, Xa[first:last], buf[: last - first])
-                within = np.maximum.reduceat(np.abs(rows[:, -2]), [lo - first for lo, _ in chunk]) <= _EXP_RANGE
+                starts = [lo - first for lo, _ in chunk]
+                rows, within = _factor_rows(spec, factor.m, Xa[first:last], starts, buf[: last - first])
             for k, (lo, hi) in enumerate(chunk):
                 block = _whole_groups(Xa[lo:hi])
                 if c.primal is not None:
@@ -598,7 +587,9 @@ def _centered_pair_blocks(spec: KernelSpec, X, c: FeatureCombination):
     Xa, a = probe.points, probe.centre_inner
     own = c._factor if Xa is c.support else None
     for lo, hi in reversed(list(_row_blocks(Xa.shape[0]))):
-        C = kernel_matrix(spec, Xa[lo:hi], _Factor(own.m, own.table[lo:]) if own else Xa[lo:])
+        rows, within = _factor_rows(spec, own.m, Xa[lo:hi]) if own else (None, False)
+        C = kernel_matrix(spec, Xa[lo:hi], _Factor(own.m, own.table[lo:], rows) if within else Xa[lo:])
+        del rows  # before C is yielded
         if own:
             np.fill_diagonal(C, 1.0)
         C -= a[lo:hi, None]
@@ -665,8 +656,7 @@ def multi_index_basis(d: int, degree: int) -> list[tuple[int, ...]]:
     Graded-lex (sort by total degree, ties by tuple order) fixes a
     deterministic feature ordering across runs.
     """
-    if d < 1 or degree < 1:
-        raise ValueError("d and degree must be at least 1")
+    d, degree = _count_arg("d", d, 1), _count_arg("degree", degree, 1)
     basis: list[tuple[int, ...]] = []
     for total in range(degree + 1):
         basis.extend(_compositions(total, d))
@@ -680,6 +670,7 @@ def poly_coefficient(m: tuple[int, ...], degree: int, bias: float) -> float:
                  * multinomial(|m|; m), the multinomial written as a
     telescoping product of binomials over suffix sums.
     """
+    degree, bias = _count_arg("degree", degree, 1), _real_arg("bias", bias, at_least=0)
     total = sum(m)
     if total > degree:
         raise ValueError(f"multi-index total degree {total} exceeds kernel degree {degree}")
@@ -760,6 +751,8 @@ def poly_feature_map(
     A vector x gives a vector; an (n, d) array gives the (n, dim) rows phi(x_i).
     Raises if the feature dimension C(d + degree, degree) exceeds dim_cap.
     """
+    degree, bias = _count_arg("degree", degree, 1), _real_arg("bias", bias, at_least=0)
+    dim_cap = _count_arg("dim_cap", dim_cap, 1)
     arr = np.asarray(x, dtype=float)
     if arr.ndim > 2:
         raise ValueError(f"expected a vector or a 2-d point array, got shape {arr.shape}")

@@ -426,10 +426,11 @@ SMALL_CONFIGS = {
         ("fewshot-roc", {"old_features": "flat.csv", "new_features": "flat.csv"}, 3, "flat.csv"),
         ("fewshot-roc", {"old_features": "nan.csv"}, 3, "nan.csv: line 3, column 2"),
         ("fewshot-roc", {"new_features": "inf.csv"}, 3, "inf.csv: line 3, column 2"),
+        ("volume-ratio", {"domain": "unit_ball", "half_width": 5.0}, 2, "'half_width'"),
     ],
     ids=["eps-above-1", "no-kernels", "no-d-values", "d-values-string", "bounds-d-0", "negative-seed",
          "fewshot-negative-seed", "sigma-nan", "no-thetas", "test-table-width", "zero-max-norm", "nan-cell",
-         "inf-cell"],
+         "inf-cell", "half-width-unit-ball"],
 )
 def test_bad_input_exits_with_documented_code(tmp_path, monkeypatch, capsys, command, patch, code, fragment):
     monkeypatch.chdir(tmp_path)

@@ -1029,9 +1029,33 @@ def exponents(c, X):
 
 
 class TestGaussianRowFactor:
-    """kernel_matrix(spec, X, c) against a Gaussian combination is
-    exp(u . s_j - e - r_j) (kernels module docstring) within _EXP_RANGE, and
-    the squared-distance rows of kernel_matrix(spec, X, c.support) beyond it."""
+    """Rows against a Gaussian combination c are exp(u . s_j - e - r_j)
+    (kernels module docstring): kernel_matrix on c's factor carrying a
+    block's rows [u, -e, -1] from _factor_rows within _EXP_RANGE, and the
+    squared-distance rows of kernel_matrix(spec, X, c.support) beyond it."""
+
+    @staticmethod
+    def factor_rows(c, X):
+        """Kernel rows of X against c: from X's own rows [u, -e, -1]
+        (_factor_rows) within the guard, else from c.support."""
+        m, table = c._factor.m, c._factor.table
+        rows, within = kernels._factor_rows(c.spec, m, X)
+        return kernel_matrix(c.spec, X, kernels._Factor(m, table, rows) if within[0] else c.support)
+
+    @classmethod
+    def factor_matrix(cls, X, c):
+        return np.vstack([cls.factor_rows(c, X[lo:hi]) for lo, hi in _row_blocks(X.shape[0], c.size)])
+
+    @classmethod
+    def block_by_block(cls, spec, X, c):
+        """inner_with_combo's blocks, each padded to whole groups and
+        evaluated on its own rows: the reference for the rows it forms once
+        per chunk."""
+        out = np.empty(X.shape[0])
+        for lo, hi in _row_blocks(X.shape[0], c.size):
+            block = np.pad(X[lo:hi], ((0, -(hi - lo) % kernels._ROW_GROUP), (0, 0)), mode="edge")
+            out[lo:hi] = (cls.factor_rows(c, block) @ c.weights)[: hi - lo]
+        return out
 
     @pytest.mark.parametrize("offset", [0.0, 10.0])
     @pytest.mark.parametrize("d", [3, 32])
@@ -1046,11 +1070,11 @@ class TestGaussianRowFactor:
         c = FeatureCombination(gaussian_kernel(sigma), S, w)
         assert np.array_equal(c.support, S) and not c.support.flags.writeable
         want = kernel_matrix(c.spec, X, S)
-        np.testing.assert_allclose(kernel_matrix(c.spec, X, c), want, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(self.factor_matrix(X, c), want, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(inner_with_combo(c.spec, X, c), want @ w, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(c._support_inner, kernel_matrix(c.spec, S, S) @ w, rtol=1e-12, atol=0.0)
         with pytest.raises(ValueError, match="spec mismatch"):
-            kernel_matrix(gaussian_kernel(2 * sigma), X, c)
+            inner_with_combo(gaussian_kernel(2 * sigma), X, c)
 
     def test_rows_beyond_the_guard_keep_kernel_matrix_bits(self):
         spec = gaussian_kernel(0.5)
@@ -1061,7 +1085,7 @@ class TestGaussianRowFactor:
         assert np.abs(exponents(c, X)).max() <= kernels._EXP_RANGE
         X[-1] *= 30.0  # one far row moves its whole block
         assert np.abs(exponents(c, X)).max() > kernels._EXP_RANGE
-        np.testing.assert_array_equal(kernel_matrix(spec, X, c), kernel_matrix(spec, X, S))
+        np.testing.assert_array_equal(self.factor_matrix(X, c), kernel_matrix(spec, X, S))
         np.testing.assert_array_equal(inner_with_combo(spec, X, c), kernel_matrix(spec, X, S) @ c.weights)
 
     @pytest.mark.parametrize("sigma", [1e-3, 1e-300])
@@ -1103,23 +1127,17 @@ class TestGaussianRowFactor:
         c = mean_combination(spec, rng.uniform(-1, 1, size=(1000, d)))
         m = c._factor.m
         X = rng.uniform(-1.5, 1.5, size=(2049, d))
-        chunk = kernels._factor_rows(spec, m, X)
-        for lo, hi in _row_blocks(X.shape[0], c.size):
+        X[700] *= 40.0  # one block beyond the guard
+        blocks = list(_row_blocks(X.shape[0], c.size))
+        chunk, within = kernels._factor_rows(spec, m, X, [lo for lo, _ in blocks])
+        for k, (lo, hi) in enumerate(blocks):
             u = X[lo:hi] - m
             e = np.einsum("ij,ij->i", u, X[lo:hi] + m) / (2.0 * spec.sigma)
             want = np.column_stack([u / spec.sigma, -e, -np.ones(hi - lo)])
             np.testing.assert_array_equal(chunk[lo:hi], want)
-            np.testing.assert_array_equal(kernels._factor_rows(spec, m, X[lo:hi]), want)
-
-    @staticmethod
-    def block_by_block(spec, X, c):
-        """inner_with_combo's blocks, each one kernel_matrix call against c
-        that forms its own rows."""
-        out = np.empty(X.shape[0])
-        for lo, hi in _row_blocks(X.shape[0], c.size):
-            block = np.pad(X[lo:hi], ((0, -(hi - lo) % kernels._ROW_GROUP), (0, 0)), mode="edge")
-            out[lo:hi] = (kernel_matrix(spec, block, c) @ c.weights)[: hi - lo]
-        return out
+            block_rows, block_within = kernels._factor_rows(spec, m, X[lo:hi])
+            np.testing.assert_array_equal(block_rows, want)
+            assert within[k] == block_within[0] == (np.abs(e).max() <= kernels._EXP_RANGE) == (not lo <= 700 < hi)
 
     @pytest.mark.parametrize("split", [False, True])
     def test_chunks_give_block_by_block_bits(self, monkeypatch, split):
@@ -1178,7 +1196,7 @@ class TestGaussianRowFactor:
         for x in rng.uniform(-3, 3, size=(20, 6)):
             c = singleton_combination(gaussian_kernel(0.3), x)
             assert c._factor is not None
-            assert kernel_matrix(c.spec, x, c)[0, 0] == 1.0
+            assert self.factor_matrix(x[None, :], c)[0, 0] == 1.0
             assert inner_with_combo(c.spec, np.vstack([x, x + 1.0]), c)[0] == 1.0
 
 
