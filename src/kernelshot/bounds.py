@@ -529,11 +529,13 @@ class GeometricBrackets:
 
     def localisation(self, r: float) -> ProbabilityBracket:
         """Bracket on P(||phi(x) - c|| <= r)."""
+        r = _real_arg("r", r, at_least=0)
         A = self.density_bound
         v = self._checked(self.ball_ratio(r), f"ball_ratio({r})")
         return _bracket(1.0 - A * (1.0 - v), A * v, f"localisation(r={r}, A={A}, ratio={v})")
 
     def _cap_bracket(self, delta: float, name: str) -> ProbabilityBracket:
+        delta = _real_arg("delta", delta)
         A = self.density_bound
         c = self._checked(self.cap_ratio(delta), f"cap_ratio({delta})")
         return _bracket(1.0 - A * c, A * (1.0 - c), f"{name}(delta={delta}, A={A}, ratio={c})")

@@ -37,6 +37,8 @@ class DomainSpec:
             raise ValueError(f"unknown domain kind {self.kind!r}")
         object.__setattr__(self, "dim", _count_arg("dim", self.dim, 1))
         object.__setattr__(self, "half_width", _real_arg("half_width", self.half_width, above=0))
+        if self.kind == "unit_ball" and self.half_width != 1.0:
+            raise ValueError(f"half_width applies to kind 'cube' only, got {self.half_width} for 'unit_ball'")
 
 
 @dataclass(frozen=True, eq=False)

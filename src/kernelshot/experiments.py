@@ -244,10 +244,10 @@ class VolumeRatioConfig(_Config):
     def __post_init__(self) -> None:
         if not self.eps_grid and not self.delta_grid:
             raise ConfigError("at least one of eps_grid / delta_grid must be provided")
-        if self.domain == "unit_ball" and self.half_width != 1.0:
-            raise ConfigError(
-                f"config field 'half_width': applies to domain 'cube' only, got {self.half_width} for 'unit_ball'"
-            )
+        try:
+            DomainSpec(self.domain, self.d, self.half_width)
+        except ValueError as exc:
+            raise ConfigError(f"config field 'half_width': {exc}") from exc
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -435,6 +435,7 @@ def two_ball_refits(
     root); refit i draws its shots and evaluation points from the i-th
     substream of the refit root.
     """
+    thetas = _real_arg("thetas", thetas, array=True).tolist()
     ref_new_seed, ref_old_seed, refit_root = seeds
     centre_new_vec = np.zeros(d)
     centre_old_vec = np.zeros(d)

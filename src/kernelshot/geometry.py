@@ -246,16 +246,11 @@ def orthogonality_stats(spec: KernelSpec, sample) -> OrthogonalityStats:
     for lo, hi, C in _centered_pair_blocks(spec, mu.support, mu):
         norms[lo:hi] = np.sqrt(_clamp_sq(np.diagonal(C), f"{spec.label} centered squared norm"))
         np.divide(1.0, norms[lo:hi], out=inv[lo:hi], where=norms[lo:hi] > 0.0)
-        C *= inv[lo:hi, None]
-        C *= inv[None, lo:]
-        # keep the pairs i < j: the strict upper triangle of the block
-        for r in range(hi - lo):
-            C[r, : r + 1] = 0.0
-        sum_cos += float(C.sum())
-        flat = C.ravel()
-        sum_cos_sq += float(flat @ flat)
-        sum_abs += float(np.abs(flat, out=flat).sum())
-        del C, flat
+        w = inv[lo:]
+        sum_cos += _pair_sum(C, w)
+        sum_abs += _pair_sum(np.abs(C, out=C), w)
+        sum_cos_sq += _pair_sum(np.square(C, out=C), w * w)
+        del C
     valid = int(np.count_nonzero(norms > 0.0))
     count = valid * (valid - 1) // 2
     if count == 0:
@@ -271,6 +266,17 @@ def orthogonality_stats(spec: KernelSpec, sample) -> OrthogonalityStats:
         n_pairs=count,
         excluded_pairs=n * (n - 1) // 2 - count,
     )
+
+
+def _pair_sum(C: np.ndarray, w: np.ndarray) -> float:
+    """Sum of w_i C[i, j] w_j over the pairs i < j of a pair block C whose
+    rows are its first C.shape[0] columns: the columns past that square in
+    one matrix-vector product, and the square's strict upper part as its
+    whole sum less its diagonal, halved, since the square is symmetric."""
+    m = C.shape[0]
+    wr = w[:m]
+    square = wr @ (C[:, :m] @ wr)
+    return float(wr @ (C[:, m:] @ w[m:]) + (square - np.diagonal(C) @ (wr * wr)) / 2.0)
 
 
 def linear_ball_ratio(eps: float, d: int) -> float:

@@ -22,8 +22,12 @@ C(d + degree, degree) coordinates (:func:`poly_feature_map`).  When a
 combination has more support points than that, it also keeps its explicit
 vector v = sum_i w_i phi(x_i) (``FeatureCombination.primal``).  Every inner
 product against it is then phi(y) . v, one feature row instead of a kernel
-row against the whole support, and (c, c) is v . v.  Gaussian kernels, and
-supports no larger than the feature dimension, stay on the kernel trick.
+row against the whole support, and (c, c) is v . v.  Its centred pair
+inner products (phi(y) - c, phi(z) - c), for at most _CENTRED_ROWS_DIM
+features, are products of the centred feature rows phi(y) - v, which keep
+their accuracy far from the origin, where the expansion above cancels.
+Gaussian kernels, and supports no larger than the feature dimension, stay on
+the kernel trick.
 
 A Gaussian combination keeps its support mean m and, beside each support
 point s_j, r_j = |s_j - m|^2 / 2 sigma.  With u = (x - m) / sigma and
@@ -109,6 +113,16 @@ _SPLIT_ENTRIES = 1 << 24
 # inner_with_combo forms at a time, in whole row blocks (at least one): the
 # small numpy calls that form them hold the GIL, and run once per chunk.
 _CHUNK_ENTRIES = 1 << 14
+
+# Largest feature dimension p of a primal combination whose centred pair
+# blocks are products of its centred feature rows (_centered_pair_blocks):
+# one product with p terms per entry against a product with d terms and four
+# elementwise passes.  Timing orthogonality_stats on n = 3000 points (2-core
+# Xeon, OpenBLAS 0.3.31, 1 and 2 threads), the centred rows took 0.55-0.66 of
+# the kernel rows' time at p 21 and 0.74-0.82 at p 66, and broke even for the
+# quadratic kernel, the cheapest kernel row of its p, at p 91-120; a linear or
+# cubic kernel still gained there.
+_CENTRED_ROWS_DIM = 96
 
 # Rows a BLAS matrix-vector product reduces together (OpenBLAS dgemv on x86).
 _ROW_GROUP = 4
@@ -578,13 +592,44 @@ def centered_gram(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
 
 def _centered_pair_blocks(spec: KernelSpec, X, c: FeatureCombination):
     """Yield (lo, hi, C), C[i - lo, j - lo] = (phi(x_i) - c, phi(x_j) - c) for
-    rows i in lo:hi and j in lo:, in blocks of ROW_BLOCK rows from the last,
-    so rows after hi have been yielded before block lo.  X may be a
-    CentredProbe on (spec, c); rows that are c's support are read from
-    c._factor.  A Gaussian kappa(x_i, x_i) is 1 exactly.
+    rows i in lo:hi and j in lo:, in blocks of rows from the last, so rows
+    after hi have been yielded before block lo.  X may be a CentredProbe on
+    (spec, c).
+
+    A primal combination of p <= _CENTRED_ROWS_DIM features gives each block
+    as one product U[lo:hi] U[lo:]^T of its centred feature rows
+    U = phi(X) - v (_centred_feature_rows), in blocks of ROW_BLOCK - p - 1
+    rows or fewer.  U[lo:] is formed again for each block, in one allocation
+    with the block of ROW_BLOCK x (n - lo) entries, the size of a kernel-row
+    block at lo, so nothing else outlives a block.  (With U kept whole and
+    smaller separate blocks, glibc mapped a later, larger kernel-row block
+    beside a heap of freed ones: 11 MB more peak memory on orthogonality-mixed
+    at one BLAS thread.)  Otherwise blocks have ROW_BLOCK rows and are kernel
+    rows centred through (phi(x), c); rows that are c's support are read from
+    c._factor, with a Gaussian kappa(x_i, x_i) of exactly 1.
     """
     probe = _probe(spec, c, X)
-    Xa, a = probe.points, probe.centre_inner
+    Xa = probe.points
+    _check_dims(Xa, c.support)
+    if c.primal is not None and c.primal.size <= _CENTRED_ROWS_DIM:
+        n, p = Xa.shape[0], c.primal.size
+        # n eps sum_i |w_i phi(s_i)|: the round-off of v (_centred_feature_rows)
+        spread = sum(
+            np.abs(c.weights[lo:hi]) @ np.abs(_feature_rows(c.support[lo:hi], spec.degree, spec.bias))
+            for lo, hi in _row_blocks(c.size)
+        )
+        tol = c.size * np.finfo(float).eps * spread
+        most = max(_ROW_GROUP, (ROW_BLOCK - p - 1) // _ROW_GROUP * _ROW_GROUP)
+        for lo, hi in reversed(list(_row_blocks(n, most=most))):
+            m, cols = hi - lo, n - lo
+            buf = np.empty(max(ROW_BLOCK, m + p) * cols)
+            U = _centred_feature_rows(spec, Xa[lo:], c, tol, buf[: cols * p].reshape(cols, p))
+            C = np.matmul(U[:m], U.T, out=buf[cols * p : cols * (p + m)].reshape(m, cols))
+            del buf, U
+            yield lo, hi, C
+            del C  # before the next block is built
+        return
+    a = probe.centre_inner
     own = c._factor if Xa is c.support else None
     for lo, hi in reversed(list(_row_blocks(Xa.shape[0]))):
         rows, within = _factor_rows(spec, own.m, Xa[lo:hi]) if own else (None, False)
@@ -597,6 +642,30 @@ def _centered_pair_blocks(spec: KernelSpec, X, c: FeatureCombination):
         C += c.self_inner
         yield lo, hi, C
         del C  # before the next block is built
+
+
+def _centred_feature_rows(
+    spec: KernelSpec, X: np.ndarray, c: FeatureCombination, tol: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """phi(x) - v for every row x of X and a primal combination c = v =
+    sum_i w_i phi(s_i), written into `out`, with each entry within tol_j =
+    n eps sum_i |w_i phi(s_i)_j| of 0 set to 0.  Each row is formed on its
+    own, so any run of rows gives the same bits.
+
+    The computed v_j is within gamma_n sum_i |w_i phi(s_i)_j| of the exact
+    sum over the n support points, gamma_n = n u / (1 - n u) with u = 2^-53,
+    whatever the order of the sum (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., section 3.1), and uniform weights fl(1/n)
+    sum to 1 within u.  So an entry whose exact value is 0 reads at most
+    tol_j, and zeroing it moves it by no more than its round-off: copies of
+    one point centre to exactly 0, as their kernel-trick norms do.
+    """
+    U = _feature_rows(X, spec.degree, spec.bias, out)
+    U -= c.primal
+    for lo, hi in _row_blocks(U.shape[0]):
+        block = U[lo:hi]
+        block[np.abs(block) <= tol] = 0.0
+    return U
 
 
 def combo_inner(spec: KernelSpec, A: FeatureCombination, B: FeatureCombination) -> float:
@@ -693,26 +762,43 @@ def _feature_plan(
     consecutive indices from `start`, and each non-constant monomial is the
     child of one p: itself less one power of its last variable.  So each run
     (parent, start, k) is one product of column p with x_{d-1}, ..., x_k.
-    Runs are in parent order, so a parent is filled before its run.  coef[i]
-    is alpha(m_i), read-only since the cache hands it to every caller.
+    Children keep their parents' order, so the children of one degree's
+    monomials, parent by parent, are the next degree's in graded-lex order:
+    runs start 1 plus the d - k of every run before them, and the basis is
+    built degree by degree, each monomial as the flat list j_1, e_1, j_2,
+    e_2, ... of its variables with a non-zero exponent and those exponents
+    (lists: CPython keeps up to 2000 freed tuples of each small length).
+    coef[i] is alpha(m_i), multiplied out as poly_coefficient does, so it has
+    the same bits; read-only since the cache hands it to every caller.
     """
-    basis = multi_index_basis(d, degree)
-    index = {m: i for i, m in enumerate(basis)}
-    runs = tuple(
-        (p, index[m[:-1] + (m[-1] + 1,)], max((t for t, mt in enumerate(m) if mt), default=0))
-        for p, m in enumerate(basis)
-        if sum(m) < degree
-    )
-    coef = np.array([poly_coefficient(m, degree, bias) for m in basis])
+    runs, coef, level = [], [], [[]]
+    for total in range(degree + 1):
+        scale = math.comb(degree, degree - total) * _power(bias, 2 * (degree - total))
+        for m in level:
+            sq, suffix = scale, total
+            for e in m[1::2]:
+                sq *= math.comb(suffix, e)
+                suffix -= e
+            coef.append(math.sqrt(sq))
+        if total < degree:
+            children = []
+            for m in level:
+                k = m[-2] if m else 0
+                runs.append((len(runs), runs[-1][1] + d - runs[-1][2] if runs else 1, k))
+                children.extend(m + [j, 1] for j in range(d - 1, k, -1))
+                children.append(m[:-1] + [m[-1] + 1] if m else [0, 1])
+            level = children
+    coef = np.array(coef)
     coef.setflags(write=False)
-    return runs, coef
+    return tuple(runs), coef
 
 
-def _feature_rows(X: np.ndarray, degree: int, bias: float) -> np.ndarray:
-    """phi of every row of a 2-d array, without the dimension cap."""
+def _feature_rows(X: np.ndarray, degree: int, bias: float, out: np.ndarray | None = None) -> np.ndarray:
+    """phi of every row of a 2-d array, without the dimension cap, written
+    into `out` if given."""
     n, d = X.shape
     runs, coef = _feature_plan(d, degree, float(bias))
-    mono = np.empty((n, coef.size))
+    mono = np.empty((n, coef.size)) if out is None else out
     mono[:, 0] = 1.0
     reversed_x = X[:, ::-1]
     for parent, start, k in runs:
@@ -721,19 +807,20 @@ def _feature_rows(X: np.ndarray, degree: int, bias: float) -> np.ndarray:
     return mono
 
 
-def _row_blocks(n: int, width: int = 1):
-    """Yield (lo, hi) over n rows in blocks of at most ROW_BLOCK rows.
+def _row_blocks(n: int, width: int = 1, most: int | None = None):
+    """Yield (lo, hi) over n rows in blocks of at most `most` rows (ROW_BLOCK
+    by default).
 
     Each row holds `width` entries (a support size or a feature dimension),
     and a block holds about _BLOCK_ENTRIES of them: _BLOCK_ENTRIES // width
     rows, rounded down to whole groups of _ROW_GROUP (so that only a last
     block can end in a short group) and at least one group, capped at
-    ROW_BLOCK.  With the default width, blocks have ROW_BLOCK rows.
+    `most`.  With the default width, blocks have `most` rows.
     A last block of a single row is folded into the one before it: numpy
     evaluates a one-row product with another BLAS routine, which rounds
     differently.
     """
-    rows = min(ROW_BLOCK, max(_ROW_GROUP, _BLOCK_ENTRIES // width // _ROW_GROUP * _ROW_GROUP))
+    rows = min(ROW_BLOCK if most is None else most, max(_ROW_GROUP, _BLOCK_ENTRIES // width // _ROW_GROUP * _ROW_GROUP))
     starts = list(range(0, n, rows))
     if n > 1 and n - starts[-1] == 1:
         starts.pop()

@@ -39,7 +39,7 @@ from kernelshot import (
     transition_width,
     wilson_interval,
 )
-from kernelshot.experiments import ball_cloud, load_config
+from kernelshot.experiments import ball_cloud, load_config, two_ball_refits
 
 BAD = [math.nan, math.inf, -math.inf, True]
 
@@ -51,6 +51,7 @@ _CENTRE = mean_combination(LINEAR, _X)
 PF = empirical_probability_functions(LINEAR, _X, _Z, _CENTRE, mean_combination(LINEAR, _Z))
 GRID = BoundGrid((0.5, 1.0), (0.5, 1.0), (0.5, 1.0), (0.5, 1.0), (0.5, 1.0))
 MODEL = fit_few_shot(LINEAR, _X[:2], mean_combination(LINEAR, _Z))
+BRACKETS = GeometricBrackets(1.5, lambda r: 0.5, lambda delta: 0.5)
 
 # callable, valid keyword arguments, and the numeric ones among them; a list
 # or tuple argument takes the bad value as its last entry
@@ -112,6 +113,15 @@ CASES = {
         GeometricBrackets,
         dict(density_bound=1.5, ball_ratio=lambda r: 0.5, cap_ratio=lambda delta: 0.5),
         "density_bound",
+    ),
+    "GeometricBrackets.localisation": (BRACKETS.localisation, dict(r=0.5), "r"),
+    "GeometricBrackets.projection": (BRACKETS.projection, dict(delta=0.1), "delta"),
+    "GeometricBrackets.separation": (BRACKETS.separation, dict(delta=0.1), "delta"),
+    "two_ball_refits": (
+        two_ball_refits,
+        dict(spec=LINEAR, d=2, centre_distance=2.0, radius_new=0.5, radius_old=0.5, reference_size=20, shots=3,
+             thetas=[-1.0, 0.0], refits=2, draws=10, seeds=(1, 2, 3)),
+        "thetas",
     ),
     "classify": (classify, dict(model=MODEL, x=np.zeros(2), theta=0.0, fallback_label="old"), "theta"),
     "ball_cloud": (ball_cloud, dict(d=2, centre=[0.0, 0.0], radius=1.0, n=3, seed=0), "d centre radius n seed"),

@@ -88,6 +88,12 @@ class TestDomainSpec:
         with pytest.raises(ValueError):
             DomainSpec("cube", 2, half_width=-1.0)
 
+    def test_unit_ball_takes_no_half_width(self):
+        # the unit ball has radius 1, so another half-width would be ignored
+        with pytest.raises(ValueError, match="^half_width applies to kind 'cube' only"):
+            DomainSpec("unit_ball", 3, 5.0)
+        assert DomainSpec("unit_ball", 3, 1.0).half_width == 1.0
+
     @pytest.mark.parametrize("half_width", [np.nan, np.inf])
     def test_half_width_not_finite_is_rejected(self, half_width):
         with pytest.raises(ValueError, match="positive and finite"):

@@ -32,6 +32,7 @@ from kernelshot import (
     linear_ball_ratio,
     linear_kernel,
     mean_combination,
+    multi_index_basis,
     orthogonality_stats,
     polynomial_kernel,
     quadratic_ball_ratio_bound,
@@ -411,6 +412,36 @@ class TestOrthogonalityStats:
         for spec in (LINEAR, gaussian_kernel(1.0)):
             with pytest.raises(NumericError, match="all pairs are degenerate"):
                 orthogonality_stats(spec, pts)
+
+
+def long_double_mean_norm(X, degree, bias):
+    """Mean of ||phi(x_i) - mu|| with the explicit feature map, its
+    coefficients and the mean all in long double: the reference for data far
+    from the origin, where double-precision centring cancels."""
+    Xl = X.astype(np.longdouble)
+    columns = []
+    for m in multi_index_basis(X.shape[1], degree):
+        total = sum(m)
+        multinomial = math.prod(math.comb(sum(m[i:]), m[i]) for i in range(len(m)))
+        power = np.longdouble(bias) ** (2 * (degree - total))
+        sq = np.longdouble(math.comb(degree, degree - total) * multinomial) * power
+        columns.append(np.sqrt(sq) * np.prod(Xl ** np.array(m), axis=1))
+    phi = np.stack(columns, axis=1)
+    centred = phi - phi.mean(axis=0)
+    return np.sqrt((centred * centred).sum(axis=1)).mean()
+
+
+class TestOrthogonalityFarFromOrigin:
+    """Centred feature rows subtract the mean once, in feature space, so the
+    centred norms keep their accuracy at offset 100, where the kernel-trick
+    expansion kappa(x, x) - 2 (phi(x), mu) + (mu, mu) cancels."""
+
+    @pytest.mark.parametrize("spec", [LINEAR, polynomial_kernel(2, 1.0)], ids=lambda s: s.label)
+    def test_mean_norm_matches_long_double(self, spec):
+        X = np.random.default_rng(90).uniform(-0.1, 0.1, size=(2000, 5))
+        X[:, 0] += 100.0
+        want = long_double_mean_norm(X, spec.degree, spec.bias)
+        assert orthogonality_stats(spec, X).mean_norm == pytest.approx(float(want), rel=1e-13, abs=0.0)
 
 
 def dense_orthogonality_stats(spec, sample):

@@ -326,6 +326,36 @@ class TestFeatureRows:
         assert (covered[1:] == 1).all()
 
 
+def tuple_feature_plan(d, degree, bias):
+    """_feature_plan's runs and coefficients from the tuple basis: the
+    reference the direct derivation must match bit for bit."""
+    basis = multi_index_basis(d, degree)
+    index = {m: i for i, m in enumerate(basis)}
+    runs = tuple(
+        (p, index[m[:-1] + (m[-1] + 1,)], max((t for t, mt in enumerate(m) if mt), default=0))
+        for p, m in enumerate(basis)
+        if sum(m) < degree
+    )
+    return runs, np.array([poly_coefficient(m, degree, bias) for m in basis])
+
+
+class TestFeaturePlan:
+    """_feature_plan derives its runs and coefficients without the tuple
+    basis, with the same values and bits."""
+
+    @pytest.mark.parametrize(
+        "d, degree, bias",
+        [(1, 1, 0.0), (1, 7, 0.3), (2, 3, 0.3), (3, 2, 1.0), (5, 4, 0.7), (6, 5, 1.7), (7, 3, 2.5),
+         (20, 1, 0.0), (32, 2, 1.0), (50, 2, 1.0), (50, 2, 0.1)],
+    )
+    def test_matches_tuple_basis(self, d, degree, bias):
+        runs, coef = kernels._feature_plan(d, degree, bias)
+        want_runs, want_coef = tuple_feature_plan(d, degree, bias)
+        assert runs == want_runs
+        assert np.array_equal(coef, want_coef)
+        assert not coef.flags.writeable
+
+
 class TestPolynomialBuffers:
     """Polynomial feature rows and kernel blocks are built in their output
     buffer: no block-sized temporary."""
@@ -1198,6 +1228,107 @@ class TestGaussianRowFactor:
             assert c._factor is not None
             assert self.factor_matrix(x[None, :], c)[0, 0] == 1.0
             assert inner_with_combo(c.spec, np.vstack([x, x + 1.0]), c)[0] == 1.0
+
+
+PRIMAL_PAIR_CASES = [
+    (linear_kernel(0.0), 5, 700),
+    (linear_kernel(1.0), 20, 900),
+    (polynomial_kernel(2, 1.0), 5, 1100),
+    (polynomial_kernel(3, 0.5), 3, 600),
+]
+
+
+class TestPrimalPairBlocks:
+    """Pair blocks of a primal combination of at most _CENTRED_ROWS_DIM
+    features are products of its centred feature rows phi(x) - v, with no
+    kernel evaluation; the explicit feature map is their oracle."""
+
+    @staticmethod
+    def oracle(spec, X, c):
+        phi = poly_feature_map(X, spec.degree, spec.bias)
+        centred = phi - c.weights @ poly_feature_map(c.support, spec.degree, spec.bias)
+        return centred, np.abs(centred).max() ** 2
+
+    @pytest.mark.parametrize("spec, d, n", PRIMAL_PAIR_CASES, ids=lambda v: getattr(v, "label", str(v)))
+    def test_matches_explicit_feature_map(self, monkeypatch, spec, d, n):
+        rng = np.random.default_rng(80 + d)
+        c = FeatureCombination(spec, rng.uniform(-1, 1, size=(n, d)), rng.uniform(0.5, 1.5, size=n) / n)
+        assert c.primal is not None and c.primal.size <= kernels._CENTRED_ROWS_DIM
+
+        def no_kernel_rows(*args):
+            raise AssertionError("a primal pair block evaluated kernel rows")
+
+        monkeypatch.setattr(kernels, "kernel_matrix", no_kernel_rows)
+        centred, scale = self.oracle(spec, c.support, c)
+        blocks = []
+        for lo, hi, C in _centered_pair_blocks(spec, c.support, c):
+            np.testing.assert_allclose(C, centred[lo:hi] @ centred[lo:].T, rtol=1e-12, atol=1e-13 * scale)
+            blocks.append((lo, hi))
+        assert blocks[-1][0] == 0 and blocks[0][1] == n and len(blocks) >= 2
+
+    @pytest.mark.parametrize("spec, d, n", PRIMAL_PAIR_CASES, ids=lambda v: getattr(v, "label", str(v)))
+    def test_rows_off_the_support_keep_the_bits(self, spec, d, n):
+        c = mean_combination(spec, np.random.default_rng(81).uniform(-1, 1, size=(n, d)))
+        for (lo, hi, C), (_, _, want) in zip(
+            _centered_pair_blocks(spec, c.support.copy(), c), _centered_pair_blocks(spec, c.support, c)
+        ):
+            np.testing.assert_array_equal(C, want)
+
+    @pytest.mark.parametrize(
+        "spec", [linear_kernel(0.0), linear_kernel(1.0), polynomial_kernel(2, 0.5)], ids=lambda s: s.label
+    )
+    def test_copies_of_one_point_centre_to_zero(self, spec):
+        # v rounds off phi(x0) by up to n ulp: those entries are zeroed
+        for n in (7, 25, 1000):
+            X = np.tile([0.3, -0.7], (n, 1))
+            c = mean_combination(spec, X)
+            assert c.primal is not None
+            for _, _, C in _centered_pair_blocks(spec, c.support, c):
+                assert not C.any()
+
+    @pytest.mark.parametrize(
+        "spec, d", [(linear_kernel(0.0), 1), (linear_kernel(1.0), 95), (polynomial_kernel(2, 1.0), 12)]
+    )
+    def test_rows_and_one_block_within_a_row_block(self, monkeypatch, spec, d):
+        # each block is formed with its centred rows U[lo:] (n - lo x p) in
+        # one allocation of at most ROW_BLOCK x n entries, up to the largest
+        # p this path takes, and nothing else of that size outlives a block
+        n = 1500
+        c = mean_combination(spec, np.random.default_rng(82).uniform(-1, 1, size=(n, d)))
+        p = c.primal.size
+        assert p <= kernels._CENTRED_ROWS_DIM and (d == 1 or p > kernels._CENTRED_ROWS_DIM - 8)
+        rows = []
+        original = kernels._centred_feature_rows
+
+        def record(*args):
+            U = original(*args)
+            rows.append(U.shape[0])
+            return U
+
+        monkeypatch.setattr(kernels, "_centred_feature_rows", record)
+
+        def blocks():
+            shapes = []
+            for lo, hi, C in _centered_pair_blocks(spec, c.support, c):
+                shapes.append((lo, C.shape))
+                del C  # as every caller does, before the next block
+            return shapes
+
+        shapes, peak = traced_peak(blocks)
+        assert rows == [n - lo for lo, _ in shapes]
+        assert all((m + p) * cols <= ROW_BLOCK * n for _, (m, cols) in shapes)
+        assert max(m for _, (m, _) in shapes) > ROW_BLOCK - p - 2 * kernels._ROW_GROUP
+        # one allocation alive, and scratch of a few row blocks beside it
+        assert peak < (ROW_BLOCK * n + 4 * ROW_BLOCK * p) * 8 + 2**16
+
+    def test_dimension_beyond_the_bound_keeps_kernel_rows(self, monkeypatch):
+        spec = polynomial_kernel(2, 1.0)
+        c = mean_combination(spec, np.random.default_rng(83).uniform(-1, 1, size=(600, 14)))
+        assert c.primal.size > kernels._CENTRED_ROWS_DIM
+        want = list(dense_pair_blocks(spec, c.support, c))
+        for (lo, hi, C), (wlo, whi, W) in zip(_centered_pair_blocks(spec, c.support, c), want):
+            assert (lo, hi) == (wlo, whi)
+            np.testing.assert_array_equal(C, W)
 
 
 def dense_pair_blocks(spec, X, c):
