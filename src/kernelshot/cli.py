@@ -78,12 +78,21 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.out is not None:
         raw["out"] = args.out
     config = load_config(args.command, raw)
-    run_experiment(config)
     out_dir = Path(config.out)
+    before = _csv_stamps(out_dir)
+    run_experiment(config)
     print(f"wrote {out_dir / 'report.json'}")
-    for extra in sorted(out_dir.glob("*.csv")):
-        print(f"wrote {extra}")
+    # a CSV left by an earlier run into the same directory keeps its stamp
+    for path, stamp in sorted(_csv_stamps(out_dir).items()):
+        if before.get(path) != stamp:
+            print(f"wrote {path}")
     return EXIT_OK
+
+
+def _csv_stamps(out_dir: Path) -> dict:
+    """(inode, mtime in ns) of each CSV in out_dir: an atomic write replaces
+    the file, so a CSV this run wrote has a new inode."""
+    return {p: (s.st_ino, s.st_mtime_ns) for p in out_dir.glob("*.csv") for s in [p.stat()]}
 
 
 def main(argv=None) -> int:

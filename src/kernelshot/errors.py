@@ -10,6 +10,8 @@ import numbers
 
 import numpy as np
 
+__all__ = ["KernelshotError", "ConfigError", "DataError", "NumericError"]
+
 
 class KernelshotError(Exception):
     """Base class for all package-specific errors."""

@@ -11,7 +11,6 @@ byte-identical numeric content.
 
 from __future__ import annotations
 
-import csv
 import datetime
 import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -38,7 +37,7 @@ from .geometry import (
     orthogonality_stats,
     write_ratio_sweep_csv,
 )
-from .ingest import _atomic_write, ingest_feature_csv
+from .ingest import _atomic_write, _write_csv, ingest_feature_csv
 from .kernels import (
     CentredProbe,
     KernelSpec,
@@ -76,13 +75,7 @@ def write_json_atomic(path, obj) -> None:
 
 
 def write_csv_atomic(path, header, rows) -> None:
-    def _write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
-
-    _atomic_write(path, _write)
+    _write_csv(path, header, rows)
 
 
 # ---------------------------------------------------------------------------

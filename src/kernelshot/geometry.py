@@ -13,7 +13,6 @@ deterministic given the probe sample.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -22,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericError, _count_arg, _real_arg
-from .ingest import _atomic_write
+from .ingest import _write_csv
 from .kernels import (
     FeatureCombination,
     KernelSpec,
@@ -390,13 +389,5 @@ def write_ratio_sweep_csv(path, sweep_values, estimates) -> None:
     sweep_values, estimates = list(sweep_values), list(estimates)
     if len(sweep_values) != len(estimates):
         raise ValueError(f"{len(sweep_values)} sweep values but {len(estimates)} estimates")
-
-    def _write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(RATIO_SWEEP_COLUMNS)
-        for value, est in zip(sweep_values, estimates):
-            writer.writerow(
-                [repr(float(value)), repr(est.ratio), repr(est.ci_low), repr(est.ci_high), est.hits, est.trials]
-            )
-
-    _atomic_write(path, _write)
+    rows = ([float(v), e.ratio, e.ci_low, e.ci_high, e.hits, e.trials] for v, e in zip(sweep_values, estimates))
+    _write_csv(path, RATIO_SWEEP_COLUMNS, rows)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import os
-import tempfile
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -189,12 +188,19 @@ def write_feature_csv(path, rows, labels, feature_names=None) -> None:
         feature_names = [f"f{i}" for i in range(arr.shape[1])]
     if len(feature_names) != arr.shape[1]:
         raise ValueError("feature_names length does not match row width")
+    _write_csv(path, [*feature_names, "label"], (row.tolist() + [label] for row, label in zip(arr, labels)))
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write a header and rows as CSV, atomically (_atomic_write).  A float
+    cell, np.float64 among them, is written with repr, which round-trips
+    exactly; any other cell as the csv module writes it."""
 
     def _write(fh):
         writer = csv.writer(fh)
-        writer.writerow(list(feature_names) + ["label"])
-        for row, label in zip(arr, labels):
-            writer.writerow([repr(float(v)) for v in row] + [label])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
     _atomic_write(path, _write)
 
@@ -202,13 +208,15 @@ def write_feature_csv(path, rows, labels, feature_names=None) -> None:
 def _atomic_write(path, write_fn) -> None:
     """Write a text file through `write_fn(fh)` into a temp file beside
     `path`, then rename it over `path`, so readers never see a partial file.
-    Creates the parent directory if needed."""
+    The temp file has a unique name and, as open() gives, the process umask's
+    permissions.  Creates the parent directory if needed."""
     target = os.fspath(path)
     directory = os.path.dirname(target) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "x", newline="")
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
+        with fh:
             write_fn(fh)
         os.replace(tmp, target)
     except BaseException:

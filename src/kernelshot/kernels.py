@@ -39,7 +39,6 @@ is one product [u, -e, -1] [S, 1, r]^T and one exp.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 import threading
@@ -60,7 +59,6 @@ __all__ = [
     "mean_combination",
     "singleton_combination",
     "as_points",
-    "eval_kernel",
     "kernel_matrix",
     "kernel_diag",
     "gram_matrix",
@@ -218,24 +216,13 @@ def _clamp_sq(values, context: str):
 
 
 def _power(base: float, exponent: int) -> float:
-    """float(base) ** exponent, with an overflow giving +-inf as numpy's does,
-    so that an overflowing kernel fails in the not-finite checks that name it."""
+    """float(base) ** exponent for base >= 0, with an overflow giving inf as
+    numpy's does, so that an overflowing kernel fails in the not-finite checks
+    that name it."""
     try:
         return float(base) ** exponent
     except OverflowError:
-        return -math.inf if base < 0 and exponent % 2 else math.inf
-
-
-def eval_kernel(spec: KernelSpec, x, y) -> float:
-    """Evaluate kappa(x, y) for a single pair of data vectors."""
-    xv = np.asarray(x, dtype=float).ravel()
-    yv = np.asarray(y, dtype=float).ravel()
-    if xv.size != yv.size or xv.size == 0:
-        raise ValueError(f"dimension mismatch: {xv.size} vs {yv.size}")
-    if spec.kind == "gaussian":
-        diff = xv - yv
-        return float(math.exp(-float(diff @ diff) / (2.0 * spec.sigma)))
-    return _power(_power(spec.bias, 2) + float(xv @ yv), spec.degree)
+        return math.inf
 
 
 def kernel_matrix(spec: KernelSpec, X, Y) -> np.ndarray:
@@ -705,18 +692,30 @@ def poly_feature_dim(d: int, degree: int) -> int:
     return math.comb(d + degree, degree)
 
 
-def _compositions(total: int, parts: int):
-    """Tuples of `parts` non-negative integers summing to `total`, in
-    lexicographic order.
+def _monomial_levels(d: int, degree: int):
+    """Yield the monomials of total degree 0, 1, ..., degree, one list per
+    degree, in graded-lex order (sort by total degree, ties by the exponent
+    tuple's lexicographic order).
 
-    Stars and bars: `total` stars and parts - 1 bars fill total + parts - 1
-    slots, and each entry counts the stars between consecutive bars.
-    Choosing the bar slots in lexicographic order yields the tuples in
-    lexicographic order too.
+    Each monomial is the flat list j_1, e_1, j_2, e_2, ... of its variables
+    with a non-zero exponent, in increasing order, and those exponents (lists:
+    CPython keeps up to 2000 freed tuples of each small length).  A monomial
+    whose last variable is k (k = 0 for the constant) has the children
+    m * x_j, j = d - 1 down to k; each non-constant monomial is the child of
+    one m, itself less one power of its last variable, and children keep
+    their parents' order, so the children of one degree's monomials, parent
+    by parent, are the next degree's in graded-lex order.
     """
-    end = (total + parts - 1,)
-    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
-        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + end))
+    level = [[]]
+    for total in range(degree + 1):
+        yield level
+        if total < degree:
+            children = []
+            for m in level:
+                k = m[-2] if m else 0
+                children.extend(m + [j, 1] for j in range(d - 1, k, -1))
+                children.append(m[:-1] + [m[-1] + 1] if m else [0, 1])
+            level = children
 
 
 def multi_index_basis(d: int, degree: int) -> list[tuple[int, ...]]:
@@ -727,67 +726,58 @@ def multi_index_basis(d: int, degree: int) -> list[tuple[int, ...]]:
     """
     d, degree = _count_arg("d", d, 1), _count_arg("degree", degree, 1)
     basis: list[tuple[int, ...]] = []
-    for total in range(degree + 1):
-        basis.extend(_compositions(total, d))
+    for level in _monomial_levels(d, degree):
+        for m in level:
+            exponents = [0] * d
+            for j, e in zip(m[::2], m[1::2]):
+                exponents[j] = e
+            basis.append(tuple(exponents))
     return basis
 
 
-def poly_coefficient(m: tuple[int, ...], degree: int, bias: float) -> float:
-    """Coefficient alpha(m) making the monomial features reproduce the kernel.
+def _alpha_sq(degree: int, bias: float, total: int, exponents) -> float:
+    """alpha(m)^2 = C(degree, degree - |m|) * bias^(2(degree - |m|))
+    * multinomial(|m|; m) of a monomial m with total degree |m| = total, the
+    multinomial written as a telescoping product of binomials over suffix
+    sums of its exponents in variable order.  Zero exponents may be left out:
+    each contributes C(s, 0) = 1, an exact factor."""
+    sq = math.comb(degree, degree - total) * _power(bias, 2 * (degree - total))
+    for e in exponents:
+        sq *= math.comb(total, e)
+        total -= e
+    return sq
 
-    alpha(m)^2 = C(degree, degree - |m|) * bias^(2(degree - |m|))
-                 * multinomial(|m|; m), the multinomial written as a
-    telescoping product of binomials over suffix sums.
-    """
+
+def poly_coefficient(m: tuple[int, ...], degree: int, bias: float) -> float:
+    """Coefficient alpha(m) making the monomial features reproduce the kernel:
+    the square root of _alpha_sq."""
     degree, bias = _count_arg("degree", degree, 1), _real_arg("bias", bias, at_least=0)
     total = sum(m)
     if total > degree:
         raise ValueError(f"multi-index total degree {total} exceeds kernel degree {degree}")
-    sq = math.comb(degree, degree - total) * _power(bias, 2 * (degree - total))
-    suffix = total
-    for mt in m:
-        sq *= math.comb(suffix, mt)
-        suffix -= mt
-    return math.sqrt(sq)
+    return math.sqrt(_alpha_sq(degree, bias, total, m))
 
 
 @functools.lru_cache(maxsize=16)
 def _feature_plan(
     d: int, degree: int, bias: float
 ) -> tuple[tuple[tuple[int, int, int], ...], np.ndarray]:
-    """How to build every monomial of the graded-lex basis from a lower one.
+    """How to build every monomial of the graded-lex basis (_monomial_levels)
+    from a lower one.
 
-    A monomial p whose last non-zero exponent is at variable k (k = 0 for the
-    constant) has the children p * x_j, j = d - 1 down to k, at the d - k
-    consecutive indices from `start`, and each non-constant monomial is the
-    child of one p: itself less one power of its last variable.  So each run
-    (parent, start, k) is one product of column p with x_{d-1}, ..., x_k.
-    Children keep their parents' order, so the children of one degree's
-    monomials, parent by parent, are the next degree's in graded-lex order:
-    runs start 1 plus the d - k of every run before them, and the basis is
-    built degree by degree, each monomial as the flat list j_1, e_1, j_2,
-    e_2, ... of its variables with a non-zero exponent and those exponents
-    (lists: CPython keeps up to 2000 freed tuples of each small length).
-    coef[i] is alpha(m_i), multiplied out as poly_coefficient does, so it has
-    the same bits; read-only since the cache hands it to every caller.
+    A monomial p whose last variable is k has its children p * x_j,
+    j = d - 1 down to k, at the d - k consecutive indices from `start`, so
+    each run (parent, start, k) is one product of column p with x_{d-1}, ...,
+    x_k; runs start 1 plus the d - k of every run before them.  coef[i] is
+    alpha(m_i), from the same _alpha_sq as poly_coefficient, so it has the same
+    bits; read-only since the cache hands it to every caller.
     """
-    runs, coef, level = [], [], [[]]
-    for total in range(degree + 1):
-        scale = math.comb(degree, degree - total) * _power(bias, 2 * (degree - total))
-        for m in level:
-            sq, suffix = scale, total
-            for e in m[1::2]:
-                sq *= math.comb(suffix, e)
-                suffix -= e
-            coef.append(math.sqrt(sq))
+    runs, coef = [], []
+    for total, level in enumerate(_monomial_levels(d, degree)):
+        coef.extend(math.sqrt(_alpha_sq(degree, bias, total, m[1::2])) for m in level)
         if total < degree:
-            children = []
             for m in level:
-                k = m[-2] if m else 0
-                runs.append((len(runs), runs[-1][1] + d - runs[-1][2] if runs else 1, k))
-                children.extend(m + [j, 1] for j in range(d - 1, k, -1))
-                children.append(m[:-1] + [m[-1] + 1] if m else [0, 1])
-            level = children
+                runs.append((len(runs), runs[-1][1] + d - runs[-1][2] if runs else 1, m[-2] if m else 0))
     coef = np.array(coef)
     coef.setflags(write=False)
     return tuple(runs), coef

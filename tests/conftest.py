@@ -1,11 +1,21 @@
-"""Shared test helpers: explicit-feature-map oracles for the kernel trick,
-and a peak-memory probe."""
+"""Shared test helpers: a one-pair kernel and explicit-feature-map oracles
+for the kernel trick, and a peak-memory probe."""
 
+import math
 import tracemalloc
 
 import numpy as np
 
 from kernelshot import poly_feature_map
+
+
+def eval_kernel(spec, x, y):
+    """kappa(x, y) of one pair, straight from the kernel's formula: the oracle
+    side of kernel_matrix checks."""
+    x, y = np.asarray(x, dtype=float).ravel(), np.asarray(y, dtype=float).ravel()
+    if spec.kind == "gaussian":
+        return math.exp(-float((x - y) @ (x - y)) / (2.0 * spec.sigma))
+    return (spec.bias**2 + float(x @ y)) ** spec.degree
 
 
 def explicit_poly_point(x, degree, bias):

@@ -19,7 +19,6 @@ from kernelshot import (
     centered_gram,
     combo_pair_stats,
     empirical_probability_functions,
-    eval_kernel,
     few_shot_success_bounds,
     gaussian_kernel,
     linear_ball_ratio,

@@ -3,6 +3,7 @@ report round trips, and analytic spot checks on emitted data."""
 
 import csv
 import json
+import os
 from collections import Counter
 
 import numpy as np
@@ -513,3 +514,29 @@ def test_csv_writer_writes_numpy_floats_as_numbers(tmp_path):
     # np.float64 is a float, but its repr under numpy 2 is np.float64(0.1)
     write_csv_atomic(tmp_path / "t.csv", ["a", "b"], [[np.float64(0.1), 3]])
     assert read_csv(tmp_path / "t.csv") == [{"a": "0.1", "b": "3"}]
+
+
+def test_lists_only_the_csvs_this_run_wrote(tmp_path, capsys):
+    out = tmp_path / "out"
+    config = {**SMALL_CONFIGS["volume-ratio"], "out": str(out)}
+    assert main(["volume-ratio", "--config", write_config(tmp_path / "c.json", {**config, "delta_grid": [0.5]})]) == 0
+    first = capsys.readouterr().out
+    assert f"wrote {out / 'cap_ratios.csv'}" in first and f"wrote {out / 'ball_ratios.csv'}" in first
+
+    assert main(["volume-ratio", "--config", write_config(tmp_path / "c.json", config)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"wrote {out / 'report.json'}", f"wrote {out / 'ball_ratios.csv'}"]
+    assert (out / "cap_ratios.csv").exists()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_reports_take_the_process_umask(tmp_path, umask, mode):
+    cfg = write_config(tmp_path / "c.json", {**SMALL_CONFIGS["volume-ratio"], "out": str(tmp_path / "out")})
+    old = os.umask(umask)
+    try:
+        assert main(["volume-ratio", "--config", cfg]) == 0
+    finally:
+        os.umask(old)
+    written = sorted((tmp_path / "out").iterdir())
+    assert [p.name for p in written] == ["ball_ratios.csv", "report.json"]
+    assert [p.stat().st_mode & 0o777 for p in written] == [mode, mode]

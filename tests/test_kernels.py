@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import explicit_combination, explicit_poly_point, random_kernel_case, traced_peak
+from conftest import eval_kernel, explicit_combination, explicit_poly_point, random_kernel_case, traced_peak
 from kernelshot import (
     CentredProbe,
     FeatureCombination,
@@ -25,7 +25,6 @@ from kernelshot import (
     combo_inner,
     combo_pair_stats,
     enclosing_radius,
-    eval_kernel,
     gaussian_kernel,
     gaussian_mean_norm_limits,
     gram_matrix,
@@ -88,21 +87,27 @@ class TestKernelSpec:
 
 
 class TestEvalKernel:
+    """kappa of one pair, as kernel_matrix evaluates it."""
+
+    @staticmethod
+    def one(spec, x, y):
+        return float(kernel_matrix(spec, [x], [y])[0, 0])
+
     def test_polynomial_unit_vector(self):
         e1 = np.array([1.0, 0.0])
-        assert eval_kernel(polynomial_kernel(2, 1.0), e1, e1) == 4.0
+        assert self.one(polynomial_kernel(2, 1.0), e1, e1) == 4.0
 
     def test_gaussian_zero_distance(self):
         x = np.array([0.3, -1.2, 0.8])
         for sigma in (0.25, 1.0, 5.0):
-            assert eval_kernel(gaussian_kernel(sigma), x, x) == 1.0
+            assert self.one(gaussian_kernel(sigma), x, x) == 1.0
 
     def test_linear_orthogonal(self):
-        assert eval_kernel(linear_kernel(0.0), [1.0, 0.0], [0.0, 2.0]) == 0.0
+        assert self.one(linear_kernel(0.0), [1.0, 0.0], [0.0, 2.0]) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            eval_kernel(linear_kernel(), [1.0, 2.0], [1.0, 2.0, 3.0])
+            self.one(linear_kernel(), [1.0, 2.0], [1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
     def test_symmetry(self, spec):
@@ -110,7 +115,7 @@ class TestEvalKernel:
         for _ in range(25):
             x = rng.normal(size=3)
             y = rng.normal(size=3)
-            assert eval_kernel(spec, x, y) == eval_kernel(spec, y, x)
+            assert self.one(spec, x, y) == self.one(spec, y, x)
 
 
 class TestGramMatrix:
@@ -501,12 +506,11 @@ class TestClampSq:
 
     def test_overflowing_bias_gives_inf(self):
         spec = polynomial_kernel(2, 1e200)
-        assert eval_kernel(spec, [1.0], [1.0]) == math.inf
         assert poly_coefficient((0,), 2, 1e200) == math.inf
         with np.errstate(over="ignore"):
-            assert np.isinf(kernel_matrix(spec, [[1.0]], [[1.0]])).all()
-            assert np.isinf(kernel_diag(spec, [[1.0]])).all()
-        assert eval_kernel(polynomial_kernel(3, 0.0), [-1e110], [1e110]) == -math.inf
+            assert (kernel_matrix(spec, [[1.0]], [[1.0]]) == math.inf).all()
+            assert (kernel_diag(spec, [[1.0]]) == math.inf).all()
+            assert kernel_matrix(polynomial_kernel(3, 0.0), [[-1e110]], [[1e110]])[0, 0] == -math.inf
 
 
 class TestKernelTrickOracle:
