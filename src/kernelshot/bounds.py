@@ -35,6 +35,7 @@ from .kernels import (
     _centered_pair_blocks,
     _centered_rows,
     _clamp_sq,
+    _pair_sq_distance,
     _probe,
     combo_inner,
     inner_with_combo,
@@ -120,6 +121,7 @@ class ProbabilityFunctions:
     localisation_old: CDF of ||phi(z) - c_old|| over the old-class sample.
     separation_new:   CDF of (phi(x) - c_new, c_old - c_new).
     separation_old:   CDF of (phi(z) - c_old, c_new - c_old).
+    dist_sq:          ||c_new - c_old||^2, clamped at zero against round-off.
     """
 
     projection: StepCdf
@@ -127,6 +129,7 @@ class ProbabilityFunctions:
     localisation_old: StepCdf
     separation_new: StepCdf
     separation_old: StepCdf
+    dist_sq: float
 
 
 def empirical_probability_functions(
@@ -165,18 +168,21 @@ def empirical_probability_functions(
     # in place, so the n(n-1)/2 knots exist once
     pair_inners.sort()
 
-    cross = combo_inner(spec, centre_new, centre_old)
-    a_new, a_old = probe_new.centre_inner, probe_old.centre_inner
-    sep_new = inner_with_combo(spec, X, centre_old) - a_new - cross + centre_new.self_inner
-    norms_old = np.sqrt(_centered_rows(spec, Z, centre_old, a_old)[0])
-    sep_old = inner_with_combo(spec, Z, centre_new) - a_old - cross + centre_old.self_inner
+    b_new = inner_with_combo(spec, X, centre_old)
+    # (c_new, c_old) as combo_inner sums it, from these rows when they are c_new's support
+    own = X is centre_new.support and centre_new.primal is None
+    cross = float(centre_new.weights @ b_new) if own else combo_inner(spec, centre_new, centre_old)
+    sep_new = _centered_rows(spec, None, centre_new, probe_new.centre_inner, b_new, cross)[1]
+    b_old = inner_with_combo(spec, Z, centre_new)
+    sq_old, sep_old = _centered_rows(spec, Z, centre_old, probe_old.centre_inner, b_old, cross)
 
     return ProbabilityFunctions(
         projection=StepCdf(pair_inners),
         localisation_new=StepCdf(norms_new),
-        localisation_old=StepCdf(norms_old),
+        localisation_old=StepCdf(np.sqrt(sq_old)),
         separation_new=StepCdf(sep_new),
         separation_old=StepCdf(sep_old),
+        dist_sq=_pair_sq_distance(spec, centre_new, centre_old, cross),
     )
 
 

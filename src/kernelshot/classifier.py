@@ -34,7 +34,6 @@ __all__ = [
     "NEW_LABEL",
     "FewShotModel",
     "fit_few_shot",
-    "decision_value",
     "decision_values",
     "classify",
     "RocCurve",
@@ -98,10 +97,6 @@ def decision_values(model: FewShotModel, X) -> np.ndarray:
     return inner_with_combo(spec, probe.points, mu) - probe.centre_inner - mu.self_inner + cross
 
 
-def decision_value(model: FewShotModel, x) -> float:
-    return float(decision_values(model, np.asarray(x, dtype=float)[None, :])[0])
-
-
 def classify(
     model: FewShotModel,
     x,
@@ -111,7 +106,7 @@ def classify(
 ) -> Hashable:
     """New label iff the decision value reaches theta (boundary inclusive)."""
     theta = _real_arg("theta", theta)
-    return new_label if decision_value(model, x) >= theta else fallback_label
+    return new_label if decision_values(model, np.asarray(x, dtype=float)[None, :])[0] >= theta else fallback_label
 
 
 @dataclass(frozen=True, eq=False)

@@ -41,7 +41,7 @@ from .ingest import _atomic_write, _write_csv, ingest_feature_csv
 from .kernels import (
     CentredProbe,
     KernelSpec,
-    centered_sq_norm,
+    centered_sq_norms,
     combo_pair_stats,
     kernel_diag,
     mean_combination,
@@ -301,8 +301,10 @@ def load_config(command: str, raw: dict):
 
 
 def ball_cloud(d: int, centre, radius: float, n: int, seed: int) -> np.ndarray:
-    """n uniform points in the ball of given radius around centre."""
+    """n uniform points in the ball of given radius around a length-d centre."""
     radius, centre = _real_arg("radius", radius, above=0), _real_arg("centre", centre, array=True)
+    if centre.shape != (_count_arg("d", d, 1),):
+        raise ValueError(f"centre must be a vector of length d = {d}, got shape {centre.shape}")
     pts = sample_unit_ball(d, n, seed).points * radius
     pts += centre
     return pts
@@ -372,7 +374,7 @@ def run_volume_ratio(cfg: VolumeRatioConfig) -> dict:
         # probe direction: the image of the first basis vector
         v = np.zeros(cfg.d)
         v[0] = 1.0
-        v_norm = float(np.sqrt(centered_sq_norm(spec, v, centre)))
+        v_norm = float(np.sqrt(centered_sq_norms(spec, v, centre)[0]))
         if cfg.delta_scale == "cosine":
             deltas = [t * radius * v_norm for t in cfg.delta_grid]
         else:
@@ -428,6 +430,12 @@ def two_ball_refits(
     root); refit i draws its shots and evaluation points from the i-th
     substream of the refit root.
     """
+    counts = {"d": d, "shots": shots, "refits": refits, "draws": draws}
+    d, shots, refits, draws = (_count_arg(name, value, 1) for name, value in counts.items())
+    reference_size = _count_arg("reference_size", reference_size, 2)
+    centre_distance = _real_arg("centre_distance", centre_distance, at_least=0)
+    radius_new = _real_arg("radius_new", radius_new, above=0)
+    radius_old = _real_arg("radius_old", radius_old, above=0)
     thetas = _real_arg("thetas", thetas, array=True).tolist()
     ref_new_seed, ref_old_seed, refit_root = seeds
     centre_new_vec = np.zeros(d)
@@ -438,7 +446,6 @@ def two_ball_refits(
     centre_old = mean_combination(spec, ball_cloud(d, centre_old_vec, radius_old, reference_size, ref_old_seed))
     # each reference sample is its centre's support, whose own column is read
     pf = empirical_probability_functions(spec, centre_new.support, centre_old.support, centre_new, centre_old)
-    dist_sq = combo_pair_stats(spec, centre_new, centre_old).sq_distance
 
     mu_dists = np.empty(refits)
     success_new = {theta: np.empty(refits) for theta in thetas}
@@ -454,7 +461,7 @@ def two_ball_refits(
             success_new[theta][i] = float(np.mean(dv_new >= theta))
             success_old[theta][i] = float(np.mean(dv_old < theta))
 
-    return TwoBallRefits(pf, BoundGrid.default(pf), dist_sq, mu_dists, success_new, success_old)
+    return TwoBallRefits(pf, BoundGrid.default(pf), pf.dist_sq, mu_dists, success_new, success_old)
 
 
 def _contained(bracket, estimate: float, sigma: float) -> bool:

@@ -31,6 +31,7 @@ from .kernels import (
     _probe,
     as_points,
     inner_with_combo,
+    kernel_matrix,
     mean_combination,
 )
 
@@ -40,8 +41,6 @@ __all__ = [
     "MeanNormLimits",
     "wilson_interval",
     "enclosing_radius",
-    "ball_ratio_mc",
-    "cap_ratio_mc",
     "ball_ratio_sweep",
     "cap_ratio_sweep",
     "orthogonality_stats",
@@ -98,12 +97,12 @@ def _probe_pass(spec: KernelSpec, c: FeatureCombination, probe, chunk_size: int,
     The squared norms are clamped at zero against round-off.  Given a
     direction v, inners holds (phi(y) - c, phi(v) - c) for the chunk, else
     it is None.  Both come from the probe's kernel column (phi(y), c), so
-    only the elementwise work is chunked; (phi(v), c) is evaluated once per
-    pass.
+    only the elementwise work and the chunk's column (phi(y), phi(v)) are
+    chunked; (phi(v), c) is evaluated once per pass.
     """
     chunk_size = _count_arg("chunk_size", chunk_size, 1)
     probe = _probe(spec, c, probe)
-    va = v_c = None
+    va = v_c = b = None
     if v is not None:
         va = np.asarray(v, dtype=float)[None, :]
         v_c = float(inner_with_combo(spec, va, c)[0])
@@ -111,7 +110,9 @@ def _probe_pass(spec: KernelSpec, c: FeatureCombination, probe, chunk_size: int,
     try:
         for lo in range(0, pts.shape[0], chunk_size):
             hi = lo + chunk_size
-            yield _centered_rows(spec, pts[lo:hi], c, a[lo:hi], va, v_c)
+            if va is not None:
+                b = kernel_matrix(spec, pts[lo:hi], va)[:, 0]
+            yield _centered_rows(spec, pts[lo:hi], c, a[lo:hi], b, v_c)
     except NumericError:
         # a failed pass leaves the probe as it found it
         vars(probe).pop("centre_inner", None)
@@ -139,36 +140,6 @@ def enclosing_radius(
     return radius
 
 
-def ball_ratio_mc(
-    spec: KernelSpec,
-    c: FeatureCombination,
-    probe,
-    r: float,
-    eps: float,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> VolumeRatioEstimate:
-    """Fraction of probe points with ||phi(y) - c|| <= eps * r.
-
-    With the probe uniform on the support region this estimates the volume
-    ratio of the eps-shrunk feature ball pre-image to the full one.
-    """
-    return ball_ratio_sweep(spec, c, probe, r, [eps], chunk_size=chunk_size)[0]
-
-
-def cap_ratio_mc(
-    spec: KernelSpec,
-    c: FeatureCombination,
-    v,
-    probe,
-    r: float,
-    delta: float,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> VolumeRatioEstimate:
-    """Fraction of probe points inside the ball of radius r around c that also
-    satisfy (phi(y) - c, phi(v) - c) >= delta."""
-    return cap_ratio_sweep(spec, c, v, probe, r, [delta], chunk_size=chunk_size)[0]
-
-
 def ball_ratio_sweep(
     spec: KernelSpec,
     c: FeatureCombination,
@@ -177,11 +148,9 @@ def ball_ratio_sweep(
     eps_values,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> list[VolumeRatioEstimate]:
-    """ball_ratio_mc over many eps values with a single pass over the probe.
-
-    Counts are identical to calling ball_ratio_mc per value: the same probe
-    distances are thresholded per eps.
-    """
+    """Fraction of probe points with ||phi(y) - c|| <= eps * r for each eps, in
+    one pass over the probe: with the probe uniform on the support region, the
+    volume ratio of the eps-shrunk feature ball pre-image to the full one."""
     r = _real_arg("r", r, above=0)
     thresholds = _real_arg("eps_values", eps_values, at_least=0, at_most=1, array=True) * r
     hits = np.zeros(thresholds.size, dtype=np.int64)
@@ -200,7 +169,8 @@ def cap_ratio_sweep(
     delta_values,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> list[VolumeRatioEstimate]:
-    """cap_ratio_mc over many delta values with a single pass over the probe."""
+    """Fraction of probe points inside the ball of radius r around c with
+    (phi(y) - c, phi(v) - c) >= delta for each delta, in one pass over the probe."""
     r = _real_arg("r", r, above=0)
     neg_deltas = -_real_arg("delta_values", delta_values, array=True)
     hits = np.zeros(neg_deltas.size, dtype=np.int64)
@@ -374,9 +344,10 @@ def transition_width(sweep_values, ratios, high: float = 0.9, low: float = 0.1) 
 
     def crossing(level: float) -> float:
         below = np.nonzero(ys < level)[0]
-        j = int(below[0])
-        if j == 0:
-            return float(xs[0])
+        # a sweep that ends at `level` crosses where it first reaches it
+        j = int(below[0]) if below.size else int(np.argmax(ys <= level))
+        if j == 0 or ys[j] == level:
+            return float(xs[j])
         i = j - 1
         frac = (ys[i] - level) / (ys[i] - ys[j])
         return float(xs[i] + frac * (xs[j] - xs[i]))

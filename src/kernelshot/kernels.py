@@ -63,9 +63,7 @@ __all__ = [
     "kernel_diag",
     "gram_matrix",
     "inner_with_combo",
-    "centered_sq_norm",
     "centered_sq_norms",
-    "centered_inner",
     "centered_inners",
     "centered_gram",
     "combo_inner",
@@ -530,13 +528,14 @@ def _probe(spec: KernelSpec, c: FeatureCombination, rows) -> CentredProbe:
     return rows
 
 
-def _centered_rows(spec: KernelSpec, X: np.ndarray, c: FeatureCombination, a, v=None, v_c=None):
-    """Clamped ||phi(x) - c||^2 for every row x of X, from a = (phi(x), c),
-    and given a (1, d) v and v_c = (phi(v), c), (phi(x) - c, phi(v) - c)."""
-    sq = _clamp_sq(kernel_diag(spec, X) - 2.0 * a + c.self_inner, f"{spec.label} centered squared norm")
-    if v is None:
-        return sq, None
-    return sq, kernel_matrix(spec, X, v)[:, 0] - a - v_c + c.self_inner
+def _centered_rows(spec: KernelSpec, X, c: FeatureCombination, a, b=None, b_c=None):
+    """Clamped ||phi(x) - c||^2 for every row x of X (None if X is None), from
+    a = (phi(x), c), and given a direction u's column b = (phi(x), u) and
+    b_c = (u, c), (phi(x) - c, u - c)."""
+    sq = None if X is None else _clamp_sq(
+        kernel_diag(spec, X) - 2.0 * a + c.self_inner, f"{spec.label} centered squared norm"
+    )
+    return sq, None if b is None else b - a - b_c + c.self_inner
 
 
 def centered_sq_norms(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
@@ -545,21 +544,13 @@ def centered_sq_norms(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
     return _centered_rows(spec, Xa, c, inner_with_combo(spec, Xa, c))[0]
 
 
-def centered_sq_norm(spec: KernelSpec, y, c: FeatureCombination) -> float:
-    return float(centered_sq_norms(spec, np.asarray(y, dtype=float)[None, :], c)[0])
-
-
 def centered_inners(spec: KernelSpec, X, v, c: FeatureCombination) -> np.ndarray:
     """(phi(x) - c, phi(v) - c) for every row x of X against a fixed vector v;
     raises NumericError where ||phi(x) - c||^2 would (see centered_sq_norms)."""
     Xa = as_points(X)
     va = np.asarray(v, dtype=float)[None, :]
     v_c = float(inner_with_combo(spec, va, c)[0])
-    return _centered_rows(spec, Xa, c, inner_with_combo(spec, Xa, c), va, v_c)[1]
-
-
-def centered_inner(spec: KernelSpec, y, z, c: FeatureCombination) -> float:
-    return float(centered_inners(spec, np.asarray(y, dtype=float)[None, :], z, c)[0])
+    return _centered_rows(spec, Xa, c, inner_with_combo(spec, Xa, c), kernel_matrix(spec, Xa, va)[:, 0], v_c)[1]
 
 
 def centered_gram(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
@@ -676,8 +667,12 @@ class PairStats(NamedTuple):
 def combo_pair_stats(spec: KernelSpec, A: FeatureCombination, B: FeatureCombination) -> PairStats:
     """||A - B||^2 and (A, B) for two combinations."""
     inner = combo_inner(spec, A, B)
-    sq = A.self_inner - 2.0 * inner + B.self_inner
-    return PairStats(_clamp_sq(sq, f"{spec.label} pairwise squared distance"), inner)
+    return PairStats(_pair_sq_distance(spec, A, B, inner), inner)
+
+
+def _pair_sq_distance(spec: KernelSpec, A: FeatureCombination, B: FeatureCombination, inner: float) -> float:
+    """||A - B||^2 from inner = (A, B), clamped at zero against round-off."""
+    return _clamp_sq(A.self_inner - 2.0 * inner + B.self_inner, f"{spec.label} pairwise squared distance")
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,11 @@ import pytest
 from conftest import explicit_combination, explicit_poly_point, random_kernel_case
 from kernelshot import (
     auroc,
-    ball_ratio_mc,
+    ball_ratio_sweep,
     cap_ratio_sweep,
-    centered_inner,
-    centered_sq_norm,
+    centered_inners,
+    centered_sq_norms,
     combined_success_bounds,
-    decision_value,
     decision_values,
     enclosing_radius,
     fit_few_shot,
@@ -123,10 +122,10 @@ def test_c01_kernel_trick_oracle_equivalence():
             z = rng.uniform(-1, 1, size=d)
             phi_y = explicit_poly_point(y, degree, bias)
             phi_z = explicit_poly_point(z, degree, bias)
-            assert centered_sq_norm(spec, y, combo) == pytest.approx(
+            assert centered_sq_norms(spec, y, combo)[0] == pytest.approx(
                 float((phi_y - combo_vec) @ (phi_y - combo_vec)), abs=1e-9
             )
-            assert centered_inner(spec, y, z, combo) == pytest.approx(
+            assert centered_inners(spec, y, z, combo)[0] == pytest.approx(
                 float((phi_y - combo_vec) @ (phi_z - combo_vec)), abs=1e-9
             )
 
@@ -136,7 +135,7 @@ def test_c01_kernel_trick_oracle_equivalence():
             mu_vec = explicit_combination(shots, np.full(len(shots), 1 / len(shots)), degree, bias)
             cz_vec = explicit_combination(old_pts, np.full(2, 0.5), degree, bias)
             phi_x = explicit_poly_point(y, degree, bias)
-            assert decision_value(model, y) == pytest.approx(
+            assert decision_values(model, y)[0] == pytest.approx(
                 float((phi_x - mu_vec) @ (mu_vec - cz_vec)), abs=1e-9
             )
         elapsed = time.perf_counter() - start
@@ -150,7 +149,7 @@ def test_c02_linear_power_law():
             centre = singleton_combination(LINEAR, np.zeros(d))  # the exact feature mean
             probe = sample_unit_ball(d, 100_000, seed=500 + offset)
             for eps in (0.3, 0.5, 0.7, 0.9):
-                estimate = ball_ratio_mc(LINEAR, centre, probe, 1.0, eps)
+                estimate = ball_ratio_sweep(LINEAR, centre, probe, 1.0, [eps])[0]
                 low, high = wilson_interval(estimate.hits, estimate.trials, 0.99)
                 truth = linear_ball_ratio(eps, d)
                 assert low <= truth <= high, f"d={d} eps={eps}: {truth} outside [{low}, {high}]"
@@ -169,7 +168,7 @@ def test_c03_gaussian_membership_closed_form():
                 data_r_sq = gaussian_preimage_radius_sq(np.sqrt(r_sq), sigma)
                 for x, y in zip(X, Y):
                     feature_side = (
-                        centered_sq_norm(spec, x, singleton_combination(spec, y)) <= r_sq
+                        centered_sq_norms(spec, x, singleton_combination(spec, y))[0] <= r_sq
                     )
                     data_side = float(np.sum((x - y) ** 2)) <= data_r_sq
                     assert feature_side == data_side
@@ -182,7 +181,7 @@ def test_c04_gaussian_small_eps_emptiness():
         centre = mean_combination(spec, support)
         radius = enclosing_radius(spec, centre, support)
         probe = sample_unit_ball(1, 100_000, seed=511)
-        estimate = ball_ratio_mc(spec, centre, probe, radius, eps=0.2)
+        estimate = ball_ratio_sweep(spec, centre, probe, radius, eps_values=[0.2])[0]
         assert estimate.hits == 0
         assert estimate.ratio == 0.0
 
@@ -248,7 +247,7 @@ def test_c08_cap_transition_sharpens_with_degree():
             centre = mean_combination(spec, support)
             radius = enclosing_radius(spec, centre, support)
             # normalise delta by the Cauchy-Schwarz scale so degrees are comparable
-            scale = radius * np.sqrt(centered_sq_norm(spec, direction, centre))
+            scale = radius * np.sqrt(centered_sq_norms(spec, direction, centre)[0])
             estimates = cap_ratio_sweep(
                 spec, centre, direction, probe, radius, [t * scale for t in sweep]
             )

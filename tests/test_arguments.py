@@ -121,7 +121,7 @@ CASES = {
         two_ball_refits,
         dict(spec=LINEAR, d=2, centre_distance=2.0, radius_new=0.5, radius_old=0.5, reference_size=20, shots=3,
              thetas=[-1.0, 0.0], refits=2, draws=10, seeds=(1, 2, 3)),
-        "thetas",
+        "thetas d centre_distance radius_new radius_old reference_size shots refits draws",
     ),
     "classify": (classify, dict(model=MODEL, x=np.zeros(2), theta=0.0, fallback_label="old"), "theta"),
     "ball_cloud": (ball_cloud, dict(d=2, centre=[0.0, 0.0], radius=1.0, n=3, seed=0), "d centre radius n seed"),
@@ -158,6 +158,24 @@ def test_fractional_count_raises_naming_it(case, arg):
     with pytest.raises(ValueError, match=rf"^{arg} must be a finite whole number"):
         fn(**{**valid, arg: 2.5})
     fn(**{**valid, arg: float(valid[arg])})  # a whole float counts
+
+
+@pytest.mark.parametrize(
+    "arg, value",
+    [("d", 0), ("centre_distance", -1.0), ("radius_new", 0.0), ("radius_old", -0.5), ("reference_size", 1),
+     ("shots", 0), ("refits", 0), ("draws", 0)],
+)
+def test_two_ball_refits_out_of_range_raises_naming_it(arg, value):
+    # checked at entry, under its own name rather than ball_cloud's
+    fn, valid, _ = CASES["two_ball_refits"]
+    with pytest.raises(ValueError, match=rf"^{arg} must be"):
+        fn(**{**valid, arg: value})
+
+
+@pytest.mark.parametrize("d, centre", [(3, [0.0, 0.0]), (2, 0.5), (3, [[0.0, 0.0, 0.0]])], ids=["short", "scalar", "row"])
+def test_ball_cloud_centre_must_be_a_length_d_vector(d, centre):
+    with pytest.raises(ValueError, match=r"^centre must be a vector of length d"):
+        ball_cloud(d, centre, 1.0, 5, 0)
 
 
 # a valid config per command, and its numeric fields; a kernel's parameters

@@ -30,7 +30,7 @@ from kernelshot import (
     polynomial_kernel,
     singleton_combination,
 )
-from kernelshot import bounds, classifier, kernels
+from kernelshot import bounds, classifier, experiments, kernels
 from kernelshot.experiments import ball_cloud, two_ball_refits
 
 LINEAR = linear_kernel(0.0)
@@ -219,11 +219,14 @@ class TestProbabilityFunctionPasses:
         X, Z, S_new, S_old = (
             ball_cloud(4, np.full(4, shift), 1.0, 300, seed=30 + i) for i, shift in enumerate((0.0, 0.5, 0.0, 0.5))
         )
-        # centres over reference points of their own: were c_new the mean of X,
-        # combo_inner's pass over c_new's support would repeat the rows of
-        # (X, c_old), which this test does not cover
-        c_new = mean_combination(spec, S_new)
-        c_old = mean_combination(spec, S_old)
+        own_new, own_old = mean_combination(spec, X), mean_combination(spec, Z)
+        cases = [
+            # centres over reference points of their own
+            (X, Z, mean_combination(spec, S_new), mean_combination(spec, S_old)),
+            # each sample its centre's support: its own column is read, and
+            # (c_new, c_old) comes from the rows of (X, c_old), not a second pass
+            (own_new.support, own_old.support, own_new, own_old),
+        ]
         calls = []
         original = kernels.inner_with_combo
 
@@ -233,11 +236,13 @@ class TestProbabilityFunctionPasses:
 
         monkeypatch.setattr(kernels, "inner_with_combo", record)
         monkeypatch.setattr(bounds, "inner_with_combo", record)
-        empirical_probability_functions(spec, X, Z, c_new, c_old)
-        assert len(calls) == len(set(calls))
-        for rows in (X, Z):
-            for c in (c_new, c_old):
-                assert (rows.tobytes(), id(c)) in calls
+        for new, old, c_new, c_old in cases:
+            calls.clear()
+            empirical_probability_functions(spec, new, old, c_new, c_old)
+            assert len(calls) == len(set(calls))
+            for rows, own, other in ((new, c_new, c_old), (old, c_old, c_new)):
+                assert (rows.tobytes(), id(other)) in calls
+                assert ((rows.tobytes(), id(own)) in calls) == (rows is not own.support)
 
     @pytest.mark.parametrize("spec", [gaussian_kernel(0.5), polynomial_kernel(2, 1.0)], ids=lambda s: s.label)
     def test_peak_below_one_square_matrix_besides_the_knots(self, spec):
@@ -248,7 +253,7 @@ class TestProbabilityFunctionPasses:
         c_x = mean_combination(spec, X)
         c_z = mean_combination(spec, Z)
         pf, peak = traced_peak(lambda: empirical_probability_functions(spec, X, Z, c_x, c_z))
-        knots = sum(getattr(pf, name).knots.nbytes for name in pf.__dataclass_fields__)
+        knots = sum(cdf.knots.nbytes for cdf in vars(pf).values() if isinstance(cdf, StepCdf))
         assert peak - knots < n * n * 8
 
 
@@ -272,6 +277,35 @@ class TestTwoBallRefitPasses:
         own = [count for (rows, c), count in calls.items() if rows == c.support.tobytes()]
         assert len(own) == 2 + 2  # two reference centres and two prototypes
         assert own == [1] * len(own)
+
+    def test_each_rows_and_centre_pair_evaluated_once(self, monkeypatch):
+        # the new reference rows against the old centre give sep_new, the
+        # centre pair's inner product and the distance the bounds read
+        calls = Counter()
+        centres = []
+        original = kernels.inner_with_combo
+        original_pf = experiments.empirical_probability_functions
+
+        def record(spec, rows, c):
+            calls[np.asarray(rows).tobytes(), c] += 1
+            return original(spec, rows, c)
+
+        def keep_centres(spec, new_sample, old_sample, centre_new, centre_old):
+            centres.extend((centre_new, centre_old))
+            return original_pf(spec, new_sample, old_sample, centre_new, centre_old)
+
+        for module in (kernels, bounds, classifier):
+            monkeypatch.setattr(module, "inner_with_combo", record)
+        monkeypatch.setattr(experiments, "empirical_probability_functions", keep_centres)
+        spec = gaussian_kernel(0.5)
+        fit = two_ball_refits(
+            spec, d=4, centre_distance=1.0, radius_new=1.0, radius_old=1.0, reference_size=200,
+            shots=5, thetas=[0.0], refits=2, draws=50, seeds=(1, 2, 3),
+        )
+        assert max(calls.values()) == 1
+        centre_new, centre_old = centres
+        assert calls[centre_new.support.tobytes(), centre_old] == 1
+        assert fit.dist_sq == fit.pf.dist_sq == combo_pair_stats(spec, centre_new, centre_old).sq_distance
 
 
 class TestMargins:

@@ -12,9 +12,8 @@ from kernelshot import (
     CentredProbe,
     FeatureTransform,
     auroc,
-    centered_sq_norm,
+    centered_sq_norms,
     classify,
-    decision_value,
     decision_values,
     fit_few_shot,
     gaussian_kernel,
@@ -49,13 +48,13 @@ class TestFit:
         for spec in (LINEAR, polynomial_kernel(2, 1.0), gaussian_kernel(1.0)):
             x0 = np.array([0.4, -0.2])
             model = fit_few_shot(spec, x0[None, :], singleton_combination(spec, np.array([1.0, 1.0])))
-            assert centered_sq_norm(spec, x0, model.prototype) <= 1e-12
+            assert centered_sq_norms(spec, x0, model.prototype)[0] <= 1e-12
             assert model.k == 1
 
     def test_symmetric_shots_cancel_for_linear(self):
         shots = np.array([[0.5, 0.3], [-0.5, -0.3], [0.2, -0.7], [-0.2, 0.7]])
         model = fit_few_shot(LINEAR, shots, singleton_combination(LINEAR, np.array([2.0, 0.0])))
-        assert centered_sq_norm(LINEAR, np.zeros(2), model.prototype) <= 1e-12
+        assert centered_sq_norms(LINEAR, np.zeros(2), model.prototype)[0] <= 1e-12
 
     def test_prototype_matches_explicit_average(self):
         spec = polynomial_kernel(2, 1.0)
@@ -66,7 +65,7 @@ class TestFit:
         y = rng.uniform(-1, 1, size=2)
         phi_y = explicit_poly_point(y, 2, 1.0)
         expected = float((phi_y - mu_vec) @ (phi_y - mu_vec))
-        assert centered_sq_norm(spec, y, model.prototype) == pytest.approx(expected, abs=1e-9)
+        assert centered_sq_norms(spec, y, model.prototype)[0] == pytest.approx(expected, abs=1e-9)
 
     def test_empty_shots_rejected(self):
         with pytest.raises(ValueError):
@@ -76,18 +75,18 @@ class TestFit:
 class TestDecisionValue:
     def test_shot_itself_scores_zero(self):
         model = two_point_model()
-        assert decision_value(model, np.array([1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
+        assert decision_values(model, np.array([1.0, 0.0]))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_old_centre_scores_minus_distance(self):
         model = two_point_model()
-        assert decision_value(model, np.array([-1.0, 0.0])) == pytest.approx(
+        assert decision_values(model, np.array([-1.0, 0.0]))[0] == pytest.approx(
             -model.dist_sq, abs=1e-12
         )
 
     def test_hand_evaluated_linear_case(self):
         # mu = (1,0), c_old = (-1,0), x = (2,0): (x - mu) . (mu - c_old) = 2
         model = two_point_model()
-        assert decision_value(model, np.array([2.0, 0.0])) == pytest.approx(2.0, abs=1e-12)
+        assert decision_values(model, np.array([2.0, 0.0]))[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_matches_explicit_feature_map(self):
         rng = np.random.default_rng(2)
@@ -103,12 +102,12 @@ class TestDecisionValue:
             cz_vec = explicit_combination(old_pts, np.full(2, 0.5), degree, bias)
             phi_x = explicit_poly_point(x, degree, bias)
             expected = float((phi_x - mu_vec) @ (mu_vec - cz_vec))
-            assert decision_value(model, x) == pytest.approx(expected, abs=1e-9)
+            assert decision_values(model, x)[0] == pytest.approx(expected, abs=1e-9)
 
     def test_dimension_mismatch(self):
         model = two_point_model()
         with pytest.raises(ValueError, match="dimension mismatch"):
-            decision_value(model, np.array([1.0, 0.0, 0.0]))
+            decision_values(model, np.array([1.0, 0.0, 0.0]))[0]
 
 
 KERNELS = [LINEAR, polynomial_kernel(2, 1.0), gaussian_kernel(0.5)]
@@ -155,7 +154,7 @@ class TestClassify:
     def test_boundary_is_inclusive(self):
         model = two_point_model()
         x = np.array([2.0, 0.0])
-        value = decision_value(model, x)
+        value = decision_values(model, x)[0]
         assert classify(model, x, theta=value, fallback_label="old") == "new"
 
     def test_monotone_in_theta(self):

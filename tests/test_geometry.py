@@ -16,13 +16,10 @@ from kernelshot import (
     DomainSpec,
     NumericError,
     OrthogonalityStats,
-    ball_ratio_mc,
     ball_ratio_sweep,
-    cap_ratio_mc,
     cap_ratio_sweep,
     centered_gram,
     centered_inners,
-    centered_sq_norm,
     centered_sq_norms,
     enclosing_radius,
     gaussian_ball_preimage_volume,
@@ -105,20 +102,20 @@ class TestBallRatio:
         probe = sample_unit_ball(3, 5000, seed=3)
         c = origin_combo(3)
         r = enclosing_radius(LINEAR, c, probe)
-        est = ball_ratio_mc(LINEAR, c, probe, r, eps=1.0)
+        est = ball_ratio_sweep(LINEAR, c, probe, r, eps_values=[1.0])[0]
         assert est.ratio == 1.0
 
     def test_monotone_in_eps(self):
         probe = sample_unit_ball(4, 8000, seed=4)
         c = origin_combo(4)
-        hits = [ball_ratio_mc(LINEAR, c, probe, 1.0, eps).hits for eps in np.linspace(0, 1, 11)]
+        hits = [ball_ratio_sweep(LINEAR, c, probe, 1.0, [eps])[0].hits for eps in np.linspace(0, 1, 11)]
         assert all(a <= b for a, b in zip(hits, hits[1:]))
 
     @pytest.mark.parametrize("d", [2, 5])
     @pytest.mark.parametrize("eps", [0.3, 0.7])
     def test_linear_power_law(self, d, eps):
         probe = sample_unit_ball(d, 20_000, seed=50 + d)
-        est = ball_ratio_mc(LINEAR, origin_combo(d), probe, 1.0, eps)
+        est = ball_ratio_sweep(LINEAR, origin_combo(d), probe, 1.0, [eps])[0]
         low, high = wilson_interval(est.hits, est.trials, 0.99)
         assert low <= linear_ball_ratio(eps, d) <= high
 
@@ -128,21 +125,21 @@ class TestBallRatio:
         c = mean_combination(spec, support)
         r = enclosing_radius(spec, c, support)
         probe = sample_unit_ball(1, 20_000, seed=7)
-        est = ball_ratio_mc(spec, c, probe, r, eps=0.2)
+        est = ball_ratio_sweep(spec, c, probe, r, eps_values=[0.2])[0]
         assert est.hits == 0 and est.ratio == 0.0
 
     def test_invalid_inputs(self):
         probe = sample_unit_ball(2, 10, seed=0)
         with pytest.raises(ValueError):
-            ball_ratio_mc(LINEAR, origin_combo(2), probe, r=0.0, eps=0.5)
+            ball_ratio_sweep(LINEAR, origin_combo(2), probe, r=0.0, eps_values=[0.5])[0]
         with pytest.raises(ValueError):
-            ball_ratio_mc(LINEAR, origin_combo(2), probe, r=1.0, eps=1.5)
+            ball_ratio_sweep(LINEAR, origin_combo(2), probe, r=1.0, eps_values=[1.5])[0]
 
     def test_chunking_invariance(self):
         probe = sample_unit_ball(3, 5000, seed=12)
         c = origin_combo(3)
-        a = ball_ratio_mc(LINEAR, c, probe, 1.0, 0.6, chunk_size=97)
-        b = ball_ratio_mc(LINEAR, c, probe, 1.0, 0.6, chunk_size=4096)
+        a = ball_ratio_sweep(LINEAR, c, probe, 1.0, [0.6], chunk_size=97)[0]
+        b = ball_ratio_sweep(LINEAR, c, probe, 1.0, [0.6], chunk_size=4096)[0]
         assert a == b
 
     def test_sweep_matches_pointwise(self):
@@ -150,7 +147,7 @@ class TestBallRatio:
         c = origin_combo(3)
         eps_values = [0.2, 0.5, 0.8, 1.0]
         sweep = ball_ratio_sweep(LINEAR, c, probe, 1.0, eps_values)
-        pointwise = [ball_ratio_mc(LINEAR, c, probe, 1.0, e) for e in eps_values]
+        pointwise = [ball_ratio_sweep(LINEAR, c, probe, 1.0, [e])[0] for e in eps_values]
         assert sweep == pointwise
 
 
@@ -159,8 +156,8 @@ class TestCapRatio:
         probe = sample_unit_ball(3, 4000, seed=8)
         c = origin_combo(3)
         r = enclosing_radius(LINEAR, c, probe)
-        ball = ball_ratio_mc(LINEAR, c, probe, r, eps=1.0)
-        cap = cap_ratio_mc(LINEAR, c, np.array([1.0, 0.0, 0.0]), probe, r, delta=-1e30)
+        ball = ball_ratio_sweep(LINEAR, c, probe, r, eps_values=[1.0])[0]
+        cap = cap_ratio_sweep(LINEAR, c, np.array([1.0, 0.0, 0.0]), probe, r, delta_values=[-1e30])[0]
         assert cap.hits == ball.hits
 
     def test_cauchy_schwarz_exclusion(self):
@@ -168,13 +165,13 @@ class TestCapRatio:
         c = origin_combo(3)
         v = np.array([0.5, 0.1, -0.2])
         r = 1.0
-        delta = r * math.sqrt(centered_sq_norm(LINEAR, v, c)) * 1.0001
-        est = cap_ratio_mc(LINEAR, c, v, probe, r, delta)
+        delta = r * math.sqrt(centered_sq_norms(LINEAR, v, c)[0]) * 1.0001
+        est = cap_ratio_sweep(LINEAR, c, v, probe, r, [delta])[0]
         assert est.hits == 0
 
     def test_half_ball(self):
         probe = sample_unit_ball(2, 20_000, seed=10)
-        est = cap_ratio_mc(LINEAR, origin_combo(2), np.array([1.0, 0.0]), probe, 1.0, delta=0.0)
+        est = cap_ratio_sweep(LINEAR, origin_combo(2), np.array([1.0, 0.0]), probe, 1.0, delta_values=[0.0])[0]
         low, high = wilson_interval(est.hits, est.trials, 0.99)
         assert low <= 0.5 <= high
 
@@ -183,7 +180,7 @@ class TestCapRatio:
         c = origin_combo(3)
         v = np.array([1.0, 0.0, 0.0])
         hits = [
-            cap_ratio_mc(LINEAR, c, v, probe, 1.0, delta).hits
+            cap_ratio_sweep(LINEAR, c, v, probe, 1.0, [delta])[0].hits
             for delta in np.linspace(-1.0, 1.0, 9)
         ]
         assert all(a >= b for a, b in zip(hits, hits[1:]))
@@ -194,7 +191,7 @@ class TestCapRatio:
         v = np.array([0.7, -0.1])
         deltas = [-0.5, -0.1, 0.0, 0.2]
         sweep = cap_ratio_sweep(LINEAR, c, v, probe, 1.0, deltas)
-        pointwise = [cap_ratio_mc(LINEAR, c, v, probe, 1.0, t) for t in deltas]
+        pointwise = [cap_ratio_sweep(LINEAR, c, v, probe, 1.0, [t])[0] for t in deltas]
         assert sweep == pointwise
 
 
@@ -202,12 +199,12 @@ class TestSweepValidation:
     def test_ball_rejects_nan_radius(self):
         probe = sample_unit_ball(2, 10, seed=0)
         with pytest.raises(ValueError, match="finite"):
-            ball_ratio_mc(LINEAR, origin_combo(2), probe, r=math.nan, eps=0.5)
+            ball_ratio_sweep(LINEAR, origin_combo(2), probe, r=math.nan, eps_values=[0.5])[0]
 
     def test_ball_rejects_infinite_radius(self):
         probe = sample_unit_ball(2, 10, seed=0)
         with pytest.raises(ValueError, match="finite"):
-            ball_ratio_mc(LINEAR, origin_combo(2), probe, r=math.inf, eps=0.5)
+            ball_ratio_sweep(LINEAR, origin_combo(2), probe, r=math.inf, eps_values=[0.5])[0]
 
     def test_cap_rejects_nan_delta(self):
         probe = sample_unit_ball(2, 10, seed=0)
@@ -255,7 +252,7 @@ class TestSweepProperties:
         c, probe, r, v = sweep_case(spec, d, n_support, seed)
         rng = np.random.default_rng(seed)
         eps = sorted_grid(rng, 0.0, 1.0)
-        bound = r * math.sqrt(centered_sq_norm(spec, v, c))
+        bound = r * math.sqrt(centered_sq_norms(spec, v, c)[0])
         deltas = sorted_grid(rng, -bound, bound)
         assert ball_ratio_sweep(spec, c, probe, r, eps, chunk_size=chunk_size) == ball_ratio_sweep(
             spec, c, probe, r, eps
@@ -270,7 +267,7 @@ class TestSweepProperties:
         c, probe, r, v = sweep_case(spec, d, n_support, seed)
         rng = np.random.default_rng(seed)
         eps = sorted_grid(rng, 0.0, 1.0)
-        bound = r * math.sqrt(centered_sq_norm(spec, v, c))
+        bound = r * math.sqrt(centered_sq_norms(spec, v, c)[0])
         deltas = sorted_grid(rng, -bound, bound)
         dist = np.sqrt(centered_sq_norms(spec, probe, c))
         inner = centered_inners(spec, probe, v, c)
@@ -293,11 +290,11 @@ class TestSweepProperties:
         c, probe, r, v = sweep_case(spec, d, n_support, seed)
         rng = np.random.default_rng(seed)
         eps = sorted_grid(rng, 0.0, 1.0)
-        bound = r * math.sqrt(centered_sq_norm(spec, v, c))
+        bound = r * math.sqrt(centered_sq_norms(spec, v, c)[0])
         deltas = sorted_grid(rng, -bound, bound)
-        assert ball_ratio_sweep(spec, c, probe, r, eps) == [ball_ratio_mc(spec, c, probe, r, e) for e in eps]
+        assert ball_ratio_sweep(spec, c, probe, r, eps) == [ball_ratio_sweep(spec, c, probe, r, [e])[0] for e in eps]
         assert cap_ratio_sweep(spec, c, v, probe, r, deltas) == [
-            cap_ratio_mc(spec, c, v, probe, r, t) for t in deltas
+            cap_ratio_sweep(spec, c, v, probe, r, [t])[0] for t in deltas
         ]
 
     @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
@@ -317,7 +314,7 @@ class TestCentredProbe:
         c, probe, r, v = sweep_case(spec, d, n_support, seed)
         rng = np.random.default_rng(seed)
         eps = sorted_grid(rng, 0.0, 1.0)
-        bound = r * math.sqrt(centered_sq_norm(spec, v, c))
+        bound = r * math.sqrt(centered_sq_norms(spec, v, c)[0])
         deltas = sorted_grid(rng, -bound, bound)
         shared = CentredProbe(spec, c, probe)
         sweeps = [
@@ -621,7 +618,7 @@ class TestAnalyticForms:
                 X = rng.uniform(-2, 2, size=(200, 3))
                 Y = rng.uniform(-2, 2, size=(200, 3))
                 for x, y in zip(X[:50], Y[:50]):
-                    feature_side = centered_sq_norm(spec, x, singleton_combination(spec, y)) <= r_sq
+                    feature_side = centered_sq_norms(spec, x, singleton_combination(spec, y))[0] <= r_sq
                     data_side = float(np.sum((x - y) ** 2)) <= data_r_sq
                     assert feature_side == data_side
 
@@ -644,13 +641,22 @@ class TestTransitionWidth:
         with pytest.raises(ValueError):
             transition_width([0.0, 1.0], [0.8, 0.2])
 
+    def test_sweep_ending_at_low_stops_where_it_reaches_it(self):
+        high = 0.1 + (0.95 - 0.9) / (0.95 - 0.5) * (0.2 - 0.1)
+        assert transition_width([0.1, 0.2, 0.3], [0.95, 0.5, 0.1]) == 0.3 - high
+        assert transition_width([0.1, 0.2, 0.3, 0.4], [0.95, 0.5, 0.1, 0.1]) == 0.3 - high
+
+    def test_crossings_below_low_keep_their_interpolation(self):
+        # a point exactly at low followed by one below it crosses at that point
+        assert transition_width([0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.1, 0.0]) == 2.0 - (1.0 - 0.9) / (1.0 - 0.5)
+
 
 class TestSweepCsv:
     def test_round_trip(self, tmp_path):
         probe = sample_unit_ball(2, 500, seed=40)
         c = origin_combo(2)
         eps_values = [0.25, 0.5, 0.75]
-        estimates = [ball_ratio_mc(LINEAR, c, probe, 1.0, e) for e in eps_values]
+        estimates = [ball_ratio_sweep(LINEAR, c, probe, 1.0, [e])[0] for e in eps_values]
         path = tmp_path / "sweep.csv"
         write_ratio_sweep_csv(path, eps_values, estimates)
         with open(path, newline="") as fh:
@@ -663,7 +669,7 @@ class TestSweepCsv:
             assert int(row["trials"]) == est.trials
 
     def test_length_mismatch_writes_nothing(self, tmp_path):
-        estimates = [ball_ratio_mc(LINEAR, origin_combo(2), sample_unit_ball(2, 50, seed=41), 1.0, 0.5)] * 2
+        estimates = [ball_ratio_sweep(LINEAR, origin_combo(2), sample_unit_ball(2, 50, seed=41), 1.0, [0.5])[0]] * 2
         with pytest.raises(ValueError, match="3 sweep values but 2 estimates"):
             write_ratio_sweep_csv(tmp_path / "sweep.csv", [0.25, 0.5, 0.75], estimates)
         assert list(tmp_path.iterdir()) == []

@@ -18,9 +18,7 @@ from kernelshot import (
     KernelSpec,
     NumericError,
     centered_gram,
-    centered_inner,
     centered_inners,
-    centered_sq_norm,
     centered_sq_norms,
     combo_inner,
     combo_pair_stats,
@@ -390,7 +388,7 @@ class TestCenteredOps:
         for spec in ALL_SPECS:
             y = np.array([0.4, -0.3])
             c = singleton_combination(spec, y)
-            assert centered_sq_norm(spec, y, c) <= 1e-12
+            assert centered_sq_norms(spec, y, c)[0] <= 1e-12
 
     def test_gaussian_singleton_expansion(self):
         spec = gaussian_kernel(0.5)
@@ -399,7 +397,7 @@ class TestCenteredOps:
             x = rng.normal(size=3)
             y = rng.normal(size=3)
             expected = 2.0 - 2.0 * eval_kernel(spec, y, x)
-            got = centered_sq_norm(spec, y, singleton_combination(spec, x))
+            got = centered_sq_norms(spec, y, singleton_combination(spec, x))[0]
             assert got == pytest.approx(expected, abs=1e-12)
 
     def test_gaussian_bounded_by_sphere_diameter(self):
@@ -408,7 +406,7 @@ class TestCenteredOps:
         for _ in range(100):
             x = rng.normal(scale=3.0, size=4)
             y = rng.normal(scale=3.0, size=4)
-            assert centered_sq_norm(spec, y, singleton_combination(spec, x)) <= 4.0 + 1e-9
+            assert centered_sq_norms(spec, y, singleton_combination(spec, x))[0] <= 4.0 + 1e-9
 
     def test_diagonal_consistency(self):
         rng = np.random.default_rng(13)
@@ -416,8 +414,8 @@ class TestCenteredOps:
             pts = rng.normal(size=(3, 2))
             c = mean_combination(spec, pts)
             y = rng.normal(size=2)
-            assert centered_inner(spec, y, y, c) == pytest.approx(
-                centered_sq_norm(spec, y, c), abs=1e-12
+            assert centered_inners(spec, y, y, c)[0] == pytest.approx(
+                centered_sq_norms(spec, y, c)[0], abs=1e-12
             )
 
     def test_zero_vector_factor(self):
@@ -427,7 +425,7 @@ class TestCenteredOps:
             c = singleton_combination(spec, y)
             for _ in range(5):
                 z = rng.normal(size=2)
-                assert centered_inner(spec, y, z, c) == pytest.approx(0.0, abs=1e-12)
+                assert centered_inners(spec, y, z, c)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_cauchy_schwarz(self):
         rng = np.random.default_rng(15)
@@ -438,9 +436,9 @@ class TestCenteredOps:
                 c = FeatureCombination(spec, pts, weights)
                 y = rng.normal(size=3)
                 z = rng.normal(size=3)
-                lhs = abs(centered_inner(spec, y, z, c))
+                lhs = abs(centered_inners(spec, y, z, c)[0])
                 rhs = math.sqrt(
-                    centered_sq_norm(spec, y, c) * centered_sq_norm(spec, z, c)
+                    centered_sq_norms(spec, y, c)[0] * centered_sq_norms(spec, z, c)[0]
                 )
                 assert lhs <= rhs + 1e-9
 
@@ -468,7 +466,7 @@ class TestCenteredOps:
     def test_spec_mismatch(self):
         c = singleton_combination(linear_kernel(), np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match="kernel spec mismatch"):
-            centered_sq_norm(gaussian_kernel(1.0), np.array([0.0, 0.0]), c)
+            centered_sq_norms(gaussian_kernel(1.0), np.array([0.0, 0.0]), c)[0]
 
     def test_combination_immutable(self):
         c = singleton_combination(linear_kernel(), np.array([1.0, 0.0]))
@@ -531,10 +529,10 @@ class TestKernelTrickOracle:
             phi_y = explicit_poly_point(y, degree, bias)
             phi_z = explicit_poly_point(z, degree, bias)
 
-            assert centered_sq_norm(spec, y, c) == pytest.approx(
+            assert centered_sq_norms(spec, y, c)[0] == pytest.approx(
                 float((phi_y - c_vec) @ (phi_y - c_vec)), abs=1e-9
             )
-            assert centered_inner(spec, y, z, c) == pytest.approx(
+            assert centered_inners(spec, y, z, c)[0] == pytest.approx(
                 float((phi_y - c_vec) @ (phi_z - c_vec)), abs=1e-9
             )
 
