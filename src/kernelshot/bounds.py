@@ -169,8 +169,10 @@ def empirical_probability_functions(
     pair_inners.sort()
 
     b_new = inner_with_combo(spec, X, centre_old)
-    # (c_new, c_old) as combo_inner sums it, from these rows when they are c_new's support
-    own = X is centre_new.support and centre_new.primal is None
+    # (c_new, c_old) as combo_inner sums it, from these rows when they equal
+    # c_new's support (a Gaussian centre keeps a copy of it in its factor)
+    S = centre_new.support
+    own = centre_new.primal is None and (X is S or X.shape == S.shape and np.array_equal(X, S))
     cross = float(centre_new.weights @ b_new) if own else combo_inner(spec, centre_new, centre_old)
     sep_new = _centered_rows(spec, None, centre_new, probe_new.centre_inner, b_new, cross)[1]
     b_old = inner_with_combo(spec, Z, centre_new)

@@ -437,7 +437,9 @@ def two_ball_refits(
     radius_new = _real_arg("radius_new", radius_new, above=0)
     radius_old = _real_arg("radius_old", radius_old, above=0)
     thetas = _real_arg("thetas", thetas, array=True).tolist()
-    ref_new_seed, ref_old_seed, refit_root = seeds
+    if np.ndim(seeds) != 1 or len(seeds) != 3:
+        raise ValueError(f"seeds must be three seeds, got {seeds!r}")
+    ref_new_seed, ref_old_seed, refit_root = (_count_arg("seeds", seed, 0) for seed in seeds)
     centre_new_vec = np.zeros(d)
     centre_old_vec = np.zeros(d)
     centre_old_vec[0] = centre_distance

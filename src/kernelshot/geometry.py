@@ -25,9 +25,13 @@ from .ingest import _write_csv
 from .kernels import (
     FeatureCombination,
     KernelSpec,
-    _centered_pair_blocks,
     _centered_rows,
+    _centred_row_blocks,
     _clamp_sq,
+    _gaussian_factor,
+    _has_centred_rows,
+    _kernel_pair_blocks,
+    _mean_column,
     _probe,
     as_points,
     inner_with_combo,
@@ -199,27 +203,42 @@ class OrthogonalityStats:
 
 
 def orthogonality_stats(spec: KernelSpec, sample) -> OrthogonalityStats:
+    """OrthogonalityStats of the sample's centred feature vectors, with no
+    n x n matrix: blocks of pairs i < j, from the last, one alive at a time.
+
+    A mean with centred feature rows u_i (kernels._has_centred_rows: a linear
+    or polynomial kernel of p <= _CENTRED_ROWS_DIM features, p < n) scales
+    them to unit rows e_i = u_i / ||u_i|| (0 for a zero norm), so the cosine
+    sums are closed forms, sum_{i<j} cos = (|sum_i e_i|^2 - sum_i |e_i|^2) / 2
+    and sum_{i<j} cos^2 = (||E^T E||_F^2 - sum_i |e_i|^4) / 2, and only
+    sum |cos| reads the n^2 / 2 entries E[lo:hi] E[lo:]^T.  Any other kernel
+    evaluates n^2 / 2 kernel entries for the column (phi(x_i), mu)
+    (kernels._mean_column) and n^2 / 2 for the centred pair blocks.
+    """
     pts = as_points(sample)
     n = pts.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 points, got {n}")
-    mu = mean_combination(spec, pts)
     norms = np.empty(n)
     # 1 / norm, and 0 for a zero norm, so the cosines of its pairs vanish
     inv = np.zeros(n)
-    sum_cos = 0.0
-    sum_cos_sq = 0.0
-    sum_abs = 0.0
-    # bottom-up blocks: the norms of rows lo: are known when block lo arrives.
-    # mu's support is the sample itself, so its column and factor are read
-    for lo, hi, C in _centered_pair_blocks(spec, mu.support, mu):
-        norms[lo:hi] = np.sqrt(_clamp_sq(np.diagonal(C), f"{spec.label} centered squared norm"))
-        np.divide(1.0, norms[lo:hi], out=inv[lo:hi], where=norms[lo:hi] > 0.0)
-        w = inv[lo:]
-        sum_cos += _pair_sum(C, w)
-        sum_abs += _pair_sum(np.abs(C, out=C), w)
-        sum_cos_sq += _pair_sum(np.square(C, out=C), w * w)
-        del C
+    context = f"{spec.label} centered squared norm"
+    if _has_centred_rows(spec, pts.shape[1], n):
+        sum_cos, sum_cos_sq, sum_abs = _unit_row_sums(spec, mean_combination(spec, pts), norms, inv, context)
+    else:
+        sum_cos = sum_cos_sq = sum_abs = 0.0
+        own = _gaussian_factor(spec, pts) if spec.kind == "gaussian" else None
+        X = pts if own is None else own.support
+        a, self_inner = _mean_column(spec, X, own)
+        # bottom-up blocks: the norms of rows lo: are known when block lo arrives
+        for lo, hi, C in _kernel_pair_blocks(spec, X, a, self_inner, own):
+            norms[lo:hi] = np.sqrt(_clamp_sq(np.diagonal(C), context))
+            np.divide(1.0, norms[lo:hi], out=inv[lo:hi], where=norms[lo:hi] > 0.0)
+            w = inv[lo:]
+            sum_cos += _pair_sum(C, w)
+            sum_abs += _pair_sum(np.abs(C, out=C), w)
+            sum_cos_sq += _pair_sum(np.square(C, out=C), w * w)
+            del C
     valid = int(np.count_nonzero(norms > 0.0))
     count = valid * (valid - 1) // 2
     if count == 0:
@@ -235,6 +254,37 @@ def orthogonality_stats(spec: KernelSpec, sample) -> OrthogonalityStats:
         n_pairs=count,
         excluded_pairs=n * (n - 1) // 2 - count,
     )
+
+
+def _unit_row_sums(spec: KernelSpec, mu: FeatureCombination, norms, inv, context: str):
+    """sum cos, sum cos^2 and sum |cos| over the pairs i < j of mu's support,
+    from its centred feature rows (orthogonality_stats), writing each row's
+    norm and inverse norm (0 for a zero norm) into norms and inv."""
+    p = mu.primal.size
+    row_sum = np.zeros(p)
+    gram = np.zeros((p, p))
+    unit_sq = unit_quartic = sum_abs = 0.0
+    # bottom-up blocks: the inverse norms of rows hi: are known at block lo
+    for lo, hi, U, out in _centred_row_blocks(spec, mu.support, mu):
+        m = hi - lo
+        norms[lo:hi] = np.sqrt(_clamp_sq(np.einsum("ij,ij->i", U[:m], U[:m]), context))
+        np.divide(1.0, norms[lo:hi], out=inv[lo:hi], where=norms[lo:hi] > 0.0)
+        U *= inv[lo:, None]
+        top = U[:m]
+        sq = np.einsum("ij,ij->i", top, top)
+        unit_sq += float(sq.sum())
+        unit_quartic += float(sq @ sq)
+        row_sum += top.sum(axis=0)
+        gram += top.T @ top
+        P = np.abs(np.matmul(top, U.T, out=out), out=out)
+        del U, out, top
+        # the square is symmetric, so its strict upper part is half its sum
+        # less its diagonal: the block's pairs are its sum less the rest
+        sum_abs += float(P.sum() - (P[:, :m].sum() + np.trace(P)) / 2.0)
+        del P
+    sum_cos = (row_sum @ row_sum - unit_sq) / 2.0
+    sum_cos_sq = (float(np.einsum("ij,ij->", gram, gram)) - unit_quartic) / 2.0
+    return float(sum_cos), sum_cos_sq, sum_abs
 
 
 def _pair_sum(C: np.ndarray, w: np.ndarray) -> float:

@@ -111,13 +111,16 @@ _SPLIT_ENTRIES = 1 << 24
 _CHUNK_ENTRIES = 1 << 14
 
 # Largest feature dimension p of a primal combination whose centred pair
-# blocks are products of its centred feature rows (_centered_pair_blocks):
-# one product with p terms per entry against a product with d terms and four
-# elementwise passes.  Timing orthogonality_stats on n = 3000 points (2-core
-# Xeon, OpenBLAS 0.3.31, 1 and 2 threads), the centred rows took 0.55-0.66 of
-# the kernel rows' time at p 21 and 0.74-0.82 at p 66, and broke even for the
-# quadratic kernel, the cheapest kernel row of its p, at p 91-120; a linear or
-# cubic kernel still gained there.
+# blocks are products of its centred feature rows (_centered_pair_blocks),
+# and from which orthogonality_stats takes its cosine sums in closed form:
+# there one product with p terms, one abs pass and one sum per pair entry,
+# against two kernel entries (the column pass's and the pair block's), each a
+# product with d terms, and about ten elementwise passes.  Timing
+# orthogonality_stats with each path forced on n = 3000 points (2-core Xeon,
+# OpenBLAS 0.3.31, 1 and 2 threads), the centred rows took 0.43-0.49 of the
+# kernel rows' time at p 21 and 0.68-0.88 at p 66, and broke even for the
+# quadratic kernel, the cheapest kernel row of its p, at p 91-105; a linear
+# or cubic kernel still gained there.
 _CENTRED_ROWS_DIM = 96
 
 # Rows a BLAS matrix-vector product reduces together (OpenBLAS dgemv on x86).
@@ -576,50 +579,111 @@ def _centered_pair_blocks(spec: KernelSpec, X, c: FeatureCombination):
 
     A primal combination of p <= _CENTRED_ROWS_DIM features gives each block
     as one product U[lo:hi] U[lo:]^T of its centred feature rows
-    U = phi(X) - v (_centred_feature_rows), in blocks of ROW_BLOCK - p - 1
-    rows or fewer.  U[lo:] is formed again for each block, in one allocation
-    with the block of ROW_BLOCK x (n - lo) entries, the size of a kernel-row
-    block at lo, so nothing else outlives a block.  (With U kept whole and
-    smaller separate blocks, glibc mapped a later, larger kernel-row block
-    beside a heap of freed ones: 11 MB more peak memory on orthogonality-mixed
-    at one BLAS thread.)  Otherwise blocks have ROW_BLOCK rows and are kernel
-    rows centred through (phi(x), c); rows that are c's support are read from
-    c._factor, with a Gaussian kappa(x_i, x_i) of exactly 1.
+    U = phi(X) - v (_centred_row_blocks).  Otherwise blocks have ROW_BLOCK
+    rows and are kernel rows centred through (phi(x), c); rows that are c's
+    support are read from c._factor, with a Gaussian kappa(x_i, x_i) of
+    exactly 1 (_kernel_pair_blocks).
     """
     probe = _probe(spec, c, X)
     Xa = probe.points
     _check_dims(Xa, c.support)
-    if c.primal is not None and c.primal.size <= _CENTRED_ROWS_DIM:
-        n, p = Xa.shape[0], c.primal.size
-        # n eps sum_i |w_i phi(s_i)|: the round-off of v (_centred_feature_rows)
-        spread = sum(
-            np.abs(c.weights[lo:hi]) @ np.abs(_feature_rows(c.support[lo:hi], spec.degree, spec.bias))
-            for lo, hi in _row_blocks(c.size)
-        )
-        tol = c.size * np.finfo(float).eps * spread
-        most = max(_ROW_GROUP, (ROW_BLOCK - p - 1) // _ROW_GROUP * _ROW_GROUP)
-        for lo, hi in reversed(list(_row_blocks(n, most=most))):
-            m, cols = hi - lo, n - lo
-            buf = np.empty(max(ROW_BLOCK, m + p) * cols)
-            U = _centred_feature_rows(spec, Xa[lo:], c, tol, buf[: cols * p].reshape(cols, p))
-            C = np.matmul(U[:m], U.T, out=buf[cols * p : cols * (p + m)].reshape(m, cols))
-            del buf, U
+    if _has_centred_rows(spec, c.dim, c.size):
+        for lo, hi, U, out in _centred_row_blocks(spec, Xa, c):
+            C = np.matmul(U[: hi - lo], U.T, out=out)
+            del U, out
             yield lo, hi, C
             del C  # before the next block is built
         return
-    a = probe.centre_inner
     own = c._factor if Xa is c.support else None
-    for lo, hi in reversed(list(_row_blocks(Xa.shape[0]))):
-        rows, within = _factor_rows(spec, own.m, Xa[lo:hi]) if own else (None, False)
-        C = kernel_matrix(spec, Xa[lo:hi], _Factor(own.m, own.table[lo:], rows) if within else Xa[lo:])
+    yield from _kernel_pair_blocks(spec, Xa, probe.centre_inner, c.self_inner, own)
+
+
+def _has_centred_rows(spec: KernelSpec, d: int, n: int) -> bool:
+    """Whether a combination of n points in d dimensions has a primal vector
+    of at most _CENTRED_ROWS_DIM features, so that its centred pair blocks
+    are products of centred feature rows (_centered_pair_blocks)."""
+    return spec.kind != "gaussian" and poly_feature_dim(d, spec.degree) < min(n, _CENTRED_ROWS_DIM + 1)
+
+
+def _centred_row_blocks(spec: KernelSpec, X: np.ndarray, c: FeatureCombination):
+    """Yield (lo, hi, U, out) over the rows of X in blocks from the last, for
+    a primal combination c = v of p <= _CENTRED_ROWS_DIM features: U =
+    phi(X[lo:]) - v, its centred feature rows (_centred_feature_rows), and
+    out, room for an (hi - lo) x (n - lo) block in the same allocation.
+
+    Blocks have ROW_BLOCK - p - 1 rows or fewer, so the allocation holds
+    ROW_BLOCK x (n - lo) entries, the size of a kernel-row block at lo, and
+    U[lo:] is formed again for each block, so nothing else outlives a block.
+    (With U kept whole and smaller separate blocks, glibc mapped a later,
+    larger kernel-row block beside a heap of freed ones: 11 MB more peak
+    memory on orthogonality-mixed at one BLAS thread.)  The caller drops U
+    and out before it asks for the next block.
+    """
+    n, p = X.shape[0], c.primal.size
+    # n eps sum_i |w_i phi(s_i)|: the round-off of v (_centred_feature_rows)
+    spread = sum(
+        np.abs(c.weights[lo:hi]) @ np.abs(_feature_rows(c.support[lo:hi], spec.degree, spec.bias))
+        for lo, hi in _row_blocks(c.size)
+    )
+    tol = c.size * np.finfo(float).eps * spread
+    most = max(_ROW_GROUP, (ROW_BLOCK - p - 1) // _ROW_GROUP * _ROW_GROUP)
+    for lo, hi in reversed(list(_row_blocks(n, most=most))):
+        m, cols = hi - lo, n - lo
+        buf = np.empty(max(ROW_BLOCK, m + p) * cols)
+        U = _centred_feature_rows(spec, X[lo:], c, tol, buf[: cols * p].reshape(cols, p))
+        out = buf[cols * p : cols * (p + m)].reshape(m, cols)
+        del buf
+        yield lo, hi, U, out
+        del U, out
+
+
+def _kernel_pair_blocks(spec: KernelSpec, X: np.ndarray, a: np.ndarray, self_inner: float, own: _Factor | None):
+    """Yield the pair blocks of _centered_pair_blocks as kernel rows centred
+    through a = (phi(x), c) and self_inner = (c, c), in ROW_BLOCK-row blocks
+    from the last.  `own` is the Gaussian factor whose support X is, or None:
+    its rows are read from it, with kappa(x_i, x_i) exactly 1."""
+    for lo, hi in reversed(list(_row_blocks(X.shape[0]))):
+        rows, within = _factor_rows(spec, own.m, X[lo:hi]) if own else (None, False)
+        C = kernel_matrix(spec, X[lo:hi], _Factor(own.m, own.table[lo:], rows) if within else X[lo:])
         del rows  # before C is yielded
         if own:
             np.fill_diagonal(C, 1.0)
         C -= a[lo:hi, None]
         C -= a[None, lo:]
-        C += c.self_inner
+        C += self_inner
         yield lo, hi, C
         del C  # before the next block is built
+
+
+def _mean_column(spec: KernelSpec, X: np.ndarray, own: _Factor | None):
+    """a = (phi(x_i), mu) for every row of X and (mu, mu) = mean(a), mu the
+    mean of phi over X, from the upper block triangle of its kernel rows.
+
+    Each block of _row_blocks(n, n) rows lo:hi is evaluated against rows lo:
+    only; its row sums go to its own rows, and its column sums past the
+    square go to rows hi:, whose entries in columns lo:hi they are by
+    symmetry.  So the column costs n^2 / 2 kernel entries, not the n^2 of
+    mean_combination's construction.  `own` is as in _kernel_pair_blocks,
+    its factor rows formed once for all of X and each block's _EXP_RANGE
+    guard decided on its own rows.  That scratch is allocated before the
+    first block and freed on return, so none of it is left in the heap
+    between the pair blocks that follow the column pass.
+    """
+    n = X.shape[0]
+    blocks = list(_row_blocks(n, n))
+    sums = np.zeros(n)
+    part = np.empty(n)
+    rows, within = _factor_rows(spec, own.m, X, [lo for lo, _ in blocks]) if own else (None, [False] * len(blocks))
+    for (lo, hi), use in zip(blocks, within):
+        m = hi - lo
+        K = kernel_matrix(spec, X[lo:hi], _Factor(own.m, own.table[lo:], rows[lo:hi]) if use else X[lo:])
+        if own:
+            np.fill_diagonal(K, 1.0)
+        sums[lo:hi] += np.sum(K, axis=1, out=part[:m])
+        sums[hi:] += np.sum(K[:, m:], axis=0, out=part[: n - hi])
+        del K
+    a = np.divide(sums, n, out=sums)
+    return a, _clamp_sq(a.mean(), f"{spec.label} combination self inner product")
 
 
 def _centred_feature_rows(

@@ -2,6 +2,7 @@
 formulas against hand evaluations, and the three bound evaluators on
 degenerate and synthetic data."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -245,6 +246,35 @@ class TestProbabilityFunctionPasses:
                 assert ((rows.tobytes(), id(own)) in calls) == (rows is not own.support)
 
     @pytest.mark.parametrize("spec", [gaussian_kernel(0.5), polynomial_kernel(2, 1.0)], ids=lambda s: s.label)
+    def test_sample_equal_to_the_support_gives_the_centre_pair_from_its_rows(self, monkeypatch, spec):
+        # a centre copies its points, so each sample equals its centre's
+        # support without being it; poly2 at d 30 has 496 features, more than
+        # the 300 points, so it has no primal vector either
+        X, Z = (ball_cloud(30, np.full(30, shift), 1.0, 300, seed=50 + i) for i, shift in enumerate((0.0, 0.2)))
+        c_x, c_z = mean_combination(spec, X), mean_combination(spec, Z)
+        assert c_x.support is not X and np.array_equal(c_x.support, X) and c_x.primal is None
+        want = empirical_probability_functions(spec, c_x.support, c_z.support, c_x, c_z)
+        calls = Counter()
+        original = kernels.inner_with_combo
+
+        def record(spec, rows, c):
+            calls[np.asarray(rows).tobytes(), id(c)] += 1
+            return original(spec, rows, c)
+
+        monkeypatch.setattr(kernels, "inner_with_combo", record)
+        monkeypatch.setattr(bounds, "inner_with_combo", record)
+        got = empirical_probability_functions(spec, X, Z, c_x, c_z)
+        assert calls[X.tobytes(), id(c_z)] == 1
+        assert got.dist_sq == want.dist_sq
+        # only the support itself reads its pair blocks from a Gaussian
+        # factor (TestGaussianPairFactor), so other rows keep their projection
+        same = [name for name, cdf in vars(want).items() if isinstance(cdf, StepCdf)]
+        if spec.kind == "gaussian":
+            same.remove("projection")
+        for name in same:
+            np.testing.assert_array_equal(getattr(got, name).knots, getattr(want, name).knots, err_msg=name)
+
+    @pytest.mark.parametrize("spec", [gaussian_kernel(0.5), polynomial_kernel(2, 1.0)], ids=lambda s: s.label)
     def test_peak_below_one_square_matrix_besides_the_knots(self, spec):
         n = 3000
         rng = np.random.default_rng(46)
@@ -306,6 +336,27 @@ class TestTwoBallRefitPasses:
         centre_new, centre_old = centres
         assert calls[centre_new.support.tobytes(), centre_old] == 1
         assert fit.dist_sq == fit.pf.dist_sq == combo_pair_stats(spec, centre_new, centre_old).sq_distance
+
+
+class TestTwoBallRefitSeeds:
+    VALID = dict(
+        d=2, centre_distance=2.0, radius_new=0.5, radius_old=0.5, reference_size=20, shots=3, thetas=[-1.0, 0.0],
+        refits=2, draws=10,
+    )
+
+    @pytest.mark.parametrize(
+        "seeds", [(1, 2), (1, 2, 3, 4), (), 7, (1, math.nan, 3), (1, 2, -1), (1, 2.5, 3), (True, 2, 3)],
+        ids=["two", "four", "none", "scalar", "nan", "negative", "fractional", "bool"],
+    )
+    def test_bad_seeds_raise_naming_them(self, seeds):
+        with pytest.raises(ValueError, match=r"^seeds must be"):
+            two_ball_refits(LINEAR, seeds=seeds, **self.VALID)
+
+    def test_whole_float_and_list_seeds_are_accepted(self):
+        want = two_ball_refits(LINEAR, seeds=(1, 2, 3), **self.VALID)
+        got = two_ball_refits(LINEAR, seeds=[1.0, 2, 3.0], **self.VALID)
+        assert got.dist_sq == want.dist_sq
+        np.testing.assert_array_equal(got.mu_dists, want.mu_dists)
 
 
 class TestMargins:

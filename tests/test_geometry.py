@@ -495,6 +495,35 @@ def with_zero_norm_points(d, seed):
 ORTHO_SPECS = [LINEAR, polynomial_kernel(2, 1.0), polynomial_kernel(3, 0.5), gaussian_kernel(0.5)]
 
 
+def far_gaussian_points(n):
+    """n points near (100, 0, 0, 0, 0), the last five of them 2 further out:
+    |e| about 400 on those rows, beyond _EXP_RANGE, while every r_j of the
+    factor stays within it (as in TestGaussianPairFactor)."""
+    X = np.random.default_rng(71).uniform(-0.1, 0.1, size=(n, 5))
+    X[:, 0] += 100.0
+    X[-5:, 0] += 2.0
+    return X
+
+
+# centred feature rows: the cosine sums in closed form, with no kernel
+# entry.  Each n leaves one row after the blocks of ROW_BLOCK - p - 1 rows,
+# folded into the one before
+CLOSED_FORM_CASES = {
+    "linear": (LINEAR, lambda: sample_unit_ball(3, 1009, seed=31).points),
+    "poly2": (polynomial_kernel(2, 1.0), lambda: sample_unit_ball(3, 1001, seed=33).points),
+    "poly3": (polynomial_kernel(3, 0.5), lambda: sample_unit_ball(3, 977, seed=34).points),
+}
+# the column pass, then centred kernel rows: n^2 kernel entries.  1025 rows
+# leave one row after two pair blocks.  poly2 at d 40 has 861 features and
+# linear at d 100 has 101, both beyond _CENTRED_ROWS_DIM
+COLUMN_PASS_CASES = {
+    "poly2-d40": (polynomial_kernel(2, 1.0), lambda: sample_unit_ball(40, 1025, seed=35).points),
+    "linear-d100-zero-norms": (LINEAR, lambda: with_zero_norm_points(100, seed=36)),
+    "gaussian-no-factor": (gaussian_kernel(1e-3), lambda: sample_unit_ball(3, 1025, seed=38).points),
+    "gaussian-beyond-the-guard": (gaussian_kernel(0.5), lambda: far_gaussian_points(1025)),
+}
+
+
 def assert_same_stats(got, want):
     """Counts exactly, the rest to rel 1e-12.
 
@@ -537,26 +566,68 @@ class TestBlockedOrthogonality:
 
 
     def test_gaussian_reuses_the_mean_row_sums(self, monkeypatch):
-        # n (n + pad) kernel entries for the mean's self inner product, whose
-        # row sums are (phi(x_i), mu), pad being the rows inner_with_combo
-        # repeats to fill a last group, then the upper block-triangle of pair
-        # blocks; evaluating (phi(x_i), mu) again would add another n^2
+        # the upper block triangle of the column pass, whose row and column
+        # sums are n (phi(x_i), mu), then the upper block triangle of pair
+        # blocks: n^2 entries in all, where building the mean first cost
+        # another n^2 / 2
         n = 1025
         sample = sample_unit_ball(4, n, seed=9).points
-        evals = []
-        original = kernels.kernel_matrix
-
-        def counting(spec, X, Y):
-            K = original(spec, X, Y)
-            evals.append(K.size)
-            return K
-
-        monkeypatch.setattr(kernels, "kernel_matrix", counting)
+        evals = count_kernel_entries(monkeypatch)
         orthogonality_stats(gaussian_kernel(0.5), sample)
-        pad = sum(-(hi - lo) % kernels._ROW_GROUP for lo, hi in kernels._row_blocks(n, n))
-        assert 0 < pad < kernels._ROW_GROUP
-        pair_entries = sum((hi - lo) * (n - lo) for lo, hi in kernels._row_blocks(n))
-        assert sum(evals) == n * (n + pad) + pair_entries
+        assert sum(evals) == column_and_pair_entries(n)
+
+    @pytest.mark.parametrize("case", list(CLOSED_FORM_CASES))
+    def test_closed_forms_match_dense_oracle(self, monkeypatch, case):
+        spec, points = CLOSED_FORM_CASES[case]
+        sample = points()
+        want = dense_orthogonality_stats(spec, sample)
+        assert kernels._has_centred_rows(spec, sample.shape[1], sample.shape[0])
+        evals = count_kernel_entries(monkeypatch)
+        assert_same_stats(orthogonality_stats(spec, sample), want)
+        assert evals == []
+
+    @pytest.mark.parametrize("case", list(COLUMN_PASS_CASES))
+    def test_column_pass_matches_dense_oracle(self, monkeypatch, case):
+        spec, points = COLUMN_PASS_CASES[case]
+        sample = points()
+        n = sample.shape[0]
+        want = dense_orthogonality_stats(spec, sample)
+        assert not kernels._has_centred_rows(spec, sample.shape[1], n)
+        evals = count_kernel_entries(monkeypatch)
+        assert_same_stats(orthogonality_stats(spec, sample), want)
+        assert sum(evals) == column_and_pair_entries(n)
+
+    def test_gaussian_cases_reach_the_fallbacks(self):
+        # tiny sigma: no factor at all; offset 100: a factor whose last block
+        # in each pass, and no other, is beyond _EXP_RANGE
+        spec, points = COLUMN_PASS_CASES["gaussian-no-factor"]
+        assert kernels._gaussian_factor(spec, points()) is None
+        spec, points = COLUMN_PASS_CASES["gaussian-beyond-the-guard"]
+        own = kernels._gaussian_factor(spec, points())
+        assert own is not None
+        for blocks in (list(kernels._row_blocks(1025, 1025)), list(kernels._row_blocks(1025))):
+            _, within = kernels._factor_rows(spec, own.m, own.support, [lo for lo, _ in blocks])
+            assert within.tolist() == [True] * (len(blocks) - 1) + [False]
+
+
+def count_kernel_entries(monkeypatch) -> list:
+    """The sizes of the kernel_matrix blocks evaluated from here on."""
+    evals = []
+    original = kernels.kernel_matrix
+
+    def counting(spec, X, Y):
+        K = original(spec, X, Y)
+        evals.append(K.size)
+        return K
+
+    monkeypatch.setattr(kernels, "kernel_matrix", counting)
+    return evals
+
+
+def column_and_pair_entries(n: int) -> int:
+    """Kernel entries of the column pass's upper block triangle, in blocks of
+    _row_blocks(n, n) rows, and of the pair blocks', in ROW_BLOCK rows."""
+    return sum((hi - lo) * (n - lo) for lo, hi in [*kernels._row_blocks(n, n), *kernels._row_blocks(n)])
 
 
 class TestOrthogonalityMemory:
