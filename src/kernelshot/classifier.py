@@ -174,10 +174,11 @@ def normalize_feature_table(old_features, new_features):
 
     Returns the two normalised tables and the transform to apply to test
     rows.  After the transform the old-table mean is the origin and the
-    maximum row norm over the union of both tables is 1.
+    maximum row norm over the union of both tables is 1.  A cell that is not
+    finite raises ValueError naming its table.
     """
-    old = as_points(old_features)
-    new = as_points(new_features)
+    old = _real_arg("old_features", as_points(old_features), array=True)
+    new = _real_arg("new_features", as_points(new_features), array=True)
     if old.shape[1] != new.shape[1]:
         raise ValueError(f"width mismatch: {old.shape[1]} vs {new.shape[1]}")
     mean = old.mean(axis=0)

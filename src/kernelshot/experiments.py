@@ -78,6 +78,12 @@ def write_csv_atomic(path, header, rows) -> None:
     _write_csv(path, header, rows)
 
 
+def _write_records(path, records) -> None:
+    """Write dict rows as CSV (write_csv_atomic), the header the first row's keys."""
+    header = list(records[0])
+    write_csv_atomic(path, header, [[r[h] for h in header] for r in records])
+
+
 # ---------------------------------------------------------------------------
 # Field parsers: each takes a raw JSON value and returns the parsed value, or
 # raises ValueError / TypeError; the config routine names the field.
@@ -333,8 +339,7 @@ def run_orthogonality(cfg: OrthogonalityConfig) -> dict:
             rows.append(
                 {"kernel": spec.label, "d": d, "n_points": cfg.n_points, "sample_seed": d_seed, **asdict(stats)}
             )
-    header = list(rows[0].keys())
-    write_csv_atomic(out_dir / "orthogonality.csv", header, [[r[h] for h in header] for r in rows])
+    _write_records(out_dir / "orthogonality.csv", rows)
     return _report(out_dir, cfg, {"rows": rows}, cfg.seed)
 
 
@@ -522,10 +527,7 @@ def run_bounds(cfg: BoundsConfig) -> dict:
                 "contained": _contained(bracket, estimate, sigma),
             }
         )
-    header = list(conc_rows[0].keys())
-    write_csv_atomic(
-        out_dir / "mean_concentration.csv", header, [[r[h] for h in header] for r in conc_rows]
-    )
+    _write_records(out_dir / "mean_concentration.csv", conc_rows)
 
     results = {
         "centres": "empirical-feature-means",
@@ -617,11 +619,7 @@ def run_fewshot_roc(cfg: FewShotRocConfig) -> dict:
         # free this kernel's centre, probes and models before the next centre
         del centre_old, negatives, positives, model, curve
 
-    write_csv_atomic(
-        out_dir / "auroc.csv",
-        ["kernel", "seed", "auroc"],
-        [[r["kernel"], r["seed"], r["auroc"]] for r in rows],
-    )
+    _write_records(out_dir / "auroc.csv", rows)
     results = {
         "normalisation": {"scale": transform.scale, "max_norm_rule": "union-of-training-tables"},
         "per_seed": rows,

@@ -25,17 +25,12 @@ from .ingest import _write_csv
 from .kernels import (
     FeatureCombination,
     KernelSpec,
-    _centered_rows,
     _centred_row_blocks,
     _clamp_sq,
-    _gaussian_factor,
     _has_centred_rows,
-    _kernel_pair_blocks,
-    _mean_column,
-    _probe,
+    _mean_pair_blocks,
+    _probe_pass,
     as_points,
-    inner_with_combo,
-    kernel_matrix,
     mean_combination,
 )
 
@@ -93,34 +88,6 @@ class VolumeRatioEstimate:
     def from_counts(cls, hits: int, trials: int) -> "VolumeRatioEstimate":
         low, high = wilson_interval(hits, trials)
         return cls(hits=hits, trials=trials, ratio=hits / trials, ci_low=low, ci_high=high)
-
-
-def _probe_pass(spec: KernelSpec, c: FeatureCombination, probe, chunk_size: int, v=None):
-    """Yield (||phi(y) - c||^2, inners) for each chunk of probe rows y.
-
-    The squared norms are clamped at zero against round-off.  Given a
-    direction v, inners holds (phi(y) - c, phi(v) - c) for the chunk, else
-    it is None.  Both come from the probe's kernel column (phi(y), c), so
-    only the elementwise work and the chunk's column (phi(y), phi(v)) are
-    chunked; (phi(v), c) is evaluated once per pass.
-    """
-    chunk_size = _count_arg("chunk_size", chunk_size, 1)
-    probe = _probe(spec, c, probe)
-    va = v_c = b = None
-    if v is not None:
-        va = np.asarray(v, dtype=float)[None, :]
-        v_c = float(inner_with_combo(spec, va, c)[0])
-    pts, a = probe.points, probe.centre_inner
-    try:
-        for lo in range(0, pts.shape[0], chunk_size):
-            hi = lo + chunk_size
-            if va is not None:
-                b = kernel_matrix(spec, pts[lo:hi], va)[:, 0]
-            yield _centered_rows(spec, pts[lo:hi], c, a[lo:hi], b, v_c)
-    except NumericError:
-        # a failed pass leaves the probe as it found it
-        vars(probe).pop("centre_inner", None)
-        raise
 
 
 def _estimates(hits: np.ndarray, trials: int) -> list[VolumeRatioEstimate]:
@@ -213,7 +180,7 @@ def orthogonality_stats(spec: KernelSpec, sample) -> OrthogonalityStats:
     and sum_{i<j} cos^2 = (||E^T E||_F^2 - sum_i |e_i|^4) / 2, and only
     sum |cos| reads the n^2 / 2 entries E[lo:hi] E[lo:]^T.  Any other kernel
     evaluates n^2 / 2 kernel entries for the column (phi(x_i), mu)
-    (kernels._mean_column) and n^2 / 2 for the centred pair blocks.
+    and n^2 / 2 for the centred pair blocks (kernels._mean_pair_blocks).
     """
     pts = as_points(sample)
     n = pts.shape[0]
@@ -227,11 +194,8 @@ def orthogonality_stats(spec: KernelSpec, sample) -> OrthogonalityStats:
         sum_cos, sum_cos_sq, sum_abs = _unit_row_sums(spec, mean_combination(spec, pts), norms, inv, context)
     else:
         sum_cos = sum_cos_sq = sum_abs = 0.0
-        own = _gaussian_factor(spec, pts) if spec.kind == "gaussian" else None
-        X = pts if own is None else own.support
-        a, self_inner = _mean_column(spec, X, own)
         # bottom-up blocks: the norms of rows lo: are known when block lo arrives
-        for lo, hi, C in _kernel_pair_blocks(spec, X, a, self_inner, own):
+        for lo, hi, C in _mean_pair_blocks(spec, pts):
             norms[lo:hi] = np.sqrt(_clamp_sq(np.diagonal(C), context))
             np.divide(1.0, norms[lo:hi], out=inv[lo:hi], where=norms[lo:hi] > 0.0)
             w = inv[lo:]

@@ -541,19 +541,46 @@ def _centered_rows(spec: KernelSpec, X, c: FeatureCombination, a, b=None, b_c=No
     return sq, None if b is None else b - a - b_c + c.self_inner
 
 
+def _probe_pass(spec: KernelSpec, c: FeatureCombination, probe, chunk_size: int, v=None):
+    """Yield (||phi(y) - c||^2, inners) for each chunk of probe rows y.
+
+    The squared norms are clamped at zero against round-off.  Given a
+    direction v, inners holds (phi(y) - c, phi(v) - c) for the chunk, else
+    it is None.  Both come from the probe's kernel column (phi(y), c), so
+    only the elementwise work and the chunk's column (phi(y), phi(v)) are
+    chunked; (phi(v), c) is evaluated once per pass.
+    """
+    chunk_size = _count_arg("chunk_size", chunk_size, 1)
+    probe = _probe(spec, c, probe)
+    va = v_c = b = None
+    if v is not None:
+        va = np.asarray(v, dtype=float)[None, :]
+        v_c = float(inner_with_combo(spec, va, c)[0])
+    pts, a = probe.points, probe.centre_inner
+    try:
+        for lo in range(0, pts.shape[0], chunk_size):
+            hi = lo + chunk_size
+            if va is not None:
+                b = kernel_matrix(spec, pts[lo:hi], va)[:, 0]
+            yield _centered_rows(spec, pts[lo:hi], c, a[lo:hi], b, v_c)
+    except NumericError:
+        # a failed pass leaves the probe as it found it
+        vars(probe).pop("centre_inner", None)
+        raise
+
+
 def centered_sq_norms(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
-    """||phi(x) - c||^2 for every row x of X, clamped at zero against round-off."""
+    """||phi(x) - c||^2 for every row x of X, clamped at zero against round-off:
+    _probe_pass in one chunk, so X = c.support reads c's own column."""
     Xa = as_points(X)
-    return _centered_rows(spec, Xa, c, inner_with_combo(spec, Xa, c))[0]
+    return next(_probe_pass(spec, c, Xa, Xa.shape[0]))[0]
 
 
 def centered_inners(spec: KernelSpec, X, v, c: FeatureCombination) -> np.ndarray:
     """(phi(x) - c, phi(v) - c) for every row x of X against a fixed vector v;
     raises NumericError where ||phi(x) - c||^2 would (see centered_sq_norms)."""
     Xa = as_points(X)
-    va = np.asarray(v, dtype=float)[None, :]
-    v_c = float(inner_with_combo(spec, va, c)[0])
-    return _centered_rows(spec, Xa, c, inner_with_combo(spec, Xa, c), kernel_matrix(spec, Xa, va)[:, 0], v_c)[1]
+    return next(_probe_pass(spec, c, Xa, Xa.shape[0], v))[1]
 
 
 def centered_gram(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
@@ -582,7 +609,7 @@ def _centered_pair_blocks(spec: KernelSpec, X, c: FeatureCombination):
     U = phi(X) - v (_centred_row_blocks).  Otherwise blocks have ROW_BLOCK
     rows and are kernel rows centred through (phi(x), c); rows that are c's
     support are read from c._factor, with a Gaussian kappa(x_i, x_i) of
-    exactly 1 (_kernel_pair_blocks).
+    exactly 1 (_own_kernel_blocks).
     """
     probe = _probe(spec, c, X)
     Xa = probe.points
@@ -640,14 +667,8 @@ def _centred_row_blocks(spec: KernelSpec, X: np.ndarray, c: FeatureCombination):
 def _kernel_pair_blocks(spec: KernelSpec, X: np.ndarray, a: np.ndarray, self_inner: float, own: _Factor | None):
     """Yield the pair blocks of _centered_pair_blocks as kernel rows centred
     through a = (phi(x), c) and self_inner = (c, c), in ROW_BLOCK-row blocks
-    from the last.  `own` is the Gaussian factor whose support X is, or None:
-    its rows are read from it, with kappa(x_i, x_i) exactly 1."""
-    for lo, hi in reversed(list(_row_blocks(X.shape[0]))):
-        rows, within = _factor_rows(spec, own.m, X[lo:hi]) if own else (None, False)
-        C = kernel_matrix(spec, X[lo:hi], _Factor(own.m, own.table[lo:], rows) if within else X[lo:])
-        del rows  # before C is yielded
-        if own:
-            np.fill_diagonal(C, 1.0)
+    from the last (_own_kernel_blocks)."""
+    for lo, hi, C in _own_kernel_blocks(spec, X, reversed(list(_row_blocks(X.shape[0]))), own):
         C -= a[lo:hi, None]
         C -= a[None, lo:]
         C += self_inner
@@ -655,35 +676,48 @@ def _kernel_pair_blocks(spec: KernelSpec, X: np.ndarray, a: np.ndarray, self_inn
         del C  # before the next block is built
 
 
-def _mean_column(spec: KernelSpec, X: np.ndarray, own: _Factor | None):
-    """a = (phi(x_i), mu) for every row of X and (mu, mu) = mean(a), mu the
-    mean of phi over X, from the upper block triangle of its kernel rows.
-
-    Each block of _row_blocks(n, n) rows lo:hi is evaluated against rows lo:
-    only; its row sums go to its own rows, and its column sums past the
-    square go to rows hi:, whose entries in columns lo:hi they are by
-    symmetry.  So the column costs n^2 / 2 kernel entries, not the n^2 of
-    mean_combination's construction.  `own` is as in _kernel_pair_blocks,
-    its factor rows formed once for all of X and each block's _EXP_RANGE
-    guard decided on its own rows.  That scratch is allocated before the
-    first block and freed on return, so none of it is left in the heap
-    between the pair blocks that follow the column pass.
-    """
-    n = X.shape[0]
-    blocks = list(_row_blocks(n, n))
-    sums = np.zeros(n)
-    part = np.empty(n)
-    rows, within = _factor_rows(spec, own.m, X, [lo for lo, _ in blocks]) if own else (None, [False] * len(blocks))
-    for (lo, hi), use in zip(blocks, within):
-        m = hi - lo
-        K = kernel_matrix(spec, X[lo:hi], _Factor(own.m, own.table[lo:], rows[lo:hi]) if use else X[lo:])
+def _own_kernel_blocks(spec: KernelSpec, X: np.ndarray, blocks, own: _Factor | None):
+    """Yield (lo, hi, K), K = kappa(X[lo:hi], X[lo:]), for each (lo, hi) in
+    blocks.  `own` is the Gaussian factor whose support X is, or None: a
+    block within _EXP_RANGE is read from it, with factor rows formed from
+    that block only (_factor_rows), and kappa(x_i, x_i) is exactly 1."""
+    for lo, hi in blocks:
+        rows, within = _factor_rows(spec, own.m, X[lo:hi]) if own else (None, False)
+        K = kernel_matrix(spec, X[lo:hi], _Factor(own.m, own.table[lo:], rows) if within else X[lo:])
+        del rows  # before K is yielded
         if own:
             np.fill_diagonal(K, 1.0)
+        yield lo, hi, K
+        del K  # before the next block is built
+
+
+def _mean_pair_blocks(spec: KernelSpec, points: np.ndarray):
+    """Yield the pair blocks of _centered_pair_blocks for mu, the mean of phi
+    over the points, without building mu: kernel rows of the points (read
+    from a Gaussian factor, _gaussian_factor) centred through a = (phi(x_i),
+    mu) and (mu, mu) = mean(a).
+
+    a comes from the upper block triangle of the kernel rows: each block of
+    _row_blocks(n, n) rows lo:hi is evaluated against rows lo: only; its row
+    sums go to its own rows, and its column sums past the square go to rows
+    hi:, whose entries in columns lo:hi they are by symmetry.  So the column
+    costs n^2 / 2 kernel entries, not the n^2 of mean_combination's
+    construction, and the pair blocks n^2 / 2 more.
+    """
+    own = _gaussian_factor(spec, points) if spec.kind == "gaussian" else None
+    X = points if own is None else own.support
+    n = X.shape[0]
+    sums = np.zeros(n)
+    part = np.empty(n)
+    for lo, hi, K in _own_kernel_blocks(spec, X, _row_blocks(n, n), own):
+        m = hi - lo
         sums[lo:hi] += np.sum(K, axis=1, out=part[:m])
         sums[hi:] += np.sum(K[:, m:], axis=0, out=part[: n - hi])
         del K
+    del part  # before the pair blocks
     a = np.divide(sums, n, out=sums)
-    return a, _clamp_sq(a.mean(), f"{spec.label} combination self inner product")
+    self_inner = _clamp_sq(a.mean(), f"{spec.label} combination self inner product")
+    yield from _kernel_pair_blocks(spec, X, a, self_inner, own)
 
 
 def _centred_feature_rows(

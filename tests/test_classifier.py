@@ -305,3 +305,10 @@ class TestNormalizeFeatureTable:
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError, match="width mismatch"):
             normalize_feature_table(np.zeros((2, 3)), np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cell_rejected_naming_its_table(self, bad):
+        with pytest.raises(ValueError, match="old_features"):
+            normalize_feature_table([[bad, 1.0]], [[1.0, 2.0]])
+        with pytest.raises(ValueError, match="new_features"):
+            normalize_feature_table([[1.0, 2.0], [0.0, 1.0]], [[1.0, bad]])

@@ -82,6 +82,18 @@ class TestConfigErrors:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["volume-ratio", "--config", str(tmp_path / "none.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "text, fragment", [('{"d": 3,', "is not valid JSON"), ("[1, 2]", "must contain a JSON object")],
+        ids=["not-json", "json-array"],
+    )
+    def test_config_file_that_is_not_a_json_object(self, tmp_path, capsys, text, fragment):
+        path = tmp_path / "c.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["volume-ratio", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and fragment in err
+        assert "Traceback" not in err
+
     def test_unknown_field_rejected(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "c.json",
@@ -428,10 +440,16 @@ SMALL_CONFIGS = {
         ("fewshot-roc", {"old_features": "nan.csv"}, 3, "nan.csv: line 3, column 2"),
         ("fewshot-roc", {"new_features": "inf.csv"}, 3, "inf.csv: line 3, column 2"),
         ("volume-ratio", {"domain": "unit_ball", "half_width": 5.0}, 2, "'half_width'"),
+        ("orthogonality", {"schema_version": 2}, 2, "unsupported schema_version 2"),
+        ("volume-ratio", {"eps_grid": [], "delta_grid": []}, 2, "eps_grid / delta_grid"),
+        ("fewshot-roc", {"shots": 6}, 2, "shots (6) must be fewer than new-class rows (6)"),
+        ("fewshot-roc", {"shots": 7, "new_test": "new.csv"}, 2, "shots (7) exceeds new-class rows (6)"),
+        ("fewshot-roc", {"old_features": "empty.csv"}, 3, "empty.csv: empty file"),
     ],
     ids=["eps-above-1", "no-kernels", "no-d-values", "d-values-string", "bounds-d-0", "negative-seed",
          "fewshot-negative-seed", "sigma-nan", "no-thetas", "test-table-width", "zero-max-norm", "nan-cell",
-         "inf-cell", "half-width-unit-ball"],
+         "inf-cell", "half-width-unit-ball", "schema-version-2", "no-grids", "shots-all-new-rows",
+         "shots-above-new-rows", "empty-feature-file"],
 )
 def test_bad_input_exits_with_documented_code(tmp_path, monkeypatch, capsys, command, patch, code, fragment):
     monkeypatch.chdir(tmp_path)
@@ -444,6 +462,7 @@ def test_bad_input_exits_with_documented_code(tmp_path, monkeypatch, capsys, com
         table = rows.copy()
         table[1, 1] = bad
         write_feature_csv(name, table, ["x"] * 6)
+    (tmp_path / "empty.csv").write_bytes(b"")
     cfg = write_config(tmp_path / "c.json", {**SMALL_CONFIGS[command], **patch, "out": "out"})
 
     assert main([command, "--config", cfg]) == code

@@ -576,6 +576,24 @@ class TestBlockedOrthogonality:
         orthogonality_stats(gaussian_kernel(0.5), sample)
         assert sum(evals) == column_and_pair_entries(n)
 
+    def test_column_pass_forms_factor_rows_per_block(self, monkeypatch):
+        # the column pass, like the pair blocks, hands _factor_rows one
+        # block's rows at a time, never the whole sample
+        n = 1025
+        sample = sample_unit_ball(4, n, seed=9).points
+        want = orthogonality_stats(gaussian_kernel(0.5), sample)
+        sizes = []
+        original = kernels._factor_rows
+
+        def recording(spec, m, X, *args):
+            sizes.append(X.shape[0])
+            return original(spec, m, X, *args)
+
+        monkeypatch.setattr(kernels, "_factor_rows", recording)
+        assert orthogonality_stats(gaussian_kernel(0.5), sample) == want
+        blocks = [*kernels._row_blocks(n, n), *kernels._row_blocks(n)]
+        assert sorted(sizes) == sorted(hi - lo for lo, hi in blocks)
+
     @pytest.mark.parametrize("case", list(CLOSED_FORM_CASES))
     def test_closed_forms_match_dense_oracle(self, monkeypatch, case):
         spec, points = CLOSED_FORM_CASES[case]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kernelshot import DataError, ingest_feature_csv, write_feature_csv
+from kernelshot.ingest import _atomic_write
 
 
 def write_lines(path, lines):
@@ -140,3 +141,17 @@ class TestNumberSyntax:
         write_lines(path, ["f0,f1,label", "1,2,a", "", "1,inf,b", "1,x,c", "1,d"])
         with pytest.raises(DataError, match=r"line 4, column 2 \('f1'\): feature cell 'inf'"):
             ingest_feature_csv(path)
+
+
+def test_atomic_write_failure_keeps_the_old_file(tmp_path):
+    target = tmp_path / "report.json"
+    target.write_bytes(b"old contents\n")
+
+    def failing(fh):
+        fh.write("partial")
+        raise RuntimeError("writer failed")
+
+    with pytest.raises(RuntimeError, match="writer failed"):
+        _atomic_write(target, failing)
+    assert target.read_bytes() == b"old contents\n"
+    assert list(tmp_path.glob("tmp*.tmp")) == []

@@ -730,6 +730,21 @@ class TestCentredProbeSupportColumn:
         assert shapes
         np.testing.assert_array_equal(got, inner_with_combo(spec, c.support, c))
 
+    @pytest.mark.parametrize(
+        "spec, d",
+        [(gaussian_kernel(0.5), 5), (polynomial_kernel(2, 1.0), 40)],  # dual: 300 points, 861 features
+        ids=lambda v: getattr(v, "label", str(v)),
+    )
+    def test_own_support_norms_read_the_construction_column(self, monkeypatch, spec, d):
+        c = mean_combination(spec, np.random.default_rng(50).uniform(-1, 1, size=(300, d)))
+        assert c.primal is None
+        # the norms from a column evaluated afresh, clamped as centered_sq_norms clamps
+        want = kernels.kernel_diag(spec, c.support) - 2.0 * inner_with_combo(spec, c.support, c) + c.self_inner
+        want[want < 0.0] = 0.0
+        shapes = recording(monkeypatch, "kernel_matrix")
+        np.testing.assert_array_equal(centered_sq_norms(spec, c.support, c), want)
+        assert shapes == []
+
     def test_primal_centre_evaluates_the_column(self, monkeypatch):
         spec = polynomial_kernel(2, 1.0)
         c = mean_combination(spec, np.random.default_rng(49).uniform(-1, 1, size=(300, 5)))
