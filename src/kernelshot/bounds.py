@@ -243,9 +243,6 @@ class TradeoffParams:
     gamma: float
     epsilon: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -324,74 +321,51 @@ class BoundGrid:
         points_per_axis = _count_arg("points_per_axis", points_per_axis, 1)
         low, high = _real_arg("low", low, above=0), _real_arg("high", high, above=0)
         norm_quantiles = _real_arg("norm_quantiles", norm_quantiles, at_least=0, at_most=1, array=True)
-        base = np.geomspace(low, high, points_per_axis)
-        a = list(base)
-        b = list(base)
-        beta = list(base)
-        if pf is not None:
-            q_new = np.quantile(pf.localisation_new.knots, norm_quantiles)
-            q_old = np.quantile(pf.localisation_old.knots, norm_quantiles)
-            extra_new = [float(v) for v in q_new if v > 0]
-            extra_old = [float(v) for v in q_old if v > 0]
-            a.extend(extra_new)
-            b.extend(extra_new)
-            beta.extend(extra_old)
-        return cls(
-            a_values=tuple(a),
-            b_values=tuple(b),
-            beta_values=tuple(beta),
-            gamma_values=tuple(base),
-            epsilon_values=tuple(base),
+        base = tuple(np.geomspace(low, high, points_per_axis))
+        extra_new, extra_old = ((), ()) if pf is None else (
+            tuple(float(v) for v in np.quantile(cdf.knots, norm_quantiles) if v > 0)
+            for cdf in (pf.localisation_new, pf.localisation_old)
         )
-
-
-def _validate_bracket(low: float, high: float, context: str) -> None:
-    if not (0.0 <= low <= high <= 1.0):
-        raise NumericError(f"{context}: invalid probability bracket [{low}, {high}]")
+        a = base + extra_new
+        return cls(a_values=a, b_values=a, beta_values=base + extra_old, gamma_values=base, epsilon_values=base)
 
 
 def _one_side(
     localisation: StepCdf,
     separation: StepCdf,
     margin_fn,
+    radius_values: tuple[float, ...],
+    radius_name: str,
     theta: float,
     dist_sq: float,
-    radius_values: tuple[float, ...],
     mc_low: np.ndarray,
     mc_high: np.ndarray,
     grid: BoundGrid,
-    is_new: bool,
 ) -> BoundReport:
-    a = np.asarray(grid.a_values)
-    r = np.asarray(radius_values)
-    g = np.asarray(grid.gamma_values)
-    e = np.asarray(grid.epsilon_values)
-    A, R, G, E = np.meshgrid(a, r, g, e, indexing="ij")
-    margins = margin_fn(theta, dist_sq, A, R, G, E)
-    loc = localisation(R)
-    sep = separation(margins)
+    """One class side's bracket over the open grid (a, radius, gamma, epsilon)."""
+    axes = (grid.a_values, radius_values, grid.gamma_values, grid.epsilon_values)
+    a, r, g, e = np.ix_(*axes)
+    loc = localisation(r)
+    sep = separation(margin_fn(theta, dist_sq, a, r, g, e))
 
-    gain = np.maximum(loc + sep - 1.0, 0.0)
-    lower_field = mc_low[:, None, None, None] * gain
-    flat = lower_field.ravel()
-    best = int(np.argmax(flat))  # first max in C order: lexicographically smallest tuple
-    lower = float(flat[best])
+    lower_field = mc_low[:, None, None, None] * np.maximum(loc + sep - 1.0, 0.0)
+    best = int(np.argmax(lower_field))  # first max in C order: lexicographically smallest tuple
+    upper_field = (1.0 - mc_high)[:, None, None, None] * np.maximum(1.0 - loc - sep, 0.0)
+    lower, upper = _bracket(
+        float(lower_field.flat[best]),
+        1.0 - float(upper_field.max()),
+        f"success bound (theta={theta}, dist_sq={dist_sq})",
+    )
 
-    loss = np.maximum(1.0 - loc - sep, 0.0)
-    upper_field = (1.0 - mc_high)[:, None, None, None] * loss
-    upper = 1.0 - float(upper_field.max())
-    lower, upper = _bracket(lower, upper, f"success bound (theta={theta}, dist_sq={dist_sq})")
-
-    ai, ri, gi, ei = np.unravel_index(best, A.shape)
+    ai, ri, gi, ei = np.unravel_index(best, lower_field.shape)
     argbest = TradeoffParams(
         theta=theta,
-        a=float(a[ai]),
-        b=float(r[ri]) if is_new else 0.0,
-        beta=0.0 if is_new else float(r[ri]),
-        gamma=float(g[gi]),
-        epsilon=float(e[ei]),
+        a=axes[0][ai],
+        gamma=axes[2][gi],
+        epsilon=axes[3][ei],
+        **{"b": 0.0, "beta": 0.0, radius_name: axes[1][ri]},
     )
-    return BoundReport(lower=lower, upper=upper, argbest=argbest, grid_size=A.size)
+    return BoundReport(lower=lower, upper=upper, argbest=argbest, grid_size=lower_field.size)
 
 
 def few_shot_success_bounds(
@@ -415,57 +389,18 @@ def few_shot_success_bounds(
     mc_high = np.empty(len(grid.a_values))
     for i, a in enumerate(grid.a_values):
         low, high = mean_concentration(a)
-        _validate_bracket(low, high, f"mean_concentration({a})")
+        if not (0.0 <= low <= high <= 1.0):
+            raise NumericError(f"mean_concentration({a}): invalid probability bracket [{low}, {high}]")
         mc_low[i] = low
         mc_high[i] = high
     if np.any(np.diff(mc_low) < -1e-9) or np.any(np.diff(mc_high) < -1e-9):
         raise ValueError("mean_concentration bracket must be non-decreasing in a")
 
-    new_report = _one_side(
-        pf.localisation_new,
-        pf.separation_new,
-        new_class_margin,
-        theta,
-        dist_sq,
-        grid.b_values,
-        mc_low,
-        mc_high,
-        grid,
-        is_new=True,
+    sides = (
+        (pf.localisation_new, pf.separation_new, new_class_margin, grid.b_values, "b"),
+        (pf.localisation_old, pf.separation_old, old_class_margin, grid.beta_values, "beta"),
     )
-    old_report = _one_side(
-        pf.localisation_old,
-        pf.separation_old,
-        old_class_margin,
-        theta,
-        dist_sq,
-        grid.beta_values,
-        mc_low,
-        mc_high,
-        grid,
-        is_new=False,
-    )
-    return ClassBounds(new_class=new_report, old_class=old_report)
-
-
-def _mean_candidates(k: int, s: float, pf: ProbabilityFunctions) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate (delta, radius) pairs for the concentration infimum.
-
-    The objective only changes when delta crosses a projection knot or when
-    the derived radius crosses a localisation knot, so candidates are taken
-    from quantiles plus the full upper tail of the projection knots, from
-    radii at every localisation knot, and from the delta = s^2 point.
-    """
-    s_sq = s * s
-    deltas_a = pf.projection._thinned_knots
-    radii_a = np.sqrt(np.maximum(k * s_sq - (k - 1) * deltas_a, 0.0))
-
-    radii_b = pf.localisation_new.knots
-    deltas_b = (k * s_sq - radii_b**2) / (k - 1)
-
-    deltas = np.concatenate([deltas_a, deltas_b, [s_sq]])
-    radii = np.concatenate([radii_a, radii_b, [s]])
-    return deltas, radii
+    return ClassBounds(*(_one_side(*side, theta, dist_sq, mc_low, mc_high, grid) for side in sides))
 
 
 def mean_concentration_bounds(
@@ -482,9 +417,11 @@ def mean_concentration_bounds(
         lower = sup_delta 1 - [k (1 - loc(r)) + k(k-1)(1 - proj(delta))]
         upper = inf_delta  k loc(r) + k(k-1) proj(delta)
 
-    both clamped to [0, 1].  When delta_grid is omitted, candidates are
-    derived from the CDF knots (and always include delta = s^2, which makes
-    r = s exactly).
+    both clamped to [0, 1].  The candidate deltas are delta_grid when given.
+    Otherwise the objective only changes where delta crosses a projection
+    knot or r crosses a localisation knot, so they are the thinned projection
+    knots (see StepCdf._thinned_knots) plus the delta at which r is each
+    localisation knot.  delta = s^2, which makes r = s exactly, is always one.
     """
     k, s = _count_arg("k", k, 1), _real_arg("s", s, above=0)
     if delta_grid is not None:
@@ -493,12 +430,14 @@ def mean_concentration_bounds(
         v = float(pf.localisation_new(s))
         return ProbabilityBracket(v, v)
 
+    s_sq = s * s
+    deltas = pf.projection._thinned_knots if delta_grid is None else delta_grid
+    radii = np.sqrt(np.maximum(k * s_sq - (k - 1) * deltas, 0.0))
     if delta_grid is None:
-        deltas, radii = _mean_candidates(k, s, pf)
-    else:
-        deltas = np.concatenate([delta_grid, [s * s]])
-        radii = np.sqrt(np.maximum(k * s * s - (k - 1) * deltas, 0.0))
-        radii[-1] = s  # exact at the delta = s^2 simplification
+        knots = pf.localisation_new.knots
+        deltas = np.concatenate([deltas, (k * s_sq - knots**2) / (k - 1)])
+        radii = np.concatenate([radii, knots])
+    deltas, radii = np.append(deltas, s_sq), np.append(radii, s)
 
     loc = pf.localisation_new(radii)
     proj = pf.projection(deltas)

@@ -510,8 +510,12 @@ def run_bounds(cfg: BoundsConfig) -> dict:
 
     mu_dists = fit.mu_dists
     lo = 0.5 * float(mu_dists.min())
-    hi = 1.5 * float(mu_dists.max())
-    s_grid = np.linspace(lo, hi, cfg.s_points)
+    if not lo > 0:
+        raise NumericError(
+            f"{cfg.kernel.label} refit prototype distance {mu_dists.min()} from the new-class centre"
+            " gives a mean-concentration s grid that starts at 0"
+        )
+    s_grid = np.linspace(lo, 1.5 * float(mu_dists.max()), cfg.s_points)
     conc_rows = []
     for s in s_grid:
         bracket = mean_concentration_bounds(cfg.shots, float(s), fit.pf)

@@ -347,6 +347,8 @@ def transition_width(sweep_values, ratios, high: float = 0.9, low: float = 0.1) 
     xs = _real_arg("sweep_values", sweep_values, array=True)
     ys = _real_arg("ratios", ratios, array=True)
     high, low = _real_arg("high", high), _real_arg("low", low)
+    if high <= low:
+        raise ValueError(f"high ({high}) must exceed low ({low})")
     if xs.size != ys.size or xs.size < 2:
         raise ValueError("need matching sweeps with at least 2 points")
     if np.any(np.diff(xs) <= 0):

@@ -654,6 +654,109 @@ class TestFewShotSuccessBounds:
             BoundGrid(a_values=(), b_values=(1.0,), beta_values=(1.0,), gamma_values=(1.0,), epsilon_values=(1.0,))
 
 
+def clamped_bracket(lower, upper):
+    """The bracket rule (bounds._bracket) with no crossing to raise."""
+    lower, upper = min(max(lower, 0.0), 1.0), min(max(upper, 0.0), 1.0)
+    return min(lower, upper), upper
+
+
+def stepped_mean(a):
+    # ties in both ends across the a axis
+    return (0.5, 0.75) if a < 0.1 else (1.0, 1.0)
+
+
+class TestBruteForceOracle:
+    """Both bound evaluators against plain Python loops over their grids,
+    bit for bit, on small grids with deliberate ties."""
+
+    GRID = BoundGrid(
+        a_values=(0.001, 0.01, 0.5),
+        b_values=(0.001, 0.5, 2.0),
+        beta_values=(0.01, 1.0),
+        gamma_values=(1.0, 4.0),
+        epsilon_values=(0.5, 2.0, 8.0),
+    )
+
+    @staticmethod
+    def side(loc_cdf, sep_cdf, margin_fn, radii, theta, dist_sq, mean_concentration, grid):
+        """(lower, upper, best tuple (a, radius, gamma, epsilon), grid size),
+        the best tuple the first maximum in lexicographic loop order."""
+        best, best_value, upper_gap, size = None, -1.0, 0.0, 0
+        for a in grid.a_values:
+            mc_low, mc_high = mean_concentration(a)
+            for r in radii:
+                for g in grid.gamma_values:
+                    for e in grid.epsilon_values:
+                        size += 1
+                        loc = loc_cdf(r)
+                        sep = sep_cdf(margin_fn(theta, dist_sq, a, r, g, e))
+                        value = mc_low * max(loc + sep - 1.0, 0.0)
+                        if value > best_value:
+                            best, best_value = (a, r, g, e), value
+                        upper_gap = max(upper_gap, (1.0 - mc_high) * max(1.0 - loc - sep, 0.0))
+        return (*clamped_bracket(best_value, 1.0 - upper_gap), best, size)
+
+    @pytest.mark.parametrize("theta", [-1.0, 0.0, 2.0])
+    @pytest.mark.parametrize("mean_concentration", [certain_mean, stepped_mean], ids=["certain", "stepped"])
+    @pytest.mark.parametrize("shift", [0.0, 1.5, None], ids=["identical", "near", "point-masses"])
+    def test_success_bounds_match_loops(self, theta, mean_concentration, shift):
+        if shift is None:
+            X = np.tile([1.0, 0.0], (5, 1))
+            Z = np.tile([-1.0, 0.0], (5, 1))
+        else:
+            X = ball_cloud(3, np.zeros(3), 0.7, 12, seed=60)
+            Z = ball_cloud(3, np.r_[shift, 0.0, 0.0], 0.7, 12, seed=61)
+        pf, _, _, dist_sq = pf_from_points(LINEAR, X, Z)
+        result = few_shot_success_bounds(pf, dist_sq, theta, mean_concentration, self.GRID)
+        sides = (
+            (result.new_class, pf.localisation_new, pf.separation_new, new_class_margin, "b"),
+            (result.old_class, pf.localisation_old, pf.separation_old, old_class_margin, "beta"),
+        )
+        for report, loc_cdf, sep_cdf, margin_fn, radius_name in sides:
+            radii = getattr(self.GRID, radius_name + "_values")
+            lower, upper, (a, r, g, e), size = self.side(
+                loc_cdf, sep_cdf, margin_fn, radii, theta, dist_sq, mean_concentration, self.GRID
+            )
+            assert (report.lower, report.upper, report.grid_size) == (lower, upper, size)
+            other = "beta" if radius_name == "b" else "b"
+            best = report.argbest
+            assert (best.theta, best.a, getattr(best, radius_name), best.gamma, best.epsilon) == (theta, a, r, g, e)
+            assert getattr(best, other) == 0.0
+
+    @staticmethod
+    def concentration(k, s, pf, candidates):
+        lower, upper = -math.inf, math.inf
+        for delta, r in candidates:
+            loc, proj = pf.localisation_new(r), pf.projection(delta)
+            lower = max(lower, 1.0 - (k * (1.0 - loc) + k * (k - 1) * (1.0 - proj)))
+            upper = min(upper, k * loc + k * (k - 1) * proj)
+        return clamped_bracket(lower, upper)
+
+    @pytest.mark.parametrize("n_new", [12, 50])  # 50 points give 1225 knots, so they are thinned
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("s", [0.1, 0.55, 0.6])  # upper ends below 1, lower ends above 0
+    def test_mean_concentration_matches_loops(self, n_new, k, s):
+        X = ball_cloud(3, np.zeros(3), 0.7, n_new, seed=62)
+        Z = ball_cloud(3, np.r_[1.5, 0.0, 0.0], 0.7, 12, seed=63)
+        pf, *_ = pf_from_points(LINEAR, X, Z)
+        s_sq = s * s
+
+        def radius(delta):
+            return math.sqrt(max(k * s_sq - (k - 1) * delta, 0.0))
+
+        # a grid with a repeated delta and one above s^2, where the radius is 0
+        delta_grid = [-0.2, 0.0, 0.0, 2 * s_sq + 0.1]
+        candidates = [(d, radius(d)) for d in delta_grid] + [(s_sq, s)]
+        assert mean_concentration_bounds(k, s, pf, delta_grid=delta_grid) == self.concentration(k, s, pf, candidates)
+
+        thinned = pf.projection._thinned_knots
+        assert thinned.size == min(pf.projection.knots.size, 513 + 64)
+        candidates = [(float(d), radius(d)) for d in thinned]
+        candidates += [((k * s_sq - r * r) / (k - 1), float(r)) for r in pf.localisation_new.knots]
+        candidates.append((s_sq, s))
+        assert mean_concentration_bounds(k, s, pf) == self.concentration(k, s, pf, candidates)
+
+
 class TestBracketOrderingProperty:
     """lower <= upper for every bracket returned, on random two-class samples.
 

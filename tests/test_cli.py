@@ -10,15 +10,20 @@ import numpy as np
 import pytest
 
 from kernelshot import (
+    DomainSpec,
     NumericError,
     auroc,
+    cap_ratio_sweep,
     decision_values,
     fit_few_shot,
     ingest_feature_csv,
     linear_ball_ratio,
+    linear_kernel,
     mean_combination,
     normalize_feature_table,
     roc_curve,
+    sample_domain,
+    spawn_seeds,
     write_feature_csv,
 )
 from kernelshot import kernels
@@ -181,6 +186,24 @@ class TestVolumeRatioCommand:
         for row, entry in zip(rows, first_results["ball"]):
             assert float(row["ratio"]) == entry["ratio"]
             assert int(row["hits"]) == entry["hits"]
+
+    def test_raw_delta_scale_uses_the_grid_values(self, tmp_path):
+        config = {**self.base_config(tmp_path), "eps_grid": [], "delta_grid": [-0.2, 0.1, 0.4], "delta_scale": "raw"}
+        cfg = write_config(tmp_path / "c.json", config)
+        assert main(["volume-ratio", "--config", cfg]) == 0
+        results = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
+        assert [row["delta"] for row in results["cap"]] == [row["grid_value"] for row in results["cap"]]
+        assert [row["grid_value"] for row in results["cap"]] == config["delta_grid"]
+
+        # the same support and probe as the run, swept directly at those deltas
+        support_seed, probe_seed = spawn_seeds(config["seed"], 2)
+        domain = DomainSpec("unit_ball", config["d"])
+        spec = linear_kernel(0.0)
+        centre = mean_combination(spec, sample_domain(domain, config["support_size"], support_seed))
+        probe = sample_domain(domain, config["probe_size"], probe_seed)
+        direct = cap_ratio_sweep(spec, centre, np.eye(config["d"])[0], probe, results["radius"], config["delta_grid"])
+        assert [row["hits"] for row in results["cap"]] == [est.hits for est in direct]
+        assert [int(row["hits"]) for row in read_csv(tmp_path / "out" / "cap_ratios.csv")] == [est.hits for est in direct]
 
     def test_seed_override_changes_results(self, tmp_path):
         config = self.base_config(tmp_path)
@@ -502,6 +525,27 @@ def test_kernel_overflow_exits_4(tmp_path, monkeypatch, capsys, command, kernel,
     assert err.startswith("numeric failure")
     assert "not finite" in err
     assert label in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "kernel, radius, label",
+    [
+        ({"kind": "linear"}, 1e-200, "linear(b=0)"),
+        ({"kind": "polynomial", "degree": 3, "bias": 0.0}, 1e-120, "poly3(b=0)"),
+    ],
+    ids=["linear", "poly3"],
+)
+def test_zero_prototype_distance_exits_4(tmp_path, capsys, kernel, radius, label):
+    # the prototypes' feature distances to the new-class centre round to 0,
+    # so the mean-concentration s grid, from half the smallest, would start at 0
+    patch = {"kernel": kernel, "radius_new": radius, "radius_old": radius, "out": str(tmp_path / "out")}
+    cfg = write_config(tmp_path / "c.json", {**SMALL_CONFIGS["bounds"], **patch})
+    assert main(["bounds", "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure")
+    assert f"{label} refit prototype distance 0.0" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "report.json").exists()
 

@@ -739,6 +739,12 @@ class TestTransitionWidth:
         # a point exactly at low followed by one below it crosses at that point
         assert transition_width([0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.1, 0.0]) == 2.0 - (1.0 - 0.9) / (1.0 - 0.5)
 
+    @pytest.mark.parametrize("high, low", [(0.1, 0.9), (0.5, 0.5)])
+    def test_high_not_above_low_raises_naming_both(self, high, low):
+        # swapped levels would cross in the wrong order and give a negative width
+        with pytest.raises(ValueError, match=rf"^high \({high}\) must exceed low \({low}\)"):
+            transition_width([0.1, 0.2, 0.3], [0.95, 0.5, 0.05], high=high, low=low)
+
 
 class TestSweepCsv:
     def test_round_trip(self, tmp_path):
