@@ -79,7 +79,7 @@ class StepCdf:
         object.__setattr__(self, "knots", knots)
 
     def __call__(self, t):
-        counts = np.searchsorted(self.knots, t, side="right")
+        counts = np.searchsorted(self.knots, _real_arg("t", t, array=True), side="right")
         result = counts / self.knots.size
         return float(result) if np.ndim(result) == 0 else result
 
@@ -323,7 +323,7 @@ class BoundGrid:
         norm_quantiles = _real_arg("norm_quantiles", norm_quantiles, at_least=0, at_most=1, array=True)
         base = tuple(np.geomspace(low, high, points_per_axis))
         extra_new, extra_old = ((), ()) if pf is None else (
-            tuple(float(v) for v in np.quantile(cdf.knots, norm_quantiles) if v > 0)
+            tuple(float(v) for v in _sorted_quantiles(cdf.knots, norm_quantiles) if v > 0)
             for cdf in (pf.localisation_new, pf.localisation_old)
         )
         a = base + extra_new

@@ -143,6 +143,14 @@ def _text(value) -> str:
     return value
 
 
+def _out_dir(value) -> str:
+    """A path whose nearest existing part is a directory, to write into."""
+    nearest = next(p for p in (Path(_text(value)), *Path(value).parents) if p.exists())
+    if not nearest.is_dir():
+        raise ValueError(f"{str(nearest)!r} is not a directory")
+    return value
+
+
 _seed = _count(0)
 
 # kernel kind -> parameter -> (parser, default); a parameter without a
@@ -191,7 +199,7 @@ class _Config:
     @classmethod
     def from_dict(cls, raw: dict):
         version = raw.get("schema_version", SCHEMA_VERSION)
-        if version != SCHEMA_VERSION:
+        if version != SCHEMA_VERSION or isinstance(version, bool):
             raise ConfigError(f"unsupported schema_version {version}, expected {SCHEMA_VERSION}")
         declared = raw.get("command")
         if declared is not None and declared != cls.command:
@@ -220,7 +228,7 @@ class OrthogonalityConfig(_Config):
     d_values: tuple[int, ...] = _param(_list(_count(1)))
     n_points: int = _param(_count(2), 1000)
     seed: int = _param(_seed, 0)
-    out: str = _param(_text)
+    out: str = _param(_out_dir)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -238,7 +246,7 @@ class VolumeRatioConfig(_Config):
     # "cosine": delta = t * r * ||phi(v) - c||; "raw": delta = t
     delta_scale: str = _param(_choice("cosine", "raw"), "cosine")
     seed: int = _param(_seed, 0)
-    out: str = _param(_text)
+    out: str = _param(_out_dir)
 
     def __post_init__(self) -> None:
         if not self.eps_grid and not self.delta_grid:
@@ -265,7 +273,7 @@ class BoundsConfig(_Config):
     refits: int = _param(_count(1), 50)
     draws: int = _param(_count(1), 2000)
     seed: int = _param(_seed, 0)
-    out: str = _param(_text)
+    out: str = _param(_out_dir)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -279,7 +287,7 @@ class FewShotRocConfig(_Config):
     new_test: str | None = _param(lambda v: _text(v) or None, None)
     shots: int = _param(_count(1), 10)
     seeds: tuple[int, ...] = _param(_list(_seed))
-    out: str = _param(_text)
+    out: str = _param(_out_dir)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "FewShotRocConfig":
@@ -407,10 +415,13 @@ class TwoBallRefits:
 
     pf: ProbabilityFunctions
     grid: BoundGrid
-    dist_sq: float
     mu_dists: np.ndarray
     success_new: dict
     success_old: dict
+
+    @property
+    def dist_sq(self) -> float:
+        return self.pf.dist_sq
 
 
 def two_ball_refits(
@@ -445,9 +456,7 @@ def two_ball_refits(
     if np.ndim(seeds) != 1 or len(seeds) != 3:
         raise ValueError(f"seeds must be three seeds, got {seeds!r}")
     ref_new_seed, ref_old_seed, refit_root = (_count_arg("seeds", seed, 0) for seed in seeds)
-    centre_new_vec = np.zeros(d)
-    centre_old_vec = np.zeros(d)
-    centre_old_vec[0] = centre_distance
+    centre_new_vec, centre_old_vec = np.zeros(d), np.eye(1, d)[0] * centre_distance
 
     centre_new = mean_combination(spec, ball_cloud(d, centre_new_vec, radius_new, reference_size, ref_new_seed))
     centre_old = mean_combination(spec, ball_cloud(d, centre_old_vec, radius_old, reference_size, ref_old_seed))
@@ -468,7 +477,7 @@ def two_ball_refits(
             success_new[theta][i] = float(np.mean(dv_new >= theta))
             success_old[theta][i] = float(np.mean(dv_old < theta))
 
-    return TwoBallRefits(pf, BoundGrid.default(pf), pf.dist_sq, mu_dists, success_new, success_old)
+    return TwoBallRefits(pf, BoundGrid.default(pf), mu_dists, success_new, success_old)
 
 
 def _contained(bracket, estimate: float, sigma: float) -> bool:
@@ -605,10 +614,7 @@ def run_fewshot_roc(cfg: FewShotRocConfig) -> dict:
                 write_csv_atomic(
                     out_dir / f"roc_kernel{kernel_idx}_seed{seed}.csv",
                     ["threshold", "fpr", "tpr"],
-                    [
-                        [float(t), float(f), float(tp)]
-                        for t, f, tp in zip(curve.thresholds, curve.fpr, curve.tpr)
-                    ],
+                    np.column_stack([curve.thresholds, curve.points]).tolist(),
                 )
         arr = np.asarray(aurocs)
         kernel_summaries.append(

@@ -38,6 +38,7 @@ is one product [u, -e, -1] [S, 1, r]^T and one exp.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
 import os
@@ -96,19 +97,22 @@ ROW_BLOCK = 512
 _BLOCK_ENTRIES = 1 << 16
 
 # Entries (rows x support size) from which one kernel-trick inner_with_combo
-# call splits its row blocks between two threads.  The split pays off because
-# a block's work releases the GIL: a product, an exp and a matrix-vector
-# product, with a Gaussian factor's rows formed once per chunk of blocks
-# (_CHUNK_ENTRIES).  A worker thread leaves about 1 MB of allocator arena
-# resident for the rest of the process, so only calls this large (such as 1e5
-# Monte-Carlo probes against 1000 support points) gain.  Primal centres never
-# split: feature-row blocks hold the GIL.
+# call splits its row blocks between two threads, the worker in a copy of the
+# caller's context.  It pays off because a block's work releases the GIL: a
+# product, an exp and a matrix-vector product, a Gaussian factor's rows formed
+# per chunk of blocks (_CHUNK_ENTRIES).  A worker thread leaves about 1 MB of
+# allocator arena resident for the rest of the process, so only calls this
+# large (such as 1e5 Monte-Carlo probes against 1000 support points) gain.
+# Primal centres never split: feature-row blocks hold the GIL.
 _SPLIT_ENTRIES = 1 << 24
 
-# Entries (float64, 128 KB) of the factorised Gaussian rows [u, -e, -1] that
-# inner_with_combo forms at a time, in whole row blocks (at least one): the
-# small numpy calls that form them hold the GIL, and run once per chunk.
-_CHUNK_ENTRIES = 1 << 14
+# Entries (float64, 64 KB) of the factorised Gaussian rows [u, -e, -1] that
+# inner_with_combo forms into a fresh array at a time, in whole row blocks (at
+# least one).  The small numpy calls that form them hold the GIL: formed per
+# 64-row block instead, 1e5 probes against 1000 support points took 0.21 s,
+# not 0.15 s, on two threads of a 2-core Xeon.  At 128 KB per chunk that run's
+# peak RSS was 0.09 MB higher than with rows formed into one buffer per thread.
+_CHUNK_ENTRIES = 1 << 13
 
 # Largest feature dimension p of a primal combination whose centred pair
 # blocks are products of its centred feature rows (_centered_pair_blocks),
@@ -368,14 +372,12 @@ class _Factor(NamedTuple):
         return self.table[:, :-2]
 
 
-def _factor_rows(spec: KernelSpec, m: np.ndarray, X: np.ndarray, starts=(0,), rows=None):
+def _factor_rows(spec: KernelSpec, m: np.ndarray, X: np.ndarray, starts=(0,)):
     """The left factor [u, -e, -1] of every row x of X against a Gaussian
-    factor with support mean m, written into `rows` (n x (d + 2)) if given,
-    and for the blocks of X beginning at `starts` whether every |e| is
-    within _EXP_RANGE, the guard that lets a block use them.  Each row is
-    reduced on its own, so any run of rows gives the same bits."""
-    if rows is None:
-        rows = np.empty((X.shape[0], X.shape[1] + 2))
+    factor with support mean m, and for the blocks of X beginning at `starts`
+    whether every |e| is within _EXP_RANGE, the guard that lets a block use
+    them.  Each row is reduced on its own: any run of rows gives its bits."""
+    rows = np.empty((X.shape[0], X.shape[1] + 2))
     # x - m in the rows' own columns: no second n x d temporary
     u = np.subtract(X, m, out=rows[:, :-2])
     e = np.einsum("ij,ij->i", u, X + m) / (2.0 * spec.sigma)
@@ -422,11 +424,11 @@ def inner_with_combo(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
     """(phi(x), c) for every row x of X.
 
     For a kernel-trick centre at _SPLIT_ENTRIES entries or more, and with two
-    usable cores, a worker thread fills the second half of the row blocks
-    under the caller's np.errstate.  A Gaussian factor's rows are formed once
-    per chunk of blocks (_factor_rows), each block's _EXP_RANGE guard decided
-    on its own rows, so a block is one kernel_matrix call that releases the
-    GIL in its product and exp, with the same calls on either thread.
+    usable cores, a worker thread fills the second half of the row blocks in
+    a copy of the caller's context, so under its np.errstate.  A Gaussian
+    factor's rows are formed anew once per chunk of blocks (_factor_rows),
+    each block's _EXP_RANGE guard decided on its own rows, so a block is one
+    kernel_matrix call that releases the GIL in its product and exp.
     """
     _check_combo(spec, c)
     Xa = as_points(X)
@@ -438,17 +440,12 @@ def inner_with_combo(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
     step = max(1, _CHUNK_ENTRIES // ((Xa.shape[1] + 2) * (blocks[0][1] - blocks[0][0])))
 
     def fill(blocks):
-        chunks = [blocks[i : i + step] for i in range(0, len(blocks), step)]
-        if factor is not None:
-            # one buffer for every chunk's rows, allocated before any block's
-            # product: rows allocated per chunk would split the heap space a
-            # freed product leaves, and the next product would grow the heap
-            buf = np.empty((max((ch[-1][1] - ch[0][0] for ch in chunks), default=0), Xa.shape[1] + 2))
-        for chunk in chunks:
+        for i in range(0, len(blocks), step):
+            chunk = blocks[i : i + step]
             first, last = chunk[0][0], chunk[-1][1]
             if factor is not None:
                 starts = [lo - first for lo, _ in chunk]
-                rows, within = _factor_rows(spec, factor.m, Xa[first:last], starts, buf[: last - first])
+                rows, within = _factor_rows(spec, factor.m, Xa[first:last], starts)
             for k, (lo, hi) in enumerate(chunk):
                 block = _whole_groups(Xa[lo:hi])
                 if c.primal is not None:
@@ -465,12 +462,11 @@ def inner_with_combo(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
         return out
     half = len(blocks) // 2
     failed = []
-    saved = np.geterr()
+    context = contextvars.copy_context()  # numpy's error state is a context variable
 
     def worker():
         try:
-            with np.errstate(**saved):
-                fill(blocks[half:])
+            context.run(fill, blocks[half:])
         except BaseException as exc:  # re-raised in the caller after join
             failed.append(exc)
 
@@ -554,7 +550,7 @@ def _probe_pass(spec: KernelSpec, c: FeatureCombination, probe, chunk_size: int,
     probe = _probe(spec, c, probe)
     va = v_c = b = None
     if v is not None:
-        va = np.asarray(v, dtype=float)[None, :]
+        va = _real_arg("v", v, array=True)[None, :]
         v_c = float(inner_with_combo(spec, va, c)[0])
     pts, a = probe.points, probe.centre_inner
     try:

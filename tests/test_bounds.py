@@ -2,6 +2,7 @@
 formulas against hand evaluations, and the three bound evaluators on
 degenerate and synthetic data."""
 
+import inspect
 import math
 from collections import Counter
 
@@ -80,9 +81,10 @@ class TestStepCdf:
         # np.quantile partitions a copy, which may swap -0 and +0, so values
         # are compared, not signs of zero
         x = np.sort(np.asarray(knots))
-        q = np.linspace(0.0, 1.0, count)
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.testing.assert_array_equal(bounds._sorted_quantiles(x, q), np.quantile(x, q))
+        norm_quantiles = inspect.signature(BoundGrid.default).parameters["norm_quantiles"].default
+        for q in (np.linspace(0.0, 1.0, count), np.asarray(norm_quantiles)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.testing.assert_array_equal(bounds._sorted_quantiles(x, q), np.quantile(x, q))
 
     def test_thinned_knots_are_quantiles_and_the_upper_tail(self):
         knots = np.random.default_rng(3).normal(size=5000)
@@ -90,6 +92,11 @@ class TestStepCdf:
         knots.sort()
         np.testing.assert_array_equal(thinned[:513], np.quantile(knots, np.linspace(0.0, 1.0, 513)))
         np.testing.assert_array_equal(thinned[513:], knots[-64:])
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, [0.5, math.nan]], ids=["nan", "inf", "nan-entry"])
+    def test_rejects_a_non_finite_level(self, t):
+        with pytest.raises(ValueError, match="t must be finite"):
+            StepCdf([1.0, 2.0])(t)
 
     def test_unsorted_knots_are_sorted_in_a_copy(self):
         knots = np.array([5.0, np.nan, 1.0, 2.0])

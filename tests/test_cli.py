@@ -468,11 +468,15 @@ SMALL_CONFIGS = {
         ("fewshot-roc", {"shots": 6}, 2, "shots (6) must be fewer than new-class rows (6)"),
         ("fewshot-roc", {"shots": 7, "new_test": "new.csv"}, 2, "shots (7) exceeds new-class rows (6)"),
         ("fewshot-roc", {"old_features": "empty.csv"}, 3, "empty.csv: empty file"),
+        ("orthogonality", {"out": "afile.txt"}, 2, "'out': 'afile.txt' is not a directory"),
+        ("bounds", {"out": "afile.txt/sub"}, 2, "'out': 'afile.txt' is not a directory"),
+        ("orthogonality", {"schema_version": True}, 2, "unsupported schema_version True"),
     ],
     ids=["eps-above-1", "no-kernels", "no-d-values", "d-values-string", "bounds-d-0", "negative-seed",
          "fewshot-negative-seed", "sigma-nan", "no-thetas", "test-table-width", "zero-max-norm", "nan-cell",
          "inf-cell", "half-width-unit-ball", "schema-version-2", "no-grids", "shots-all-new-rows",
-         "shots-above-new-rows", "empty-feature-file"],
+         "shots-above-new-rows", "empty-feature-file", "out-names-a-file", "out-through-a-file",
+         "schema-version-true"],
 )
 def test_bad_input_exits_with_documented_code(tmp_path, monkeypatch, capsys, command, patch, code, fragment):
     monkeypatch.chdir(tmp_path)
@@ -486,7 +490,8 @@ def test_bad_input_exits_with_documented_code(tmp_path, monkeypatch, capsys, com
         table[1, 1] = bad
         write_feature_csv(name, table, ["x"] * 6)
     (tmp_path / "empty.csv").write_bytes(b"")
-    cfg = write_config(tmp_path / "c.json", {**SMALL_CONFIGS[command], **patch, "out": "out"})
+    (tmp_path / "afile.txt").write_text("not a directory\n")
+    cfg = write_config(tmp_path / "c.json", {**SMALL_CONFIGS[command], "out": "out", **patch})
 
     assert main([command, "--config", cfg]) == code
     err = capsys.readouterr().err

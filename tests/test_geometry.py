@@ -211,6 +211,14 @@ class TestSweepValidation:
         with pytest.raises(ValueError, match="finite"):
             cap_ratio_sweep(LINEAR, origin_combo(2), np.array([1.0, 0.0]), probe, 1.0, [math.nan])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_cap_direction_must_be_finite(self, bad):
+        probe = sample_unit_ball(2, 10, seed=0)
+        with pytest.raises(ValueError, match="v must be finite"):
+            cap_ratio_sweep(LINEAR, origin_combo(2), np.array([1.0, bad]), probe, 1.0, [0.0])
+        with pytest.raises(ValueError, match="v must be finite"):
+            centered_inners(LINEAR, probe, np.array([bad, 0.0]), origin_combo(2))
+
 
 SWEEP_SPECS = [gaussian_kernel(0.3), gaussian_kernel(2.0), polynomial_kernel(2, 1.0), polynomial_kernel(3, 0.5)]
 SWEEP_PROBE = 300

@@ -1,6 +1,7 @@
 """Kernel evaluation, Gram matrices, implicit combinations, and the explicit
 polynomial feature map that serves as their independent oracle."""
 
+import contextvars
 import math
 import os
 import threading
@@ -1052,6 +1053,24 @@ class TestSplitRows:
         monkeypatch.setattr(kernels, "kernel_matrix", fail_in_second_half)
         with pytest.raises(Failed):
             inner_with_combo(spec, X, c)
+
+    def test_worker_runs_in_the_callers_context(self, monkeypatch):
+        spec = gaussian_kernel(0.5)
+        rng = np.random.default_rng(56)
+        c = mean_combination(spec, rng.uniform(-1, 1, size=(1000, 5)))
+        marker = contextvars.ContextVar("marker", default="unset")
+        seen = []
+        original = kernels.kernel_matrix
+
+        def record(*args):
+            seen.append((threading.get_ident(), marker.get()))
+            return original(*args)
+
+        monkeypatch.setattr(kernels, "kernel_matrix", record)
+        marker.set("caller")
+        inner_with_combo(spec, rng.uniform(-1, 1, size=(1089, 5)), c)
+        assert len({ident for ident, _ in seen}) == 2
+        assert {value for _, value in seen} == {"caller"}
 
     def test_worker_keeps_the_callers_errstate(self):
         # the overflowing rows are the worker's: numpy's error state is per
