@@ -79,7 +79,11 @@ class StepCdf:
         object.__setattr__(self, "knots", knots)
 
     def __call__(self, t):
-        counts = np.searchsorted(self.knots, _real_arg("t", t, array=True), side="right")
+        # +-inf is a level (0 or 1) that an overflowed radius or margin
+        # reaches; a NaN would count as above every knot
+        if np.isnan(t).any():
+            raise ValueError(f"t must not be NaN, got {t}")
+        counts = np.searchsorted(self.knots, t, side="right")
         result = counts / self.knots.size
         return float(result) if np.ndim(result) == 0 else result
 

@@ -70,8 +70,14 @@ def fit_few_shot(spec: KernelSpec, shots, old_centre: FeatureCombination) -> Few
     pts = as_points(shots).copy()
     pts.setflags(write=False)
     prototype = mean_combination(spec, pts)
-    dist_sq = combo_pair_stats(spec, prototype, old_centre).sq_distance
-    return FewShotModel(kernel=spec, shots=pts, prototype=prototype, old_centre=old_centre, dist_sq=dist_sq)
+    stats = combo_pair_stats(spec, prototype, old_centre)
+    return FewShotModel(
+        kernel=spec,
+        shots=pts,
+        prototype=prototype,
+        old_centre=old_centre,
+        dist_sq=stats.sq_distance,
+    )
 
 
 def decision_values(model: FewShotModel, X) -> np.ndarray:

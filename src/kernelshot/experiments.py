@@ -456,7 +456,9 @@ def two_ball_refits(
     if np.ndim(seeds) != 1 or len(seeds) != 3:
         raise ValueError(f"seeds must be three seeds, got {seeds!r}")
     ref_new_seed, ref_old_seed, refit_root = (_count_arg("seeds", seed, 0) for seed in seeds)
-    centre_new_vec, centre_old_vec = np.zeros(d), np.eye(1, d)[0] * centre_distance
+    centre_new_vec = np.zeros(d)
+    centre_old_vec = np.zeros(d)
+    centre_old_vec[0] = centre_distance
 
     centre_new = mean_combination(spec, ball_cloud(d, centre_new_vec, radius_new, reference_size, ref_new_seed))
     centre_old = mean_combination(spec, ball_cloud(d, centre_old_vec, radius_old, reference_size, ref_old_seed))
@@ -614,7 +616,10 @@ def run_fewshot_roc(cfg: FewShotRocConfig) -> dict:
                 write_csv_atomic(
                     out_dir / f"roc_kernel{kernel_idx}_seed{seed}.csv",
                     ["threshold", "fpr", "tpr"],
-                    np.column_stack([curve.thresholds, curve.points]).tolist(),
+                    [
+                        [float(t), float(f), float(tp)]
+                        for t, f, tp in zip(curve.thresholds, curve.fpr, curve.tpr)
+                    ],
                 )
         arr = np.asarray(aurocs)
         kernel_summaries.append(

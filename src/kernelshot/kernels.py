@@ -106,13 +106,10 @@ _BLOCK_ENTRIES = 1 << 16
 # Primal centres never split: feature-row blocks hold the GIL.
 _SPLIT_ENTRIES = 1 << 24
 
-# Entries (float64, 64 KB) of the factorised Gaussian rows [u, -e, -1] that
-# inner_with_combo forms into a fresh array at a time, in whole row blocks (at
-# least one).  The small numpy calls that form them hold the GIL: formed per
-# 64-row block instead, 1e5 probes against 1000 support points took 0.21 s,
-# not 0.15 s, on two threads of a 2-core Xeon.  At 128 KB per chunk that run's
-# peak RSS was 0.09 MB higher than with rows formed into one buffer per thread.
-_CHUNK_ENTRIES = 1 << 13
+# Entries (float64, 128 KB) of the factorised Gaussian rows [u, -e, -1] that
+# inner_with_combo forms at a time, in whole row blocks (at least one): the
+# small numpy calls that form them hold the GIL, and run once per chunk.
+_CHUNK_ENTRIES = 1 << 14
 
 # Largest feature dimension p of a primal combination whose centred pair
 # blocks are products of its centred feature rows (_centered_pair_blocks),
@@ -372,12 +369,14 @@ class _Factor(NamedTuple):
         return self.table[:, :-2]
 
 
-def _factor_rows(spec: KernelSpec, m: np.ndarray, X: np.ndarray, starts=(0,)):
+def _factor_rows(spec: KernelSpec, m: np.ndarray, X: np.ndarray, starts=(0,), rows=None):
     """The left factor [u, -e, -1] of every row x of X against a Gaussian
-    factor with support mean m, and for the blocks of X beginning at `starts`
-    whether every |e| is within _EXP_RANGE, the guard that lets a block use
-    them.  Each row is reduced on its own: any run of rows gives its bits."""
-    rows = np.empty((X.shape[0], X.shape[1] + 2))
+    factor with support mean m, written into `rows` (n x (d + 2)) if given,
+    and for the blocks of X beginning at `starts` whether every |e| is
+    within _EXP_RANGE, the guard that lets a block use them.  Each row is
+    reduced on its own, so any run of rows gives the same bits."""
+    if rows is None:
+        rows = np.empty((X.shape[0], X.shape[1] + 2))
     # x - m in the rows' own columns: no second n x d temporary
     u = np.subtract(X, m, out=rows[:, :-2])
     e = np.einsum("ij,ij->i", u, X + m) / (2.0 * spec.sigma)
@@ -426,9 +425,10 @@ def inner_with_combo(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
     For a kernel-trick centre at _SPLIT_ENTRIES entries or more, and with two
     usable cores, a worker thread fills the second half of the row blocks in
     a copy of the caller's context, so under its np.errstate.  A Gaussian
-    factor's rows are formed anew once per chunk of blocks (_factor_rows),
-    each block's _EXP_RANGE guard decided on its own rows, so a block is one
-    kernel_matrix call that releases the GIL in its product and exp.
+    factor's rows are formed once per chunk of blocks (_factor_rows), each
+    block's _EXP_RANGE guard decided on its own rows, so a block is one
+    kernel_matrix call that releases the GIL in its product and exp, with the
+    same calls on either thread.
     """
     _check_combo(spec, c)
     Xa = as_points(X)
@@ -440,12 +440,17 @@ def inner_with_combo(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
     step = max(1, _CHUNK_ENTRIES // ((Xa.shape[1] + 2) * (blocks[0][1] - blocks[0][0])))
 
     def fill(blocks):
-        for i in range(0, len(blocks), step):
-            chunk = blocks[i : i + step]
+        chunks = [blocks[i : i + step] for i in range(0, len(blocks), step)]
+        if factor is not None:
+            # one buffer for every chunk's rows, allocated before any block's
+            # product: rows allocated per chunk would split the heap space a
+            # freed product leaves, and the next product would grow the heap
+            buf = np.empty((max((ch[-1][1] - ch[0][0] for ch in chunks), default=0), Xa.shape[1] + 2))
+        for chunk in chunks:
             first, last = chunk[0][0], chunk[-1][1]
             if factor is not None:
                 starts = [lo - first for lo, _ in chunk]
-                rows, within = _factor_rows(spec, factor.m, Xa[first:last], starts)
+                rows, within = _factor_rows(spec, factor.m, Xa[first:last], starts, buf[: last - first])
             for k, (lo, hi) in enumerate(chunk):
                 block = _whole_groups(Xa[lo:hi])
                 if c.primal is not None:

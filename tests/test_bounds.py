@@ -93,10 +93,15 @@ class TestStepCdf:
         np.testing.assert_array_equal(thinned[:513], np.quantile(knots, np.linspace(0.0, 1.0, 513)))
         np.testing.assert_array_equal(thinned[513:], knots[-64:])
 
-    @pytest.mark.parametrize("t", [math.nan, math.inf, [0.5, math.nan]], ids=["nan", "inf", "nan-entry"])
-    def test_rejects_a_non_finite_level(self, t):
-        with pytest.raises(ValueError, match="t must be finite"):
+    @pytest.mark.parametrize("t", [math.nan, [0.5, math.nan]], ids=["nan", "nan-entry"])
+    def test_rejects_a_nan_level(self, t):
+        with pytest.raises(ValueError, match="t must not be NaN"):
             StepCdf([1.0, 2.0])(t)
+
+    def test_infinite_levels_are_the_ends(self):
+        cdf = StepCdf([1.0, 2.0])
+        assert (cdf(-math.inf), cdf(math.inf)) == (0.0, 1.0)
+        np.testing.assert_array_equal(cdf([-math.inf, 1.5, math.inf]), [0.0, 0.5, 1.0])
 
     def test_unsorted_knots_are_sorted_in_a_copy(self):
         knots = np.array([5.0, np.nan, 1.0, 2.0])
@@ -449,6 +454,13 @@ class TestMeanConcentration:
             assert bracket.lower >= previous[0] - 1e-12
             assert bracket.upper >= previous[1] - 1e-12
             previous = bracket
+
+    def test_overflowing_radius_is_certain(self):
+        # s * s overflows to inf: every radius is inf, a level the CDFs take
+        pf, *_ = pf_from_points(LINEAR, np.eye(3), np.eye(3) + 1.0)
+        with np.errstate(over="ignore"):
+            bracket = mean_concentration_bounds(2, 1e200, pf)
+        assert bracket.lower == bracket.upper == 1.0
 
     def test_invalid_inputs(self):
         pf, *_ = pf_from_points(LINEAR, np.eye(3), np.eye(3) + 1.0)
