@@ -233,7 +233,8 @@ def _unit_row_sums(spec: KernelSpec, mu: FeatureCombination, norms, inv, context
         m = hi - lo
         norms[lo:hi] = np.sqrt(_clamp_sq(np.einsum("ij,ij->i", U[:m], U[:m]), context))
         np.divide(1.0, norms[lo:hi], out=inv[lo:hi], where=norms[lo:hi] > 0.0)
-        U *= inv[lo:, None]
+        # rows hi: were scaled at their own blocks
+        U[:m] *= inv[lo:hi, None]
         top = U[:m]
         sq = np.einsum("ij,ij->i", top, top)
         unit_sq += float(sq.sum())

@@ -88,13 +88,20 @@ DEFAULT_FEATURE_DIM_CAP = 10**6
 
 # Most rows evaluated at a time on every blocked path, so scratch memory is
 # at most ROW_BLOCK x the feature dimension, the support size or n.  Rows
-# against a support are further bounded by _BLOCK_ENTRIES (_row_blocks).
+# against a support are further bounded by _BLOCK_ENTRIES (_row_blocks), and
+# the rows of a pair block by _PAIR_ENTRIES (_pair_row_blocks).
 ROW_BLOCK = 512
 
 # Entries (float64, 512 KB) in one block of rows against a support: a wide
 # support gets fewer rows per block, so each block's scratch stays in cache
 # instead of costing two fresh multi-MB arrays.
 _BLOCK_ENTRIES = 1 << 16
+
+# Most entries (float64, 8 MB) of one centred pair block (_pair_row_blocks),
+# rows i against columns j >= lo of n rows.  2^20 is ROW_BLOCK x 2048, so
+# every n <= 2048 keeps blocks of ROW_BLOCK rows, and a larger n gets fewer
+# rows instead of a block that grows with n (82 MB at n 20000).
+_PAIR_ENTRIES = 1 << 20
 
 # Entries (rows x support size) from which one kernel-trick inner_with_combo
 # call splits its row blocks between two threads, the worker in a copy of the
@@ -264,8 +271,27 @@ def kernel_matrix(spec: KernelSpec, X, Y) -> np.ndarray:
     out = Xa @ Ya.T
     out += _power(spec.bias, 2)
     if spec.degree > 1:
-        out **= spec.degree
+        _raise_in_place(out, spec.degree)
     return out
+
+
+def _raise_in_place(out: np.ndarray, degree: int) -> None:
+    """out ** degree in place for an integer degree >= 2, as ((b b) b) ... b:
+    numpy's ** takes a generic pow beyond a square, about five times slower
+    per entry.  Above a square, rows go in blocks of about _BLOCK_ENTRIES
+    entries (_row_blocks) with one scratch copy of a block's base, so there
+    is no block-sized temporary."""
+    if degree == 2:
+        np.multiply(out, out, out=out)
+        return
+    blocks = list(_row_blocks(*out.shape))
+    base = np.empty(max(hi - lo for lo, hi in blocks) * out.shape[1])
+    for lo, hi in blocks:
+        block = out[lo:hi]
+        b = base[: block.size].reshape(block.shape)
+        np.copyto(b, block)
+        for _ in range(degree - 1):
+            block *= b
 
 
 def kernel_diag(spec: KernelSpec, X) -> np.ndarray:
@@ -603,24 +629,22 @@ def _centered_pair_blocks(spec: KernelSpec, X, c: FeatureCombination):
     """Yield (lo, hi, C), C[i - lo, j - lo] = (phi(x_i) - c, phi(x_j) - c) for
     rows i in lo:hi and j in lo:, in blocks of rows from the last, so rows
     after hi have been yielded before block lo.  X may be a CentredProbe on
-    (spec, c).
+    (spec, c).  Blocks take their rows from _pair_row_blocks.  Read a block
+    before asking for the next: centred-row blocks share one buffer.
 
     A primal combination of p <= _CENTRED_ROWS_DIM features gives each block
     as one product U[lo:hi] U[lo:]^T of its centred feature rows
-    U = phi(X) - v (_centred_row_blocks).  Otherwise blocks have ROW_BLOCK
-    rows and are kernel rows centred through (phi(x), c); rows that are c's
-    support are read from c._factor, with a Gaussian kappa(x_i, x_i) of
-    exactly 1 (_own_kernel_blocks).
+    U = phi(X) - v (_centred_row_blocks).  Otherwise blocks are kernel rows
+    centred through (phi(x), c); rows that are c's support are read from
+    c._factor, with a Gaussian kappa(x_i, x_i) of exactly 1
+    (_own_kernel_blocks).
     """
     probe = _probe(spec, c, X)
     Xa = probe.points
     _check_dims(Xa, c.support)
     if _has_centred_rows(spec, c.dim, c.size):
         for lo, hi, U, out in _centred_row_blocks(spec, Xa, c):
-            C = np.matmul(U[: hi - lo], U.T, out=out)
-            del U, out
-            yield lo, hi, C
-            del C  # before the next block is built
+            yield lo, hi, np.matmul(U[: hi - lo], U.T, out=out)
         return
     own = c._factor if Xa is c.support else None
     yield from _kernel_pair_blocks(spec, Xa, probe.centre_inner, c.self_inner, own)
@@ -633,19 +657,31 @@ def _has_centred_rows(spec: KernelSpec, d: int, n: int) -> bool:
     return spec.kind != "gaussian" and poly_feature_dim(d, spec.degree) < min(n, _CENTRED_ROWS_DIM + 1)
 
 
+def _pair_row_blocks(n: int, held: int = 0, least: int = 0) -> list:
+    """(lo, hi) of the pair blocks over n rows, from the last.  A block and
+    the `held` rows of n entries its pass keeps beside it fit in ROW_BLOCK
+    rows of n entries, and in _PAIR_ENTRIES rounded down to whole groups of
+    _ROW_GROUP rows, unless the block needs `least` rows; the block's rows
+    are rounded down to whole groups too (at least one)."""
+    rows = min(ROW_BLOCK, max(held + least, _PAIR_ENTRIES // n // _ROW_GROUP * _ROW_GROUP)) - held
+    return list(_row_blocks(n, most=max(_ROW_GROUP, rows // _ROW_GROUP * _ROW_GROUP)))[::-1]
+
+
 def _centred_row_blocks(spec: KernelSpec, X: np.ndarray, c: FeatureCombination):
     """Yield (lo, hi, U, out) over the rows of X in blocks from the last, for
     a primal combination c = v of p <= _CENTRED_ROWS_DIM features: U =
     phi(X[lo:]) - v, its centred feature rows (_centred_feature_rows), and
-    out, room for an (hi - lo) x (n - lo) block in the same allocation.
+    out, room for an (hi - lo) x (n - lo) block.
 
-    Blocks have ROW_BLOCK - p - 1 rows or fewer, so the allocation holds
-    ROW_BLOCK x (n - lo) entries, the size of a kernel-row block at lo, and
-    U[lo:] is formed again for each block, so nothing else outlives a block.
-    (With U kept whole and smaller separate blocks, glibc mapped a later,
-    larger kernel-row block beside a heap of freed ones: 11 MB more peak
-    memory on orthogonality-mixed at one BLAS thread.)  The caller drops U
-    and out before it asks for the next block.
+    phi(X) - v is formed once, at the front of one allocation whose rest
+    holds each block in turn, so a caller may scale U[:hi - lo] in place for
+    later blocks to read.  The allocation is the size of a kernel-row pair
+    block at lo 0 (_pair_row_blocks, with p rows of U and one for a folded
+    last row), so glibc reuses the heap chunk either path frees: at one BLAS
+    thread (2-core Xeon, OpenBLAS 0.3.31) orthogonality-mixed peaked at
+    48.0 MB, against 53.6 MB with the allocation fitted to U and the largest
+    block.  A block has at least 2 (p + 1) + 64 rows, so its product writes
+    more than twice the entries of the rows U[lo:] it reads, whatever n.
     """
     n, p = X.shape[0], c.primal.size
     # n eps sum_i |w_i phi(s_i)|: the round-off of v (_centred_feature_rows)
@@ -654,22 +690,20 @@ def _centred_row_blocks(spec: KernelSpec, X: np.ndarray, c: FeatureCombination):
         for lo, hi in _row_blocks(c.size)
     )
     tol = c.size * np.finfo(float).eps * spread
-    most = max(_ROW_GROUP, (ROW_BLOCK - p - 1) // _ROW_GROUP * _ROW_GROUP)
-    for lo, hi in reversed(list(_row_blocks(n, most=most))):
+    blocks = _pair_row_blocks(n, p + 1, 2 * (p + 1) + 64)
+    kernel_rows = _pair_row_blocks(n)[-1][1]
+    buf = np.empty(max(kernel_rows * n, n * p + max((hi - lo) * (n - lo) for lo, hi in blocks)))
+    U = _centred_feature_rows(spec, X, c, tol, buf[: n * p].reshape(n, p))
+    for lo, hi in blocks:
         m, cols = hi - lo, n - lo
-        buf = np.empty(max(ROW_BLOCK, m + p) * cols)
-        U = _centred_feature_rows(spec, X[lo:], c, tol, buf[: cols * p].reshape(cols, p))
-        out = buf[cols * p : cols * (p + m)].reshape(m, cols)
-        del buf
-        yield lo, hi, U, out
-        del U, out
+        yield lo, hi, U[lo:], buf[n * p : n * p + m * cols].reshape(m, cols)
 
 
 def _kernel_pair_blocks(spec: KernelSpec, X: np.ndarray, a: np.ndarray, self_inner: float, own: _Factor | None):
     """Yield the pair blocks of _centered_pair_blocks as kernel rows centred
-    through a = (phi(x), c) and self_inner = (c, c), in ROW_BLOCK-row blocks
-    from the last (_own_kernel_blocks)."""
-    for lo, hi, C in _own_kernel_blocks(spec, X, reversed(list(_row_blocks(X.shape[0]))), own):
+    through a = (phi(x), c) and self_inner = (c, c), in the blocks of
+    _pair_row_blocks (_own_kernel_blocks)."""
+    for lo, hi, C in _own_kernel_blocks(spec, X, _pair_row_blocks(X.shape[0]), own):
         C -= a[lo:hi, None]
         C -= a[None, lo:]
         C += self_inner

@@ -40,7 +40,7 @@ from kernelshot import (
     transition_width,
     wilson_interval,
 )
-from kernelshot import kernels
+from kernelshot import geometry, kernels
 from kernelshot.experiments import load_config, run_volume_ratio
 from kernelshot.geometry import write_ratio_sweep_csv
 
@@ -602,6 +602,24 @@ class TestBlockedOrthogonality:
         blocks = [*kernels._row_blocks(n, n), *kernels._row_blocks(n)]
         assert sorted(sizes) == sorted(hi - lo for lo, hi in blocks)
 
+    @pytest.mark.parametrize("n", [2053, 4099])
+    @pytest.mark.parametrize("spec", [LINEAR, polynomial_kernel(2, 1.0), gaussian_kernel(0.5)], ids=lambda s: s.label)
+    def test_matches_dense_oracle_beyond_2048_rows(self, monkeypatch, spec, n):
+        # past n 2048 a pair block has fewer rows than ROW_BLOCK, at most
+        # _PAIR_ENTRIES entries: linear and poly2 at d 5 (6 and 21 features)
+        # take the centred rows, the Gaussian the column pass and kernel rows
+        sample = sample_unit_ball(5, n, seed=n).points
+        want = dense_orthogonality_stats(spec, sample)
+        centred = record_centred_blocks(monkeypatch)
+        evals = count_kernel_entries(monkeypatch)
+        assert_same_stats(orthogonality_stats(spec, sample), want)
+        if kernels._has_centred_rows(spec, 5, n):
+            assert evals == [] and sum(m for m, _ in centred) == n
+            assert max(m * cols for m, cols in centred) <= kernels._PAIR_ENTRIES
+        else:
+            assert centred == [] and sum(evals) == column_and_pair_entries(n)
+            assert max(evals) <= kernels._PAIR_ENTRIES
+
     @pytest.mark.parametrize("case", list(CLOSED_FORM_CASES))
     def test_closed_forms_match_dense_oracle(self, monkeypatch, case):
         spec, points = CLOSED_FORM_CASES[case]
@@ -650,10 +668,26 @@ def count_kernel_entries(monkeypatch) -> list:
     return evals
 
 
+def record_centred_blocks(monkeypatch) -> list:
+    """The shapes of the centred-row pair blocks orthogonality_stats reduces
+    from here on."""
+    shapes = []
+    original = geometry._centred_row_blocks
+
+    def recording(*args):
+        for lo, hi, U, out in original(*args):
+            shapes.append(out.shape)
+            yield lo, hi, U, out
+
+    monkeypatch.setattr(geometry, "_centred_row_blocks", recording)
+    return shapes
+
+
 def column_and_pair_entries(n: int) -> int:
     """Kernel entries of the column pass's upper block triangle, in blocks of
-    _row_blocks(n, n) rows, and of the pair blocks', in ROW_BLOCK rows."""
-    return sum((hi - lo) * (n - lo) for lo, hi in [*kernels._row_blocks(n, n), *kernels._row_blocks(n)])
+    _row_blocks(n, n) rows, and of the pair blocks', in the blocks of
+    _pair_row_blocks(n)."""
+    return sum((hi - lo) * (n - lo) for lo, hi in [*kernels._row_blocks(n, n), *kernels._pair_row_blocks(n)])
 
 
 class TestOrthogonalityMemory:
@@ -675,6 +709,22 @@ class TestOrthogonalityMemory:
         sample = np.random.default_rng(45).uniform(-1, 1, size=(n, 20))
         _, peak = traced_peak(lambda: orthogonality_stats(spec, sample))
         assert peak < 1.5 * kernels.ROW_BLOCK * n * 8
+
+
+class TestPairBlockMemory:
+    """Pair blocks stop growing with n at _PAIR_ENTRIES entries (until the
+    centred rows' floor of rows), so orthogonality_stats holds one such
+    block beside rows of about p + 1 entries per point: the centred feature
+    rows for a primal mean (p features), else the points and their factor
+    (p = d)."""
+
+    @pytest.mark.parametrize("spec", [LINEAR, polynomial_kernel(2, 1.0), gaussian_kernel(0.5)], ids=lambda s: s.label)
+    def test_peak_within_one_pair_block_and_the_rows(self, spec):
+        n, d = 6000, 20
+        sample = np.random.default_rng(45).uniform(-1, 1, size=(n, d))
+        p = kernels.poly_feature_dim(d, spec.degree) if kernels._has_centred_rows(spec, d, n) else d
+        _, peak = traced_peak(lambda: orthogonality_stats(spec, sample))
+        assert peak < 1.5 * (kernels._PAIR_ENTRIES + n * (p + 1)) * 8
 
 
 class TestAnalyticForms:

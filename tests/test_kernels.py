@@ -375,13 +375,47 @@ class TestPolynomialBuffers:
         block, peak = traced_peak(lambda: kernel_matrix(polynomial_kernel(2, 1.0), X, Y))
         assert peak < 1.25 * block.nbytes
 
+    def test_degree_three_block_peak(self):
+        # the power's copy of the base is a few rows, not a block
+        rng = np.random.default_rng(1)
+        X, Y = rng.standard_normal((512, 50)), rng.standard_normal((3000, 50))
+        block, peak = traced_peak(lambda: kernel_matrix(polynomial_kernel(3, 1.0), X, Y))
+        assert peak < 1.25 * block.nbytes
+
     @pytest.mark.parametrize("spec", [linear_kernel(0.0), linear_kernel(0.7), polynomial_kernel(2, 1.0),
                                       polynomial_kernel(3, 0.5), polynomial_kernel(4, 0.3)])
     def test_block_bits_match_textbook_expression(self, spec):
+        # the base b = bias^2 + X Y^T raised as ((b b) b) ... b, whose
+        # square is numpy's b ** 2
         rng = np.random.default_rng(2)
         X, Y = rng.standard_normal((40, 6)), rng.standard_normal((70, 6))
-        want = (spec.bias**2 + X @ Y.T) ** spec.degree
+        base = spec.bias**2 + X @ Y.T
+        want = base.copy()
+        for _ in range(spec.degree - 1):
+            want *= base
         np.testing.assert_array_equal(kernel_matrix(spec, X, Y).view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("spec", [polynomial_kernel(2, 1.0), polynomial_kernel(3, 0.5),
+                                      polynomial_kernel(4, 0.3), polynomial_kernel(7, 1.0)], ids=lambda s: s.label)
+    def test_power_within_long_double_oracle(self, spec):
+        # against (b^2 + x . y)^k in long double: the forward error bound
+        # k (d + 2) u (b^2 + |x| . |y|)^k of the d-term product, the bias and
+        # the power, which numpy's ** meets too; and the power alone, from
+        # the same float64 base, within its k - 1 roundings
+        rng = np.random.default_rng(3)
+        X, Y = rng.standard_normal((300, 6)), rng.standard_normal((1000, 6))
+        k, u = spec.degree, 2.0**-53
+        XL, YL, bias = X.astype(np.longdouble), Y.astype(np.longdouble), np.longdouble(spec.bias)
+        exact = (bias**2 + XL @ YL.T) ** k
+        scale = (bias**2 + np.abs(XL) @ np.abs(YL).T) ** k
+        got = kernel_matrix(spec, X, Y)
+        textbook = (spec.bias**2 + X @ Y.T) ** k
+        for K in (got, textbook):
+            assert np.max(np.abs(K - exact) / scale) <= k * (X.shape[1] + 2) * u
+        base = spec.bias**2 + X @ Y.T
+        power = base.astype(np.longdouble) ** k
+        assert np.max(np.abs(got - power) / np.abs(power)) <= (k - 1) * u / (1 - (k - 1) * u)
+        assert got.shape[0] > len(list(kernels._row_blocks(*got.shape)))  # several row blocks
 
 
 class TestCenteredOps:
@@ -1326,9 +1360,10 @@ class TestPrimalPairBlocks:
         "spec, d", [(linear_kernel(0.0), 1), (linear_kernel(1.0), 95), (polynomial_kernel(2, 1.0), 12)]
     )
     def test_rows_and_one_block_within_a_row_block(self, monkeypatch, spec, d):
-        # each block is formed with its centred rows U[lo:] (n - lo x p) in
-        # one allocation of at most ROW_BLOCK x n entries, up to the largest
-        # p this path takes, and nothing else of that size outlives a block
+        # the centred rows U (n x p) are formed once, at the front of one
+        # allocation the size of a kernel-row pair block (ROW_BLOCK x n up to
+        # n 2048), every block is written into the rest of it, and nothing
+        # else of that size is held
         n = 1500
         c = mean_combination(spec, np.random.default_rng(82).uniform(-1, 1, size=(n, d)))
         p = c.primal.size
@@ -1338,7 +1373,7 @@ class TestPrimalPairBlocks:
 
         def record(*args):
             U = original(*args)
-            rows.append(U.shape[0])
+            rows.append(U)
             return U
 
         monkeypatch.setattr(kernels, "_centred_feature_rows", record)
@@ -1346,16 +1381,21 @@ class TestPrimalPairBlocks:
         def blocks():
             shapes = []
             for lo, hi, C in _centered_pair_blocks(spec, c.support, c):
+                (U,) = rows
+                assert C.base is U.base and not np.shares_memory(C, U)
                 shapes.append((lo, C.shape))
                 del C  # as every caller does, before the next block
             return shapes
 
         shapes, peak = traced_peak(blocks)
-        assert rows == [n - lo for lo, _ in shapes]
-        assert all((m + p) * cols <= ROW_BLOCK * n for _, (m, cols) in shapes)
+        (U,) = rows
+        size = U.base.size
+        assert U.shape == (n, p) and size == ROW_BLOCK * n
+        assert all(n * p + m * cols <= size for _, (m, cols) in shapes)
+        assert [cols for _, (_, cols) in shapes] == [n - lo for lo, _ in shapes]
         assert max(m for _, (m, _) in shapes) > ROW_BLOCK - p - 2 * kernels._ROW_GROUP
-        # one allocation alive, and scratch of a few row blocks beside it
-        assert peak < (ROW_BLOCK * n + 4 * ROW_BLOCK * p) * 8 + 2**16
+        # the one allocation alive, and scratch of a few row blocks beside it
+        assert peak < (size + 4 * ROW_BLOCK * p) * 8 + 2**16
 
     def test_dimension_beyond_the_bound_keeps_kernel_rows(self, monkeypatch):
         spec = polynomial_kernel(2, 1.0)
