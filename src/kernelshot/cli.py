@@ -4,7 +4,7 @@ One subcommand per experiment family: orthogonality | volume-ratio |
 bounds | fewshot-roc | ingest-check.  Experiment subcommands read a single
 JSON config document; --seed and --out flags override the corresponding
 config fields.  Exit codes: 0 success, 2 config error, 3 input-data error,
-4 numeric failure.
+4 numeric failure or out of memory.
 """
 
 from __future__ import annotations
@@ -108,6 +108,9 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -75,13 +75,20 @@ class Sample:
         return self.points.shape[1]
 
 
-def sample_unit_ball(d: int, n: int, seed: int) -> Sample:
-    """n i.i.d. points uniform in the closed unit ball of R^d.
+def sample_unit_ball(d: int, n: int, seed: int, radius: float = 1.0, centre=None) -> Sample:
+    """n i.i.d. points uniform in the closed ball of R^d of the given radius
+    about a length-d centre (the unit ball about the origin by default).
 
     Direction from a normalised Gaussian vector, radius U^(1/d): exact
-    uniformity in any dimension, no rejection.
+    uniformity in any dimension, no rejection.  The unit-ball points are
+    scaled by radius, then shifted by centre, in place.
     """
     d, n, seed = _count_arg("d", d, 1), _count_arg("n", n, 1), _count_arg("seed", seed, 0)
+    radius = _real_arg("radius", radius, above=0)
+    if centre is not None:
+        centre = _real_arg("centre", centre, array=True)
+        if centre.shape != (d,):
+            raise ValueError(f"centre must be a vector of length d = {d}, got shape {centre.shape}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, d))
     norms = np.empty(n)
@@ -92,6 +99,9 @@ def sample_unit_ball(d: int, n: int, seed: int) -> Sample:
     radii = rng.random(n) ** (1.0 / d)
     # in place: the draw is not kept beside the points built from it
     g *= (radii / norms)[:, None]
+    g *= radius
+    if centre is not None:
+        g += centre
     return Sample._adopt(g, seed)
 
 

@@ -207,12 +207,21 @@ class _Config:
         unknown = set(raw) - {"schema_version", "command"} - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown {cls.command} config fields: {sorted(unknown)}")
-        return cls(
+        config = cls(
             **{
                 f.name: _parse_field(f.name, raw.get(f.name), f.metadata["parse"], f.default)
                 for f in fields(cls)
             }
         )
+        # an array numpy cannot index fails here, by name, not mid-run in numpy
+        for name, entries, shape in config._arrays():
+            if entries * 8 > np.iinfo(np.intp).max:
+                raise ConfigError(f"config field {name!r}: {shape} float64 entries are more than numpy can index")
+        return config
+
+    def _arrays(self) -> list:
+        """(field, entries, shape) of the largest arrays the run's sizes give."""
+        return []
 
     def to_dict(self) -> dict:
         echo = {"schema_version": SCHEMA_VERSION, "command": self.command}
@@ -229,6 +238,10 @@ class OrthogonalityConfig(_Config):
     n_points: int = _param(_count(2), 1000)
     seed: int = _param(_seed, 0)
     out: str = _param(_out_dir)
+
+    def _arrays(self) -> list:
+        d = max(self.d_values)
+        return [("n_points", self.n_points * d, f"{self.n_points} x {d}")]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -256,6 +269,10 @@ class VolumeRatioConfig(_Config):
         except ValueError as exc:
             raise ConfigError(f"config field 'half_width': {exc}") from exc
 
+    def _arrays(self) -> list:
+        sizes = {"support_size": self.support_size, "probe_size": self.probe_size}
+        return [(name, n * self.d, f"{n} x {self.d}") for name, n in sizes.items()]
+
 
 @dataclass(frozen=True, kw_only=True)
 class BoundsConfig(_Config):
@@ -274,6 +291,13 @@ class BoundsConfig(_Config):
     draws: int = _param(_count(1), 2000)
     seed: int = _param(_seed, 0)
     out: str = _param(_out_dir)
+
+    def _arrays(self) -> list:
+        n = self.reference_size
+        sizes = {"reference_size": n, "shots": self.shots, "draws": self.draws}
+        samples = [(name, k * self.d, f"{k} x {self.d}") for name, k in sizes.items()]
+        # the projection knots: every pair of the new-class reference
+        return [*samples, ("reference_size", n * (n - 1) // 2, f"{n} ({n} - 1) / 2")]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -315,13 +339,9 @@ def load_config(command: str, raw: dict):
 
 
 def ball_cloud(d: int, centre, radius: float, n: int, seed: int) -> np.ndarray:
-    """n uniform points in the ball of given radius around a length-d centre."""
-    radius, centre = _real_arg("radius", radius, above=0), _real_arg("centre", centre, array=True)
-    if centre.shape != (_count_arg("d", d, 1),):
-        raise ValueError(f"centre must be a vector of length d = {d}, got shape {centre.shape}")
-    pts = sample_unit_ball(d, n, seed).points * radius
-    pts += centre
-    return pts
+    """n uniform points in the ball of given radius around a length-d centre:
+    sample_unit_ball's points, scaled and shifted where they were drawn."""
+    return sample_unit_ball(d, n, seed, radius, centre).points
 
 
 def _report(out_dir: Path, config, results: dict, seed) -> dict:

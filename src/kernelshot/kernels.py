@@ -89,7 +89,7 @@ DEFAULT_FEATURE_DIM_CAP = 10**6
 # Most rows evaluated at a time on every blocked path, so scratch memory is
 # at most ROW_BLOCK x the feature dimension, the support size or n.  Rows
 # against a support are further bounded by _BLOCK_ENTRIES (_row_blocks), and
-# the rows of a pair block by _PAIR_ENTRIES (_pair_row_blocks).
+# the rows of a kernel-row pair block by _PAIR_ENTRIES (_pair_row_blocks).
 ROW_BLOCK = 512
 
 # Entries (float64, 512 KB) in one block of rows against a support: a wide
@@ -97,10 +97,11 @@ ROW_BLOCK = 512
 # instead of costing two fresh multi-MB arrays.
 _BLOCK_ENTRIES = 1 << 16
 
-# Most entries (float64, 8 MB) of one centred pair block (_pair_row_blocks),
-# rows i against columns j >= lo of n rows.  2^20 is ROW_BLOCK x 2048, so
-# every n <= 2048 keeps blocks of ROW_BLOCK rows, and a larger n gets fewer
-# rows instead of a block that grows with n (82 MB at n 20000).
+# Most entries (float64, 8 MB) of one pair block of centred kernel rows
+# (_pair_row_blocks), rows i against columns j >= lo of n rows.  2^20 is
+# ROW_BLOCK x 2048, so every n <= 2048 keeps blocks of ROW_BLOCK rows, and a
+# larger n gets fewer rows instead of a block that grows with n (82 MB at
+# n 20000).  Centred feature rows take smaller blocks (_centred_row_blocks).
 _PAIR_ENTRIES = 1 << 20
 
 # Entries (rows x support size) from which one kernel-trick inner_with_combo
@@ -629,15 +630,15 @@ def _centered_pair_blocks(spec: KernelSpec, X, c: FeatureCombination):
     """Yield (lo, hi, C), C[i - lo, j - lo] = (phi(x_i) - c, phi(x_j) - c) for
     rows i in lo:hi and j in lo:, in blocks of rows from the last, so rows
     after hi have been yielded before block lo.  X may be a CentredProbe on
-    (spec, c).  Blocks take their rows from _pair_row_blocks.  Read a block
-    before asking for the next: centred-row blocks share one buffer.
+    (spec, c).  Read a block before asking for the next: centred-row blocks
+    share one buffer.
 
     A primal combination of p <= _CENTRED_ROWS_DIM features gives each block
     as one product U[lo:hi] U[lo:]^T of its centred feature rows
-    U = phi(X) - v (_centred_row_blocks).  Otherwise blocks are kernel rows
-    centred through (phi(x), c); rows that are c's support are read from
-    c._factor, with a Gaussian kappa(x_i, x_i) of exactly 1
-    (_own_kernel_blocks).
+    U = phi(X) - v, in the blocks of _centred_row_blocks.  Otherwise blocks
+    are kernel rows centred through (phi(x), c), in the blocks of
+    _pair_row_blocks; rows that are c's support are read from c._factor,
+    with a Gaussian kappa(x_i, x_i) of exactly 1 (_own_kernel_blocks).
     """
     probe = _probe(spec, c, X)
     Xa = probe.points
@@ -657,14 +658,12 @@ def _has_centred_rows(spec: KernelSpec, d: int, n: int) -> bool:
     return spec.kind != "gaussian" and poly_feature_dim(d, spec.degree) < min(n, _CENTRED_ROWS_DIM + 1)
 
 
-def _pair_row_blocks(n: int, held: int = 0, least: int = 0) -> list:
-    """(lo, hi) of the pair blocks over n rows, from the last.  A block and
-    the `held` rows of n entries its pass keeps beside it fit in ROW_BLOCK
-    rows of n entries, and in _PAIR_ENTRIES rounded down to whole groups of
-    _ROW_GROUP rows, unless the block needs `least` rows; the block's rows
-    are rounded down to whole groups too (at least one)."""
-    rows = min(ROW_BLOCK, max(held + least, _PAIR_ENTRIES // n // _ROW_GROUP * _ROW_GROUP)) - held
-    return list(_row_blocks(n, most=max(_ROW_GROUP, rows // _ROW_GROUP * _ROW_GROUP)))[::-1]
+def _pair_row_blocks(n: int) -> list:
+    """(lo, hi) of the kernel-row pair blocks over n rows, from the last: at
+    most ROW_BLOCK rows, and at most _PAIR_ENTRIES entries of n rounded down
+    to whole groups of _ROW_GROUP rows (at least one)."""
+    rows = min(ROW_BLOCK, _PAIR_ENTRIES // n) // _ROW_GROUP * _ROW_GROUP
+    return list(_row_blocks(n, most=max(_ROW_GROUP, rows)))[::-1]
 
 
 def _centred_row_blocks(spec: KernelSpec, X: np.ndarray, c: FeatureCombination):
@@ -673,15 +672,14 @@ def _centred_row_blocks(spec: KernelSpec, X: np.ndarray, c: FeatureCombination):
     phi(X[lo:]) - v, its centred feature rows (_centred_feature_rows), and
     out, room for an (hi - lo) x (n - lo) block.
 
-    phi(X) - v is formed once, at the front of one allocation whose rest
-    holds each block in turn, so a caller may scale U[:hi - lo] in place for
-    later blocks to read.  The allocation is the size of a kernel-row pair
-    block at lo 0 (_pair_row_blocks, with p rows of U and one for a folded
-    last row), so glibc reuses the heap chunk either path frees: at one BLAS
-    thread (2-core Xeon, OpenBLAS 0.3.31) orthogonality-mixed peaked at
-    48.0 MB, against 53.6 MB with the allocation fitted to U and the largest
-    block.  A block has at least 2 (p + 1) + 64 rows, so its product writes
-    more than twice the entries of the rows U[lo:] it reads, whatever n.
+    Blocks have 2 (p + 1) + 64 rows, rounded down to whole groups of
+    _ROW_GROUP rows and capped at ROW_BLOCK - p - 1, whatever n: the fewest
+    rows whose product writes more than twice the entries of the rows U[lo:]
+    it reads.  phi(X) - v is formed once, at the front of one allocation
+    whose rest holds the largest block, and each block in turn, so a caller
+    may scale U[:hi - lo] in place for later blocks to read.  At n 2000 and
+    p 21 that is 108 rows, 2.1 MB with U, where blocks of ROW_BLOCK - p - 1
+    rows in an allocation of ROW_BLOCK x n entries wrote 8.1 MB.
     """
     n, p = X.shape[0], c.primal.size
     # n eps sum_i |w_i phi(s_i)|: the round-off of v (_centred_feature_rows)
@@ -690,9 +688,9 @@ def _centred_row_blocks(spec: KernelSpec, X: np.ndarray, c: FeatureCombination):
         for lo, hi in _row_blocks(c.size)
     )
     tol = c.size * np.finfo(float).eps * spread
-    blocks = _pair_row_blocks(n, p + 1, 2 * (p + 1) + 64)
-    kernel_rows = _pair_row_blocks(n)[-1][1]
-    buf = np.empty(max(kernel_rows * n, n * p + max((hi - lo) * (n - lo) for lo, hi in blocks)))
+    rows = min(ROW_BLOCK - p - 1, 2 * (p + 1) + 64) // _ROW_GROUP * _ROW_GROUP
+    blocks = list(_row_blocks(n, most=max(_ROW_GROUP, rows)))[::-1]
+    buf = np.empty(n * p + max((hi - lo) * (n - lo) for lo, hi in blocks))
     U = _centred_feature_rows(spec, X, c, tol, buf[: n * p].reshape(n, p))
     for lo, hi in blocks:
         m, cols = hi - lo, n - lo

@@ -299,6 +299,23 @@ class TestProbabilityFunctionPasses:
         assert peak - knots < n * n * 8
 
 
+    def test_projection_pass_holds_one_floor_block_beside_the_knots(self):
+        # a linear reference of 2000 points in d 20 (bounds-linear's shape,
+        # p 21): beside the n (n - 1) / 2 knots, its centred rows and their
+        # vectors and two blocks of the floor's 108 rows at most; blocks of
+        # ROW_BLOCK - p - 1 rows in an allocation of ROW_BLOCK x n entries
+        # held 1.05e6 entries
+        n, d = 2000, 20
+        spec = linear_kernel(0.0)
+        X = ball_cloud(d, np.zeros(d), 0.5, n, 1)
+        Z = ball_cloud(d, np.r_[4.0, np.zeros(d - 1)], 0.5, n, 2)
+        c_x, c_z = mean_combination(spec, X), mean_combination(spec, Z)
+        p = c_x.primal.size
+        floor = (2 * (p + 1) + 64) // kernels._ROW_GROUP * kernels._ROW_GROUP
+        _, peak = traced_peak(lambda: empirical_probability_functions(spec, c_x.support, c_z.support, c_x, c_z))
+        assert peak < (n * (n - 1) // 2 + n * (p + 1) + 2 * floor * n) * 8
+
+
 class TestTwoBallRefitPasses:
     def test_support_rows_evaluated_once_against_their_own_centre(self, monkeypatch):
         # a reference sample is its centre's support, so the column its

@@ -137,6 +137,50 @@ class TestConfigErrors:
         assert main(["volume-ratio", "--config", cfg]) == 4
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_out_of_memory_exits_4(self, tmp_path, monkeypatch, capsys):
+        # injected: no test allocates a size the machine cannot hold
+        import kernelshot.cli as cli_module
+
+        def boom(config):
+            raise MemoryError("Unable to allocate 218. TiB for an array with shape (10000000000000, 3)")
+
+        monkeypatch.setattr(cli_module, "run_experiment", boom)
+        cfg = write_config(
+            tmp_path / "c.json", {"kernels": [{"kind": "linear"}], "d_values": [3], "out": str(tmp_path / "o")}
+        )
+        assert main(["orthogonality", "--config", cfg]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: Unable to allocate") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, fields, name",
+        [
+            ("orthogonality", {"kernels": [{"kind": "linear"}], "d_values": [3], "n_points": 1e30}, "n_points"),
+            ("orthogonality", {"kernels": [{"kind": "linear"}], "d_values": [3, 1e19]}, "n_points"),
+            ("volume-ratio", {"kernel": {"kind": "linear"}, "d": 3, "eps_grid": [0.5], "probe_size": 1e18},
+             "probe_size"),
+            ("volume-ratio", {"kernel": {"kind": "linear"}, "d": 3, "eps_grid": [0.5], "support_size": 1e30},
+             "support_size"),
+            # n d fits; the n (n - 1) / 2 projection knots do not
+            ("bounds", {"kernel": {"kind": "linear"}, "reference_size": 2e9}, "reference_size"),
+            ("bounds", {"kernel": {"kind": "linear"}, "draws": 1e18}, "draws"),
+            ("bounds", {"kernel": {"kind": "linear"}, "shots": 1e30}, "shots"),
+        ],
+        ids=["n_points", "d_values", "probe_size", "support_size", "knots", "draws", "shots"],
+    )
+    def test_size_numpy_cannot_index_is_a_config_error(self, tmp_path, capsys, command, fields, name):
+        cfg = write_config(tmp_path / "c.json", {**fields, "out": str(tmp_path / "o")})
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config field {name!r}: ") and "more than numpy can index" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_size_numpy_can_index_parses(self, tmp_path):
+        # 1e13 x 3 entries are indexable: too large to hold is left to the run
+        config = load_config("orthogonality", {"kernels": [{"kind": "linear"}], "d_values": [3], "n_points": 1e13,
+                                               "out": str(tmp_path)})
+        assert config.n_points == 10**13
+
 
 class TestVolumeRatioCommand:
     def base_config(self, tmp_path):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import traced_peak
+
 from kernelshot import (
     DomainSpec,
     Sample,
@@ -15,6 +17,7 @@ from kernelshot import (
     spawn_seeds,
 )
 from kernelshot.distributions import _NORM_ROWS
+from kernelshot.experiments import ball_cloud
 
 
 class TestUnitBall:
@@ -44,6 +47,39 @@ class TestUnitBall:
             sample_unit_ball(3, 0, seed=0)
         with pytest.raises(ValueError):
             sample_unit_ball(0, 5, seed=0)
+
+
+    def test_radius_and_centre_scale_then_shift_in_place(self):
+        d, n = 4, 300
+        centre = np.array([1.0, -2.0, 0.5, 3.0])
+        want = sample_unit_ball(d, n, seed=5).points * 0.3 + centre
+        np.testing.assert_array_equal(sample_unit_ball(d, n, 5, radius=0.3, centre=centre).points, want)
+        unit = sample_unit_ball(d, n, seed=5).points
+        np.testing.assert_array_equal(sample_unit_ball(d, n, 5, centre=centre).points, unit + centre)
+        np.testing.assert_array_equal(sample_unit_ball(d, n, 5, radius=0.3).points, unit * 0.3)
+
+    def test_ball_cloud_is_the_scaled_draw_without_a_second_array(self):
+        # one n x d array: the unit-ball draw, scaled and shifted where it
+        # lies; scaling a copy held two
+        d, n = 20, 100_000
+        centre = np.linspace(-1.0, 1.0, d)
+        want = sample_unit_ball(d, n, seed=8).points * 0.5 + centre
+        got, peak = traced_peak(lambda: ball_cloud(d, centre, 0.5, n, 8))
+        np.testing.assert_array_equal(got, want)
+        assert peak <= 1.25 * n * d * 8
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf, True])
+    def test_radius_not_positive_and_finite_is_rejected(self, radius):
+        with pytest.raises(ValueError, match=r"^radius must be positive and finite"):
+            sample_unit_ball(3, 5, 0, radius=radius)
+
+    @pytest.mark.parametrize(
+        "centre", [[0.0, 0.0], 0.5, [[0.0, 0.0, 0.0]], [0.0, np.nan, 0.0], [0.0, 0.0, np.inf]],
+        ids=["short", "scalar", "row", "nan", "inf"],
+    )
+    def test_centre_not_a_finite_length_d_vector_is_rejected(self, centre):
+        with pytest.raises(ValueError, match=r"^centre must be"):
+            sample_unit_ball(3, 5, 0, centre=centre)
 
 
 class TestCube:

@@ -1361,9 +1361,10 @@ class TestPrimalPairBlocks:
     )
     def test_rows_and_one_block_within_a_row_block(self, monkeypatch, spec, d):
         # the centred rows U (n x p) are formed once, at the front of one
-        # allocation the size of a kernel-row pair block (ROW_BLOCK x n up to
-        # n 2048), every block is written into the rest of it, and nothing
-        # else of that size is held
+        # allocation fitted to U and the block at lo 0, within ROW_BLOCK x n
+        # entries; every block has the floor's rows, 2 (p + 1) + 64 rounded
+        # down to whole groups, is written into the rest of that allocation,
+        # and nothing else of its size is held
         n = 1500
         c = mean_combination(spec, np.random.default_rng(82).uniform(-1, 1, size=(n, d)))
         p = c.primal.size
@@ -1390,12 +1391,24 @@ class TestPrimalPairBlocks:
         shapes, peak = traced_peak(blocks)
         (U,) = rows
         size = U.base.size
-        assert U.shape == (n, p) and size == ROW_BLOCK * n
+        floor = (2 * (p + 1) + 64) // kernels._ROW_GROUP * kernels._ROW_GROUP
+        assert U.shape == (n, p) and size == n * (p + floor) <= ROW_BLOCK * n
         assert all(n * p + m * cols <= size for _, (m, cols) in shapes)
         assert [cols for _, (_, cols) in shapes] == [n - lo for lo, _ in shapes]
-        assert max(m for _, (m, _) in shapes) > ROW_BLOCK - p - 2 * kernels._ROW_GROUP
+        # from the last: the rows past the whole blocks, then floor rows each
+        assert [m for _, (m, _) in shapes[1:]] == [floor] * (len(shapes) - 1)
+        assert shapes[0][1][0] == n - floor * (len(shapes) - 1) <= floor + 1
         # the one allocation alive, and scratch of a few row blocks beside it
         assert peak < (size + 4 * ROW_BLOCK * p) * 8 + 2**16
+
+    def test_blocks_have_the_floor_at_every_n(self):
+        # the same rows at n 1025 as at n 20000, where _PAIR_ENTRIES alone
+        # would give kernel-row blocks 512 and 52 rows
+        spec = linear_kernel(0.0)
+        for n in (300, 1025, 2000, 20000):
+            c = FeatureCombination(spec, np.zeros((n, 20)), np.full(n, 1.0 / n))
+            blocks = [(lo, hi) for lo, hi, _, _ in kernels._centred_row_blocks(spec, c.support, c)]
+            assert blocks == list(_row_blocks(n, most=108))[::-1]
 
     def test_dimension_beyond_the_bound_keeps_kernel_rows(self, monkeypatch):
         spec = polynomial_kernel(2, 1.0)
