@@ -59,7 +59,9 @@ class Sample:
     @classmethod
     def _adopt(cls, points: np.ndarray, seed: int) -> Sample:
         """A Sample that keeps `points`, a float (n, d) array just drawn by a
-        sampler and held by nothing else, without the copy of a caller's array."""
+        sampler and held by nothing else, without the copy of a caller's array
+        (sample_unit_ball's drawn buffers stay with a caller that refills them
+        only once the Sample is out of use)."""
         points.setflags(write=False)
         sample = object.__new__(cls)
         object.__setattr__(sample, "points", points)
@@ -75,13 +77,17 @@ class Sample:
         return self.points.shape[1]
 
 
-def sample_unit_ball(d: int, n: int, seed: int, radius: float = 1.0, centre=None) -> Sample:
+def sample_unit_ball(d: int, n: int, seed: int, radius: float = 1.0, centre=None, *, drawn=None) -> Sample:
     """n i.i.d. points uniform in the closed ball of R^d of the given radius
     about a length-d centre (the unit ball about the origin by default).
 
     Direction from a normalised Gaussian vector, radius U^(1/d): exact
-    uniformity in any dimension, no rejection.  The unit-ball points are
-    scaled by radius, then shifted by centre, in place.
+    uniformity in any dimension, no rejection.  The draw (_draw_ball) comes
+    first; the points are then shaped in the draw's own buffers: normalised,
+    scaled by radius, then shifted by centre, in place.  drawn is an (n, d)
+    and an (n,) float array that _draw_ball has already filled from
+    default_rng(seed), so the draw can be made ahead of the call; the points
+    are built in the first of them.
     """
     d, n, seed = _count_arg("d", d, 1), _count_arg("n", n, 1), _count_arg("seed", seed, 0)
     radius = _real_arg("radius", radius, above=0)
@@ -89,20 +95,33 @@ def sample_unit_ball(d: int, n: int, seed: int, radius: float = 1.0, centre=None
         centre = _real_arg("centre", centre, array=True)
         if centre.shape != (d,):
             raise ValueError(f"centre must be a vector of length d = {d}, got shape {centre.shape}")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((n, d))
+    if drawn is None:
+        drawn = np.empty((n, d)), np.empty(n)
+        _draw_ball(np.random.default_rng(seed), *drawn)
+    g, u = drawn
+    if g.shape != (n, d) or u.shape != (n,):
+        raise ValueError(f"drawn must be arrays of shapes {(n, d)} and {(n,)}, got {g.shape} and {u.shape}")
     norms = np.empty(n)
     for lo in range(0, n, _NORM_ROWS):
         # each row's norm is reduced on its own, so chunks give the same bits
         norms[lo : lo + _NORM_ROWS] = np.linalg.norm(g[lo : lo + _NORM_ROWS], axis=1)
     norms[norms == 0.0] = 1.0
-    radii = rng.random(n) ** (1.0 / d)
-    # in place: the draw is not kept beside the points built from it
-    g *= (radii / norms)[:, None]
+    # the radii, then their ratio to the norms, in the uniforms' buffer: the
+    # in-place power takes the same route (a square root at d = 2) as u ** (1 / d)
+    u **= 1.0 / d
+    u /= norms
+    g *= u[:, None]
     g *= radius
     if centre is not None:
         g += centre
     return Sample._adopt(g, seed)
+
+
+def _draw_ball(rng: np.random.Generator, g: np.ndarray, u: np.ndarray) -> None:
+    """Fill g with standard normals, then u with uniforms on [0, 1): the
+    draw of sample_unit_ball, into buffers its caller allocated."""
+    rng.standard_normal(out=g)
+    rng.random(out=u)
 
 
 def sample_cube(d: int, half_width: float, n: int, seed: int) -> Sample:

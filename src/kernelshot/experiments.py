@@ -11,6 +11,7 @@ byte-identical numeric content.
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -28,7 +29,7 @@ from .bounds import (
     mean_concentration_bounds,
 )
 from .classifier import auroc, decision_values, fit_few_shot, normalize_feature_table, roc_curve
-from .distributions import DomainSpec, sample_domain, sample_unit_ball, spawn_seeds
+from .distributions import DomainSpec, _draw_ball, sample_domain, sample_unit_ball, spawn_seeds
 from .errors import ConfigError, DataError, NumericError, _count_arg, _real_arg
 from .geometry import (
     ball_ratio_sweep,
@@ -41,6 +42,7 @@ from .ingest import _atomic_write, _write_csv, ingest_feature_csv
 from .kernels import (
     CentredProbe,
     KernelSpec,
+    _beside,
     centered_sq_norms,
     combo_pair_stats,
     kernel_diag,
@@ -482,24 +484,53 @@ def two_ball_refits(
 
     centre_new = mean_combination(spec, ball_cloud(d, centre_new_vec, radius_new, reference_size, ref_new_seed))
     centre_old = mean_combination(spec, ball_cloud(d, centre_old_vec, radius_old, reference_size, ref_old_seed))
+    # the refits read only the two centres and their own substreams, so they
+    # run first and free their clouds before the probability functions' knots
+    balls = ((centre_new_vec, radius_new), (centre_old_vec, radius_old))
+    refit_seeds = [spawn_seeds(rseed, 3) for rseed in spawn_seeds(refit_root, refits)]
+    mu_dists, success_new, success_old = _refit(spec, centre_new, centre_old, balls, shots, thetas, draws, refit_seeds)
     # each reference sample is its centre's support, whose own column is read
     pf = empirical_probability_functions(spec, centre_new.support, centre_old.support, centre_new, centre_old)
+    return TwoBallRefits(pf, BoundGrid.default(pf), mu_dists, success_new, success_old)
 
+
+def _refit(spec, centre_new, centre_old, balls, shots, thetas, draws, refit_seeds):
+    """two_ball_refits' refit loop: each (shot, new-class, old-class) seed
+    triple fits the classifier on shots new-class points and scores it on
+    draws fresh points of each ball.
+
+    Evaluation cloud k is refit k // 2's new-class cloud for even k and its
+    old-class cloud for odd k.  Its draw fills buffer pair k % 2, of two
+    allocated up front, while the caller shapes and scores cloud k - 1
+    (_beside); every sample_unit_ball, fit and score runs on the caller.
+    """
+    refits, d = len(refit_seeds), balls[0][0].size
     mu_dists = np.empty(refits)
     success_new = {theta: np.empty(refits) for theta in thetas}
     success_old = {theta: np.empty(refits) for theta in thetas}
-    for i, rseed in enumerate(spawn_seeds(refit_root, refits)):
-        shot_seed, eval_new_seed, eval_old_seed = spawn_seeds(rseed, 3)
-        shot_points = ball_cloud(d, centre_new_vec, radius_new, shots, shot_seed)
+    eval_seeds = [seed for _, *pair in refit_seeds for seed in pair]
+    buffers = [(np.empty((draws, d)), np.empty(draws)) for _ in range(2)]
+
+    def cloud(k):
+        """The Generator and the buffer pair of evaluation cloud k."""
+        g, u = buffers[k % 2]
+        g.setflags(write=True)  # a Sample held cloud k - 2 in it read-only
+        return np.random.default_rng(eval_seeds[k]), g, u
+
+    _draw_ball(*cloud(0))
+    for i, (shot_seed, *_) in enumerate(refit_seeds):
+        shot_points = ball_cloud(d, *balls[0], shots, shot_seed)
         model = fit_few_shot(spec, shot_points, centre_old)
         mu_dists[i] = np.sqrt(combo_pair_stats(spec, model.prototype, centre_new).sq_distance)
-        dv_new = decision_values(model, ball_cloud(d, centre_new_vec, radius_new, draws, eval_new_seed))
-        dv_old = decision_values(model, ball_cloud(d, centre_old_vec, radius_old, draws, eval_old_seed))
-        for theta in thetas:
-            success_new[theta][i] = float(np.mean(dv_new >= theta))
-            success_old[theta][i] = float(np.mean(dv_old < theta))
-
-    return TwoBallRefits(pf, BoundGrid.default(pf), mu_dists, success_new, success_old)
+        for side, successes in enumerate((success_new, success_old)):
+            k = 2 * i + side
+            centre_vec, radius = balls[side]
+            with _beside(_draw_ball, *cloud(k + 1)) if k + 1 < 2 * refits else contextlib.nullcontext():
+                points = sample_unit_ball(d, draws, eval_seeds[k], radius, centre_vec, drawn=buffers[side]).points
+                dv = decision_values(model, points)
+                for theta in thetas:
+                    successes[theta][i] = float(np.mean((dv >= theta) if side == 0 else (dv < theta)))
+    return mu_dists, success_new, success_old
 
 
 def _contained(bracket, estimate: float, sigma: float) -> bool:

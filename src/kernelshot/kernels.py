@@ -38,6 +38,7 @@ is one product [u, -e, -1] [S, 1, r]^T and one exp.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import functools
 import math
@@ -449,13 +450,13 @@ def _check_combo(spec: KernelSpec, c: FeatureCombination) -> None:
 def inner_with_combo(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
     """(phi(x), c) for every row x of X.
 
-    For a kernel-trick centre at _SPLIT_ENTRIES entries or more, and with two
-    usable cores, a worker thread fills the second half of the row blocks in
-    a copy of the caller's context, so under its np.errstate.  A Gaussian
-    factor's rows are formed once per chunk of blocks (_factor_rows), each
-    block's _EXP_RANGE guard decided on its own rows, so a block is one
-    kernel_matrix call that releases the GIL in its product and exp, with the
-    same calls on either thread.
+    For a kernel-trick centre at _SPLIT_ENTRIES entries or more, the second
+    half of the row blocks is filled beside the first (_beside): with two
+    usable cores on a worker thread in a copy of the caller's context, so
+    under its np.errstate.  A Gaussian factor's rows are formed once per chunk
+    of blocks (_factor_rows), each block's _EXP_RANGE guard decided on its own
+    rows, so a block is one kernel_matrix call that releases the GIL in its
+    product and exp, with the same calls on either thread.
     """
     _check_combo(spec, c)
     Xa = as_points(X)
@@ -489,27 +490,12 @@ def inner_with_combo(spec: KernelSpec, X, c: FeatureCombination) -> np.ndarray:
                     values = kernel_matrix(spec, block, c.support) @ c.weights
                 out[lo:hi] = values[: hi - lo]
 
-    if c.primal is not None or Xa.shape[0] * width < _SPLIT_ENTRIES or _usable_cores() < 2:
+    if c.primal is not None or Xa.shape[0] * width < _SPLIT_ENTRIES:
         fill(blocks)
         return out
     half = len(blocks) // 2
-    failed = []
-    context = contextvars.copy_context()  # numpy's error state is a context variable
-
-    def worker():
-        try:
-            context.run(fill, blocks[half:])
-        except BaseException as exc:  # re-raised in the caller after join
-            failed.append(exc)
-
-    thread = threading.Thread(target=worker)
-    thread.start()
-    try:
+    with _beside(fill, blocks[half:]):
         fill(blocks[:half])
-    finally:
-        thread.join()
-    if failed:
-        raise failed[0]
     return out
 
 
@@ -527,6 +513,36 @@ def _whole_groups(rows: np.ndarray) -> np.ndarray:
 def _usable_cores() -> int:
     getaffinity = getattr(os, "sched_getaffinity", None)
     return len(getaffinity(0)) if getaffinity else (os.cpu_count() or 1)
+
+
+@contextlib.contextmanager
+def _beside(fn, *args):
+    """Run fn(*args) beside the body of the with block: on a worker thread in
+    a copy of the caller's context (numpy's error state is a context
+    variable), or inline before the body with fewer than two usable cores.
+    Leaving the block joins the worker on every exit path, then re-raises the
+    worker's exception if the body raised none."""
+    if _usable_cores() < 2:
+        fn(*args)
+        yield
+        return
+    failed = []
+    context = contextvars.copy_context()
+
+    def worker():
+        try:
+            context.run(fn, *args)
+        except BaseException as exc:  # re-raised in the caller after join
+            failed.append(exc)
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    try:
+        yield
+    finally:
+        thread.join()
+    if failed:
+        raise failed[0]
 
 
 @dataclass(frozen=True, eq=False)

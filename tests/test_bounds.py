@@ -4,6 +4,8 @@ degenerate and synthetic data."""
 
 import inspect
 import math
+import threading
+import time
 from collections import Counter
 
 import numpy as np
@@ -386,6 +388,99 @@ class TestTwoBallRefitSeeds:
         got = two_ball_refits(LINEAR, seeds=[1.0, 2, 3.0], **self.VALID)
         assert got.dist_sq == want.dist_sq
         np.testing.assert_array_equal(got.mu_dists, want.mu_dists)
+
+
+class TestRefitPrefetch:
+    """The draw of each refit's next evaluation cloud runs on a worker thread
+    (two usable cores) or inline (one), and every other step on the caller,
+    with the same bits either way."""
+
+    REFITS = 5
+    CONFIG = dict(
+        d=4, centre_distance=1.0, radius_new=0.8, radius_old=0.6, reference_size=150, shots=4,
+        thetas=[-0.2, 0.0, 0.4], refits=REFITS, draws=300, seeds=(7, 8, 9),
+    )
+
+    @staticmethod
+    def record_threads(monkeypatch, module, name, calls):
+        original = getattr(module, name)
+
+        def record(*args, **kwargs):
+            calls.append((name, threading.get_ident()))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, record)
+
+    @pytest.mark.parametrize("spec", [LINEAR, polynomial_kernel(2, 1.0), gaussian_kernel(0.5)], ids=lambda s: s.label)
+    def test_same_bits_on_one_and_two_cores_with_every_step_on_the_caller(self, monkeypatch, spec):
+        fits, draw_threads = {}, {}
+        for cores in (1, 2):
+            calls = []
+            with monkeypatch.context() as patch:
+                patch.setattr(kernels, "_usable_cores", lambda: cores)
+                for name in ("sample_unit_ball", "fit_few_shot", "decision_values", "empirical_probability_functions"):
+                    self.record_threads(patch, experiments, name, calls)
+                for module in (kernels, bounds, classifier):
+                    self.record_threads(patch, module, "inner_with_combo", calls)
+                self.record_threads(patch, kernels, "kernel_matrix", calls)
+                draws = []
+                self.record_threads(patch, experiments, "_draw_ball", draws)
+                fits[cores] = two_ball_refits(spec, **self.CONFIG)
+            names = Counter(name for name, _ in calls)
+            assert names["sample_unit_ball"] == 2 + 3 * self.REFITS
+            assert names["decision_values"] == 2 * self.REFITS and names["kernel_matrix"] > 0
+            assert {ident for _, ident in calls} == {threading.get_ident()}
+            assert len(draws) == 2 * self.REFITS
+            draw_threads[cores] = {ident for _, ident in draws} - {threading.get_ident()}
+        assert not draw_threads[1] and draw_threads[2]
+        one, two = fits[1], fits[2]
+        np.testing.assert_array_equal(two.mu_dists, one.mu_dists)
+        np.testing.assert_array_equal(two.pf.projection.knots, one.pf.projection.knots)
+        for theta in self.CONFIG["thetas"]:
+            np.testing.assert_array_equal(two.success_new[theta], one.success_new[theta])
+            np.testing.assert_array_equal(two.success_old[theta], one.success_old[theta])
+
+    def test_worker_is_joined_when_a_score_fails(self, monkeypatch):
+        # the failure comes while the worker draws the next cloud, slowed so
+        # that it is still running when the caller's error unwinds the loop
+        monkeypatch.setattr(kernels, "_usable_cores", lambda: 2)
+        caller = threading.get_ident()
+        draw, score = experiments._draw_ball, experiments.decision_values
+        scores = []
+
+        def slow_draw(*args):
+            if threading.get_ident() != caller:
+                time.sleep(0.2)
+            draw(*args)
+
+        def fail_at_refit_3(model, X):
+            scores.append(1)
+            if len(scores) == 2 * 3 + 1:
+                raise NumericError("injected")
+            return score(model, X)
+
+        monkeypatch.setattr(experiments, "_draw_ball", slow_draw)
+        monkeypatch.setattr(experiments, "decision_values", fail_at_refit_3)
+        before = threading.active_count()
+        with pytest.raises(NumericError, match="^injected$"):
+            two_ball_refits(LINEAR, **self.CONFIG)
+        assert threading.active_count() == before
+
+    def test_a_failed_draw_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_usable_cores", lambda: 2)
+        caller = threading.get_ident()
+        draw = experiments._draw_ball
+
+        def fail_on_worker(*args):
+            if threading.get_ident() != caller:
+                raise MemoryError("injected")
+            draw(*args)
+
+        monkeypatch.setattr(experiments, "_draw_ball", fail_on_worker)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="^injected$"):
+            two_ball_refits(LINEAR, **self.CONFIG)
+        assert threading.active_count() == before
 
 
 class TestMargins:

@@ -5,6 +5,7 @@ import contextvars
 import math
 import os
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -1119,6 +1120,48 @@ class TestSplitRows:
             warnings.simplefilter("error")
             got = inner_with_combo(spec, X, c)
         assert np.isinf(got[-5:]).all() and np.isfinite(got[:-5]).all()
+
+
+class TestBeside:
+    """kernels._beside, the one way a library call puts work on a second
+    thread: inner_with_combo's row split and the refits' prefetched draws."""
+
+    def test_body_error_wins_and_the_worker_is_joined(self, monkeypatch):
+        class Body(RuntimeError):
+            pass
+
+        monkeypatch.setattr(kernels, "_usable_cores", lambda: 2)
+        done = []
+
+        def slow_failure():
+            time.sleep(0.1)
+            done.append(threading.get_ident())
+            raise ValueError("worker")
+
+        before = threading.active_count()
+        with pytest.raises(Body), kernels._beside(slow_failure):
+            raise Body
+        assert threading.active_count() == before
+        assert len(done) == 1 and done[0] != threading.get_ident()
+
+    def test_one_core_runs_the_work_inline_before_the_body(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_usable_cores", lambda: 1)
+        order = []
+        with kernels._beside(lambda: order.append(("work", threading.get_ident()))):
+            order.append(("body", threading.get_ident()))
+        assert order == [("work", threading.get_ident()), ("body", threading.get_ident())]
+
+    def test_worker_error_is_raised_after_the_join(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_usable_cores", lambda: 2)
+
+        def fail():
+            time.sleep(0.1)
+            raise KeyError("worker")
+
+        before = threading.active_count()
+        with pytest.raises(KeyError, match="worker"), kernels._beside(fail):
+            pass
+        assert threading.active_count() == before
 
 
 def exponents(c, X):
